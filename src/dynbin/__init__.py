@@ -27,10 +27,7 @@ from .engine import (
     Policy,
     SimulationError,
     SimulationResult,
-    migration_counts,
-    per_time_open_bins,
     simulate,
-    total_active_time,
     verify_packing,
 )
 from .algorithms import (
@@ -75,10 +72,7 @@ __all__ = [
     "Policy",
     "SimulationError",
     "SimulationResult",
-    "migration_counts",
-    "per_time_open_bins",
     "simulate",
-    "total_active_time",
     "verify_packing",
     "DelayPolicy",
     "FirstFitPolicy",

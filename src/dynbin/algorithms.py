@@ -35,7 +35,8 @@ def size_class(size: ScaledSize) -> int:
 
 class FirstFitPool:
     """Ordered pool of bins filled first-fit: each item goes to the
-    earliest-opened open bin where it fits, else a fresh bin."""
+    earliest-opened open bin where it fits, else a fresh bin. The pool
+    owns its group, so every bin in it carries the pool's label."""
 
     def __init__(self, engine: Engine, group: str, label: str = GOOD):
         self.engine = engine
@@ -43,10 +44,8 @@ class FirstFitPool:
         self.label = label
 
     def select(self, size_num: int):
-        for b in self.engine.bins_in(self.group):
-            if b.load + size_num <= self.engine.scale:
-                return b
-        return self.engine.open_bin(self.label, self.group)
+        b = self.engine.first_fit(self.group, self.label, size_num)
+        return b if b is not None else self.engine.open_bin(self.label, self.group)
 
 
 class FirstFitPolicy(Policy):
@@ -92,18 +91,10 @@ class SingleClassMigrator:
             self.engine.set_label(b.id, GOOD)
 
     def place(self, item_id: int, size_num: int) -> None:
-        scale = self.engine.scale
-        bins = list(self.engine.bins_in(self.group))
-        target = None
-        for b in bins:
-            if b.label == BAD and b.load + size_num <= scale:
-                target = b
-                break
+        # first fit over Bad bins, then Good bins, then a new Bad bin
+        target = self.engine.first_fit(self.group, BAD, size_num)
         if target is None:
-            for b in bins:
-                if b.label == GOOD and b.load + size_num <= scale:
-                    target = b
-                    break
+            target = self.engine.first_fit(self.group, GOOD, size_num)
         if target is None:
             target = self.engine.open_bin(BAD, self.group)
         self.engine.place(item_id, target.id)

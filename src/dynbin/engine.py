@@ -7,6 +7,14 @@ receives is the departure event itself.
 
 Event order at equal time: departures, then migration checkpoints, then
 arrivals, then adversary resolution; ties broken by item id.
+
+`Engine.bins` holds every bin ever opened, closed ones included, so a
+policy can still look up a bin that closed in the event it handles.
+`Engine.bins_in` yields only the open bins of a group, from a per-group
+index that a bin leaves when it closes. First fit runs on a max-residual
+segment tree per (group, label) over opening order, so a placement costs
+O(log B) in the number B of open bins of the group, not a scan of every
+bin ever opened; a group with only a few open bins is scanned instead.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .core import Instance, UnresolvedDurationError, validate
@@ -130,17 +139,98 @@ class SimulationResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def migration_counts(result: SimulationResult) -> tuple[int, float, dict[str, int]]:
-    ledger = result.ledger
-    return ledger.unit_count, ledger.size_sum, ledger.per_class()
+class FirstFitIndex:
+    """Max-residual segment trees over the open bins of one group, one
+    tree per label, all indexed by opening order (Johnson, "Fast
+    algorithms for bin packing", JCSS 1974).
 
+    A leaf holds scale - load for an open bin of the tree's label and -1
+    for every other slot, so the leftmost leaf >= s is the earliest-opened
+    bin of that label where an item of size s fits. Slots are never
+    reused; when they run out, the open bins are renumbered in order into
+    twice as many slots, so the trees stay O(open bins) in size.
+    """
 
-def per_time_open_bins(result: SimulationResult) -> list[Segment]:
-    return result.segments
+    MIN_SLOTS = 8
 
+    def __init__(self, scale: int, open_bins: dict[int, Bin]):
+        self.scale = scale
+        self.trees: dict[str, list[int]] = {}
+        self._renumber(open_bins)
 
-def total_active_time(result: SimulationResult) -> float:
-    return result.total_active_time
+    def add(self, b: Bin, open_bins: dict[int, Bin]) -> None:
+        """Append a just-opened bin; open_bins is the group's open index,
+        b included, in opening order."""
+        if self.next_slot == self.size:
+            self._renumber(open_bins)
+            return
+        leaf = self.next_slot
+        self.next_slot += 1
+        self.slot[b.id] = leaf
+        self.at[leaf] = b
+        self._write(self._tree(b.label), leaf, self.scale - b.load)
+
+    def update(self, b: Bin) -> None:
+        """Refresh b's leaf after its load changed."""
+        self._write(self.trees[b.label], self.slot[b.id], self.scale - b.load)
+
+    def relabel(self, b: Bin, old_label: str) -> None:
+        leaf = self.slot[b.id]
+        self._write(self.trees[old_label], leaf, -1)
+        self._write(self._tree(b.label), leaf, self.scale - b.load)
+
+    def remove(self, b: Bin) -> None:
+        leaf = self.slot.pop(b.id)
+        self.at[leaf] = None
+        self._write(self.trees[b.label], leaf, -1)
+
+    def first(self, label: str, size_num: int) -> Bin | None:
+        tree = self.trees.get(label)
+        if tree is None or tree[1] < size_num:
+            return None
+        i, size = 1, self.size
+        while i < size:
+            i <<= 1
+            if tree[i] < size_num:
+                i += 1
+        return self.at[i - size]
+
+    def _tree(self, label: str) -> list[int]:
+        tree = self.trees.get(label)
+        if tree is None:
+            tree = self.trees[label] = [-1] * (2 * self.size)
+        return tree
+
+    def _write(self, tree: list[int], leaf: int, value: int) -> None:
+        i = leaf + self.size
+        tree[i] = value
+        i >>= 1
+        while i:
+            left, right = tree[2 * i], tree[2 * i + 1]
+            best = left if left > right else right
+            if tree[i] == best:
+                break
+            tree[i] = best
+            i >>= 1
+
+    def _renumber(self, open_bins: dict[int, Bin]) -> None:
+        """Give the open bins leaves 0, 1, ... in opening order and
+        rebuild every tree bottom-up."""
+        size = self.MIN_SLOTS
+        while size < 2 * len(open_bins):
+            size *= 2
+        self.size = size
+        self.next_slot = len(open_bins)
+        self.slot = {bin_id: leaf for leaf, bin_id in enumerate(open_bins)}
+        self.at = list(open_bins.values()) + [None] * (size - len(open_bins))
+        labels = set(self.trees) | {b.label for b in open_bins.values()}
+        self.trees = {label: [-1] * (2 * size) for label in labels}
+        for leaf, b in enumerate(open_bins.values()):
+            self.trees[b.label][size + leaf] = self.scale - b.load
+        for tree in self.trees.values():
+            for i in range(size - 1, 0, -1):
+                left, right = tree[2 * i], tree[2 * i + 1]
+                tree[i] = left if left > right else right
 
 
 class Policy:
@@ -168,6 +258,8 @@ class Policy:
 class Engine:
     """Drives one policy through one instance. Single-threaded."""
 
+    SCAN_LIMIT = 8  # open bins of a group searched without trees
+
     def __init__(
         self,
         instance: Instance,
@@ -194,7 +286,9 @@ class Engine:
         self.durations: dict[int, float | None] = {
             it.id: it.duration for it in instance.items
         }
-        self.bins: dict[int, Bin] = {}
+        self.bins: dict[int, Bin] = {}  # every bin ever opened
+        self._open_by_group: dict[str, dict[int, Bin]] = {}
+        self._fit: dict[str, FirstFitIndex] = {}  # groups past SCAN_LIMIT
         self._next_bin_id = 0
         self.placement: dict[int, int] = {}
         self.live: dict[int, int] = {}  # item id -> size numerator
@@ -205,6 +299,7 @@ class Engine:
         self.trace: list[dict] = []
         self._open_count = 0
         self._pending_checkpoints: dict[int, set[float]] = {}
+        self._staged: dict[int, int] = {}  # item id -> source bin of a migration
         self._heap: list[tuple[float, int, int]] = []
         self._current: dict | None = None  # trace record of the event in flight
         # bind-time actions (e.g. a policy pre-opening a persistent bin)
@@ -225,23 +320,48 @@ class Engine:
 
     def bins_in(self, group: str) -> Iterator[Bin]:
         """Non-closed bins of a group in opening order."""
-        for b in self.bins.values():
-            if b.group == group and not b.closed:
-                yield b
+        return iter(self._open_by_group.get(group, {}).values())
+
+    def open_bins(self) -> Iterator[Bin]:
+        """Every non-closed bin, group by group, each in opening order."""
+        return chain.from_iterable(map(dict.values, self._open_by_group.values()))
+
+    def first_fit(self, group: str, label: str, size_num: int) -> Bin | None:
+        """The earliest-opened open bin of the group carrying the label
+        where an item of size_num fits, or None.
+
+        A group is scanned while it has at most SCAN_LIMIT open bins,
+        where keeping trees costs more than the scan. Its trees are built
+        the first time a search finds more, and kept from then on; groups
+        nobody searches (junk, dedicated) never get any."""
+        index = self._fit.get(group)
+        if index is None:
+            open_bins = self._open_by_group.get(group, {})
+            if len(open_bins) <= self.SCAN_LIMIT:
+                for b in open_bins.values():
+                    if b.label == label and b.load + size_num <= self.scale:
+                        return b
+                return None
+            index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
+        return index.first(label, size_num)
 
     def open_bin(self, label: str, group: str, persistent: bool = False) -> Bin:
         b = Bin(id=self._next_bin_id, label=label, group=group, persistent=persistent)
         self._next_bin_id += 1
         self.bins[b.id] = b
+        open_bins = self._open_by_group.setdefault(group, {})
+        open_bins[b.id] = b
+        index = self._fit.get(group)
+        if index is not None:
+            index.add(b, open_bins)
         self._record("open", bin=b.id, label=label, group=group)
         return b
 
     def close_bin(self, bin_id: int) -> None:
         b = self.bins[bin_id]
         b.persistent = False
-        if b.load == 0:
-            b.closed = True
-            self._record("close", bin=bin_id)
+        if b.load == 0 and not b.closed:
+            self._close(b)
 
     def set_label(self, bin_id: int, label: str) -> None:
         b = self.bins[bin_id]
@@ -250,7 +370,10 @@ class Engine:
         if b.label == GOOD and label == BAD:
             raise SimulationError(f"bin {bin_id}: Good bins never become Bad")
         self._record("label", bin=bin_id, old=b.label, new=label)
-        b.label = label
+        old, b.label = b.label, label
+        index = self._fit.get(b.group)
+        if index is not None and not b.closed:
+            index.relabel(b, old)
 
     def place(self, item_id: int, bin_id: int) -> None:
         """Place a newly arrived item."""
@@ -266,7 +389,6 @@ class Engine:
             raise SimulationError(f"cannot migrate departed item {item_id}")
         src = self.placement.pop(item_id)
         self._detach(item_id, src)
-        self._staged = getattr(self, "_staged", {})
         self._staged[item_id] = src
         return self.size_of(item_id)
 
@@ -322,6 +444,9 @@ class Engine:
         self.placement[item_id] = bin_id
         if not was_open:
             self._open_count += 1
+        index = self._fit.get(b.group)
+        if index is not None:
+            index.update(b)
 
     def _detach(self, item_id: int, bin_id: int) -> None:
         b = self.bins[bin_id]
@@ -330,8 +455,24 @@ class Engine:
         if b.load == 0:
             self._open_count -= 1
             if not b.persistent:
-                b.closed = True
-                self._record("close", bin=bin_id)
+                self._close(b)
+                return
+        index = self._fit.get(b.group)
+        if index is not None:
+            index.update(b)
+
+    def _close(self, b: Bin) -> None:
+        """The one place a bin closes: it leaves the open index and the
+        first-fit trees."""
+        b.closed = True
+        open_bins = self._open_by_group[b.group]
+        del open_bins[b.id]
+        if not open_bins:  # keeps open_bins() from walking empty groups
+            del self._open_by_group[b.group]
+        index = self._fit.get(b.group)
+        if index is not None:
+            index.remove(b)
+        self._record("close", bin=b.id)
 
     def _record(self, action: str, **fields) -> None:
         target = self._current if self._current is not None else self._setup
@@ -342,8 +483,9 @@ class Engine:
         heapq.heappush(self._heap, (time, EventKind.DEPARTURE, item_id))
 
     def _resolve(self, time: float) -> None:
+        # a bin that holds an item is never closed, so the open bins suffice
         snapshot = []
-        for b in sorted(self.bins.values(), key=lambda b: b.id):
+        for b in sorted(self.open_bins(), key=lambda b: b.id):
             deferred = sorted(
                 i for i in b.items if self.durations[i] is None
             )
@@ -416,6 +558,7 @@ class Engine:
             elif kind == EventKind.DEPARTURE:
                 bin_id = self.placement.pop(item_id)
                 del self.live[item_id]
+                self._pending_checkpoints.pop(item_id, None)
                 departures[item_id] = time
                 self._record(
                     "depart", item=item_id, bin=bin_id, size=self.size_of(item_id)
@@ -462,14 +605,6 @@ def simulate(
 ) -> SimulationResult:
     """Run a policy over an instance; deterministic for identical inputs."""
     return Engine(instance, policy, delay_cost, adversary, observers).run()
-
-
-def resolve_adversary(snapshot, resolver) -> dict[int, float]:
-    """Apply a duration resolver to a packing snapshot.
-
-    snapshot: list of (bin id, sorted deferred item ids), ordered by bin id.
-    """
-    return resolver.resolve(snapshot)
 
 
 def verify_packing(result: SimulationResult) -> str | None:

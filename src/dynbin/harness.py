@@ -121,13 +121,12 @@ def build_policy(config: ExperimentConfig):
 
 def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
-    bin, and none for class 0; junk bins never exceed capacity."""
+    bin, and none for class 0; junk bins never exceed capacity. Counts
+    are taken from the open bins themselves after every event."""
 
     def observe(engine, time):
         counts: dict[str, int] = {}
-        for b in engine.bins.values():
-            if b.closed:
-                continue
+        for b in engine.open_bins():
             if b.label == BAD:
                 counts[b.group] = counts.get(b.group, 0) + 1
             if b.group.startswith("junk") and b.load > scale:

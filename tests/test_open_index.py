@@ -1,0 +1,140 @@
+"""The engine's open-bin index and first-fit trees against naive scans.
+
+The naive references walk `Engine.bins`, the registry of every bin ever
+opened, in id order: the scan the engine did on every placement before
+it kept an index of open bins.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynbin.algorithms import (
+    DelayPolicy,
+    FirstFitPolicy,
+    MultiClassPolicy,
+    SingleClassPolicy,
+    SizeCostPolicy,
+)
+from dynbin.core import Instance, Item
+from dynbin.engine import BAD, GOOD, Engine, Policy, simulate
+from dynbin.generators import gen_uniform
+
+SCALE = 8
+GROUPS = ("a", "b")
+
+
+def naive_first_fit(engine, group, label, size_num):
+    for b in sorted(engine.bins.values(), key=lambda b: b.id):
+        if (
+            b.group == group
+            and b.label == label
+            and not b.closed
+            and b.load + size_num <= engine.scale
+        ):
+            return b
+    return None
+
+
+def naive_open_index(engine):
+    groups = {}
+    for b in sorted(engine.bins.values(), key=lambda b: b.id):
+        if not b.closed:
+            groups.setdefault(b.group, []).append(b.id)
+    return groups
+
+
+def open_index(engine):
+    index = {}
+    for group, bins in engine._open_by_group.items():
+        assert all(bin_id == b.id for bin_id, b in bins.items())
+        if bins:
+            index[group] = list(bins)
+    return index
+
+
+op = st.tuples(
+    st.sampled_from(["open", "attach", "detach", "close", "relabel"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+
+
+# 0 builds a group's trees on its first search; the default scans small groups
+@pytest.mark.parametrize("scan_limit", [0, Engine.SCAN_LIMIT])
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, SCALE), min_size=1, max_size=60),
+    ops=st.lists(op, max_size=250),
+)
+def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
+    items = [Item(i, 0.0, s, 1.0) for i, s in enumerate(sizes)]
+    engine = Engine(Instance(items=tuple(items), scale=SCALE), Policy())
+    engine.SCAN_LIMIT = scan_limit
+    for kind, x, y in ops:
+        live = [b for b in engine.bins.values() if not b.closed]
+        if kind == "open":
+            engine.open_bin(
+                (BAD, GOOD)[x % 2], GROUPS[(x // 2) % len(GROUPS)], persistent=y % 3 == 0
+            )
+        elif kind == "attach":
+            unplaced = [i for i in range(len(sizes)) if i not in engine.placement]
+            if not unplaced:
+                continue
+            item = unplaced[x % len(unplaced)]
+            fits = [b for b in live if b.load + sizes[item] <= SCALE]
+            if fits:
+                engine._attach(item, fits[y % len(fits)].id)
+        elif kind == "detach":
+            placed = sorted(engine.placement)
+            if placed:
+                item = placed[x % len(placed)]
+                engine._detach(item, engine.placement.pop(item))
+        elif kind == "close" and live:
+            engine.close_bin(live[x % len(live)].id)
+        elif kind == "relabel" and live:
+            b = live[x % len(live)]
+            if b.label == BAD:
+                engine.set_label(b.id, GOOD)
+        assert open_index(engine) == naive_open_index(engine)
+        for group in GROUPS:
+            assert [b.id for b in engine.bins_in(group)] == naive_open_index(engine).get(
+                group, []
+            )
+            for label in (BAD, GOOD):
+                for size_num in range(1, SCALE + 1):
+                    assert engine.first_fit(group, label, size_num) is naive_first_fit(
+                        engine, group, label, size_num
+                    )
+
+
+POLICIES = {
+    "firstfit": lambda: (FirstFitPolicy(), 0.0),
+    "alg1": lambda: (SingleClassPolicy(Fraction(1, 4), Fraction(1, 2)), 0.0),
+    "alg2": lambda: (MultiClassPolicy(Fraction(1, 4)), 0.0),
+    "sizecost": lambda: (SizeCostPolicy(Fraction(1, 4)), 0.0),
+    "delay": lambda: (DelayPolicy(1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_open_index_matches_registry_after_every_event(name):
+    # about 40 live items over 300 arrivals, so hundreds of bins close
+    instance = gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, 7)
+    policy, delay_cost = POLICIES[name]()
+    events = []
+
+    def watch(engine, time):
+        expected = naive_open_index(engine)
+        assert open_index(engine) == expected, f"t={time}"
+        for group, ids in expected.items():
+            for label in {engine.bin(i).label for i in ids}:
+                for size_num in (1, 5, 8, 13, 16):
+                    assert engine.first_fit(group, label, size_num) is naive_first_fit(
+                        engine, group, label, size_num
+                    ), f"t={time} group={group} label={label} size={size_num}"
+        events.append(time)
+
+    result = simulate(instance, policy, delay_cost=delay_cost, observers=[watch])
+    assert len(events) == len(result.trace) - (result.trace[0]["kind"] == "SETUP")
