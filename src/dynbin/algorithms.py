@@ -1,8 +1,8 @@
 """The packing policies: FirstFit, the bounded-migration single-class and
 multi-class algorithms, the size-cost variant with dedicated bins, and the
 migration-delay algorithm, plus the sub-instance decomposition of a delay
-run. All threshold comparisons are exact (integer loads vs Fraction
-thresholds)."""
+run. All threshold comparisons are exact: an integer load is compared
+with a Fraction threshold by cross-multiplying."""
 
 from __future__ import annotations
 
@@ -87,7 +87,8 @@ class SingleClassMigrator:
         self.mig_order = mig_order
 
     def _relabel(self, b) -> None:
-        if b.label == BAD and Fraction(b.load, self.engine.scale) >= self.f:
+        f = self.f
+        if b.label == BAD and b.load * f.denominator >= f.numerator * self.engine.scale:
             self.engine.set_label(b.id, GOOD)
 
     def place(self, item_id: int, size_num: int) -> None:
@@ -105,7 +106,8 @@ class SingleClassMigrator:
         b = engine.bin(bin_id)
         if b.label != GOOD or b.load == 0:
             return
-        if Fraction(b.load, engine.scale) >= self.alpha:
+        alpha = self.alpha
+        if b.load * alpha.denominator >= alpha.numerator * engine.scale:
             return
         # drain: migrate every resident first-fit over Bad, Good, then new bins
         residents = sorted(b.items)
@@ -254,7 +256,8 @@ class SizeCostPolicy(Policy):
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        if Fraction(size_num, self.engine.scale) >= self.alpha:
+        alpha = self.alpha
+        if size_num * alpha.denominator >= alpha.numerator * self.engine.scale:
             b = self.engine.open_bin(DEDICATED, "dedicated")
             self.engine.place(item_id, b.id)
         else:

@@ -10,8 +10,9 @@ import click
 
 from . import generators, harness, oracles
 from .core import read_jsonl, validate, write_jsonl
-from .engine import simulate, verify_packing
-from .harness import ExperimentConfig, InvariantViolation
+# unused here, but the benchmark's tracer patches both names in this module
+from .engine import simulate, verify_packing  # noqa: F401
+from .harness import ExperimentConfig, InvariantViolation, UnknownCheck
 
 
 def _adversary_for(instance):
@@ -78,7 +79,8 @@ _RUN_CHOICES = ["firstfit", "alg1", "alg2", "sizecost", "delay"]
 @click.option("--delay-c", type=float, default=None)
 @click.option("--mig-order", type=click.Choice(["id", "size-desc"]), default="id")
 @click.option("--checks", type=str, default="",
-              help="Comma-separated invariant checks to enforce during the run.")
+              help="Comma-separated invariant checks to enforce on the run, "
+              f"from: {', '.join(harness.CHECKS)}.")
 @click.option("--trace", type=click.Path(), default=None,
               help="Write the full event trace JSON here.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
@@ -87,61 +89,42 @@ _RUN_CHOICES = ["firstfit", "alg1", "alg2", "sizecost", "delay"]
 def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
         trace, csv_path, output):
     """Simulate a policy on one instance, or a config-driven experiment."""
-    if config is not None:
-        with open(config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
-        try:
-            report = harness.cmd_run(cfg)
-        except InvariantViolation as exc:
-            click.echo(f"INVARIANT VIOLATION {exc}", err=True)
-            sys.exit(1)
-        text = json.dumps(report, sort_keys=True, indent=2)
-        if output:
-            with open(output, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            click.echo(text)
-        if csv_path:
-            with open(csv_path, "w") as fh:
-                fh.write(harness.rows_to_csv(report["trials"]))
-        return
-
-    if instance_path is None or alg is None:
+    if config is None and (instance_path is None or alg is None):
         raise click.UsageError("need an instance file and --alg (or --config)")
-    instance = read_jsonl(instance_path)
-    cfg = ExperimentConfig(
-        algorithm=alg,
-        generator={"family": "file", "path": instance_path},
-        alpha=alpha,
-        f=f,
-        delay_cost=delay_c,
-        mig_order=mig_order,
-        checks=[c for c in checks.split(",") if c],
-    )
-    policy = harness.build_policy(cfg)
-    observers = []
-    if "bad_bins" in cfg.checks or "junk_load" in cfg.checks:
-        observers.append(harness.bad_bin_observer(instance.scale))
     try:
-        result = simulate(
-            instance,
-            policy,
-            delay_cost=delay_c or 0.0,
-            adversary=_adversary_for(instance),
-            observers=observers,
-        )
+        if config is not None:
+            with open(config) as fh:
+                cfg = ExperimentConfig.from_dict(json.load(fh))
+            report = harness.cmd_run(cfg)
+        else:
+            instance = read_jsonl(instance_path)
+            cfg = ExperimentConfig(
+                algorithm=alg,
+                generator={"family": "file", "path": instance_path},
+                alpha=alpha,
+                f=f,
+                delay_cost=delay_c,
+                mig_order=mig_order,
+                checks=[c for c in checks.split(",") if c],
+            )
+            checked = harness.checked_run(cfg, instance, _adversary_for(instance))
+            if checked.violation is not None:
+                raise checked.violation
+    except UnknownCheck as exc:
+        raise click.UsageError(str(exc))
     except InvariantViolation as exc:
         click.echo(f"INVARIANT VIOLATION {exc}", err=True)
         sys.exit(1)
-    if "packing" in cfg.checks:
-        problem = verify_packing(result)
-        if problem:
-            click.echo(f"INVARIANT VIOLATION packing: {problem}", err=True)
-            sys.exit(1)
-    if trace:
-        with open(trace, "w") as fh:
-            json.dump(result.trace, fh, sort_keys=True, indent=2)
-    text = result.to_json()
+    if config is not None:
+        text = json.dumps(report, sort_keys=True, indent=2)
+        if csv_path:
+            with open(csv_path, "w") as fh:
+                fh.write(harness.rows_to_csv(report["trials"]))
+    else:
+        text = checked.result.to_json()
+        if trace:
+            with open(trace, "w") as fh:
+                json.dump(checked.result.trace, fh, sort_keys=True, indent=2)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")

@@ -70,9 +70,6 @@ class Instance:
     def __len__(self) -> int:
         return len(self.items)
 
-    def size_of(self, item: Item) -> ScaledSize:
-        return ScaledSize(item.size_num, self.scale)
-
     def has_deferred(self) -> bool:
         return any(it.deferred for it in self.items)
 

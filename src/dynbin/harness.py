@@ -1,6 +1,7 @@
 """Experiment harness: reproducible trial runs, per-run invariant checks,
-and CSV/Markdown reporting. The CLI in cli.py is a thin wrapper over this
-module."""
+and CSV/Markdown reporting. Every run is simulated and checked by
+checked_run, which run_trial, cmd_verify and `dynbin run` share; the CLI
+in cli.py only parses options and prints."""
 
 from __future__ import annotations
 
@@ -10,12 +11,12 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from . import algorithms, generators, oracles
 from .core import Instance, ScaledSize, validate, with_durations
-from .engine import BAD, SimulationResult, simulate, verify_packing
+from .engine import BAD, Policy, SimulationResult, simulate, verify_packing
 
 CSV_COLUMNS = [
     "family",
@@ -122,7 +123,9 @@ def build_policy(config: ExperimentConfig):
 def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
     bin, and none for class 0; junk bins never exceed capacity. Counts
-    are taken from the open bins themselves after every event."""
+    are taken from the open bins themselves after every event. It raises
+    at the first violation, which the benchmark's stream workload relies
+    on; checked_run records that violation and lets the run finish."""
 
     def observe(engine, time):
         counts: dict[str, int] = {}
@@ -258,15 +261,68 @@ def check_decomposition(
 # ----------------------------------------------------------------------
 # trial execution
 
-def run_trial(config: ExperimentConfig, seed: int) -> dict:
-    instance, adversary = build_instance(config.generator, seed)
+# evaluation order: the observer's checks, then the post-run ones
+CHECKS = (
+    "bad_bins",
+    "junk_load",
+    "packing",
+    "per_time",
+    "migration_budget",
+    "size_budget",
+    "delay_schedule",
+    "decomposition",
+)
+
+
+class UnknownCheck(ValueError):
+    """A requested check name that is not in CHECKS."""
+
+
+@dataclass
+class CheckedRun:
+    """One simulation and the outcome of each requested check on it:
+    None if it passed, else its InvariantViolation, in CHECKS order."""
+
+    result: SimulationResult
+    instance: Instance  # deferred durations resolved by the run
+    policy: Policy
+    outcomes: dict[str, InvariantViolation | None]
+    max_pertime_ratio: float | None = None  # None unless per_time ran and passed
+
+    @property
+    def violation(self) -> InvariantViolation | None:
+        return next((v for v in self.outcomes.values() if v is not None), None)
+
+
+def checked_run(
+    config: ExperimentConfig, instance: Instance, adversary=None
+) -> CheckedRun:
+    """Validate the instance, simulate config's policy on it once and run
+    every check in config.checks on that run. The alpha-bounded checks
+    pass vacuously without an alpha."""
+    unknown = [c for c in config.checks if c not in CHECKS]
+    if unknown:
+        raise UnknownCheck(
+            f"unknown check {', '.join(unknown)}; choose from {', '.join(CHECKS)}"
+        )
     problems = validate(instance)
     if problems:
         raise InvariantViolation("validate", "; ".join(problems))
     policy = build_policy(config)
+    observed: list[InvariantViolation] = []
     observers = []
     if "bad_bins" in config.checks or "junk_load" in config.checks:
-        observers.append(bad_bin_observer(instance.scale))
+        observer = bad_bin_observer(instance.scale)
+
+        def record_first(engine, time):
+            if not observed:
+                try:
+                    observer(engine, time)
+                except InvariantViolation as exc:
+                    observed.append(exc)
+
+        observers.append(record_first)
+    # through the module global, which the benchmark patches to digest each run
     result = simulate(
         instance,
         policy,
@@ -274,42 +330,52 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
         adversary=adversary,
         observers=observers,
     )
-    if "packing" in config.checks:
-        problem = verify_packing(result)
-        if problem:
-            raise InvariantViolation("packing", problem)
-
     resolved = (
         with_durations(instance, result.resolved_durations)
         if instance.has_deferred()
         else instance
     )
-    alpha = config.alpha_fraction()
-    phases = len(getattr(policy, "phase_history", [])) or None
+    run = CheckedRun(
+        result, resolved, policy, dict.fromkeys(c for c in CHECKS if c in config.checks)
+    )
 
-    max_ratio = ""
-    if "per_time" in config.checks and alpha is not None:
+    def check(name, fn, *args):
+        if name in run.outcomes:
+            try:
+                return fn(*args)
+            except InvariantViolation as exc:
+                run.outcomes[name] = exc
+
+    for name in ("bad_bins", "junk_load"):
+        if name in run.outcomes and observed:
+            run.outcomes[name] = observed[0]
+    problem = verify_packing(result) if "packing" in run.outcomes else None
+    if problem:
+        run.outcomes["packing"] = InvariantViolation("packing", problem)
+    alpha = config.alpha_fraction()
+    if alpha is not None:
         if config.algorithm == "alg2":
             additive = lambda t: 2 * policy.phases_at(t)
         else:
             additive = lambda t: 1
-        max_ratio = check_per_time(
-            resolved,
-            result,
-            alpha,
-            additive,
-            config.oracle_max_items,
-            config.oracle_time_budget,
+        run.max_pertime_ratio = check(
+            "per_time", check_per_time, resolved, result, alpha, additive,
+            config.oracle_max_items, config.oracle_time_budget,
         )
-    if "migration_budget" in config.checks and alpha is not None:
-        check_migration_budget(resolved, result, alpha)
-    if "size_budget" in config.checks and alpha is not None:
-        check_size_budget(resolved, result, alpha)
-    if "delay_schedule" in config.checks:
-        check_delay_schedule(resolved, result, config.delay_cost)
-    if "decomposition" in config.checks:
-        check_decomposition(resolved, result, config.delay_cost)
+        check("migration_budget", check_migration_budget, resolved, result, alpha)
+        check("size_budget", check_size_budget, resolved, result, alpha)
+    check("delay_schedule", check_delay_schedule, resolved, result, config.delay_cost)
+    check("decomposition", check_decomposition, resolved, result, config.delay_cost)
+    return run
 
+
+def run_trial(config: ExperimentConfig, seed: int) -> dict:
+    instance, adversary = build_instance(config.generator, seed)
+    run = checked_run(config, instance, adversary)
+    if run.violation is not None:
+        raise run.violation
+    result = run.result
+    phases = len(getattr(run.policy, "phase_history", [])) or None
     row = {
         "family": config.generator["family"],
         "params": json.dumps(
@@ -324,7 +390,9 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
         "alg_cost": result.total_active_time,
         "mig_unit": result.ledger.unit_count,
         "mig_size": result.ledger.size_sum,
-        "max_pertime_ratio": max_ratio,
+        "max_pertime_ratio": (
+            "" if run.max_pertime_ratio is None else run.max_pertime_ratio
+        ),
         "phases": phases if phases is not None else "",
         "opt_lb": "",
         "opt_exact": "",
@@ -334,7 +402,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     }
     if config.compute_opt:
         report = oracles.opt_total(
-            resolved, config.oracle_max_items, config.oracle_time_budget
+            run.instance, config.oracle_max_items, config.oracle_time_budget
         )
         row["opt_lb"] = report.lower_bound
         row["opt_exact"] = report.all_exact
@@ -346,19 +414,14 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     return row
 
 
-def _trial_worker(config_dict: dict, seed: int) -> dict:
-    return run_trial(ExperimentConfig.from_dict(config_dict), seed)
-
-
 def cmd_run(config: ExperimentConfig) -> dict:
     """Execute all trials and assemble the report."""
     seeds = [config.base_seed + i for i in range(config.trials)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(
-                pool.map(_trial_worker, [config.to_dict()] * len(seeds), seeds)
-            )
+            rows = list(pool.map(run_trial, [config] * len(seeds), seeds))
     else:
+        # looked up per trial: the benchmark times trials by patching run_trial
         rows = [run_trial(config, seed) for seed in seeds]
     return {
         "config": config.to_dict(),
@@ -418,59 +481,10 @@ def applicable_checks(algorithm: str) -> list[str]:
     return checks
 
 
-def cmd_verify(config: ExperimentConfig, instance: Instance, adversary=None) -> list[tuple[str, bool, str]]:
-    """Run one instance with every applicable check; report per-check results."""
-    results: list[tuple[str, bool, str]] = []
-    for check in applicable_checks(config.algorithm):
-        trial = ExperimentConfig.from_dict(config.to_dict())
-        trial.checks = [check]
-        try:
-            _run_single(trial, instance, adversary)
-            results.append((check, True, ""))
-        except InvariantViolation as exc:
-            results.append((check, False, str(exc)))
-    return results
-
-
-def _run_single(config: ExperimentConfig, instance: Instance, adversary) -> dict:
-    """run_trial over a pre-built instance rather than a generator."""
-    policy = build_policy(config)
-    observers = []
-    if "bad_bins" in config.checks or "junk_load" in config.checks:
-        observers.append(bad_bin_observer(instance.scale))
-    result = simulate(
-        instance,
-        policy,
-        delay_cost=config.delay_cost or 0.0,
-        adversary=adversary,
-        observers=observers,
-    )
-    if "packing" in config.checks:
-        problem = verify_packing(result)
-        if problem:
-            raise InvariantViolation("packing", problem)
-    resolved = (
-        with_durations(instance, result.resolved_durations)
-        if instance.has_deferred()
-        else instance
-    )
-    alpha = config.alpha_fraction()
-    if "per_time" in config.checks and alpha is not None:
-        additive = (
-            (lambda t: 2 * policy.phases_at(t))
-            if config.algorithm == "alg2"
-            else (lambda t: 1)
-        )
-        check_per_time(
-            resolved, result, alpha, additive,
-            config.oracle_max_items, config.oracle_time_budget,
-        )
-    if "migration_budget" in config.checks and alpha is not None:
-        check_migration_budget(resolved, result, alpha)
-    if "size_budget" in config.checks and alpha is not None:
-        check_size_budget(resolved, result, alpha)
-    if "delay_schedule" in config.checks:
-        check_delay_schedule(resolved, result, config.delay_cost)
-    if "decomposition" in config.checks:
-        check_decomposition(resolved, result, config.delay_cost)
-    return {"result": result}
+def cmd_verify(
+    config: ExperimentConfig, instance: Instance, adversary=None
+) -> list[tuple[str, bool, str]]:
+    """Run one instance once with every applicable check; report per-check results."""
+    checks = applicable_checks(config.algorithm)
+    run = checked_run(replace(config, checks=checks), instance, adversary)
+    return [(c, run.outcomes[c] is None, str(run.outcomes[c] or "")) for c in checks]

@@ -3,6 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from dynbin import cli, harness
+from dynbin.core import Instance, Item, write_jsonl
+from dynbin.harness import InvariantViolation
 
 CLI = [sys.executable, "-m", "dynbin"]
 
@@ -120,3 +125,67 @@ def test_gen_missing_params_errors(tmp_path):
                    expect_ok=False)
     assert proc.returncode != 0
     assert "requires" in proc.stderr
+
+
+def invoke(*args):
+    return CliRunner().invoke(cli.main, [str(a) for a in args])
+
+
+def fragmenting_file(tmp_path):
+    # four (5,3) pairs: FirstFit keeps four bins open after the 5s leave,
+    # where the optimum needs two
+    path = tmp_path / "pairs.jsonl"
+    items = [Item(i, 0.0, 5 if i % 2 == 0 else 3, 1.0 if i % 2 == 0 else 3.0)
+             for i in range(8)]
+    write_jsonl(Instance(items=tuple(items), scale=8), path)
+    return path
+
+
+def test_run_applies_every_check(tmp_path):
+    result = invoke("run", fragmenting_file(tmp_path), "--alg", "firstfit",
+                    "--alpha", "9/10", "--checks", "per_time")
+    assert result.exit_code == 1
+    assert result.stderr.startswith("INVARIANT VIOLATION per_time: 4 open bins")
+
+
+def test_run_rejects_unknown_check(tmp_path):
+    path = fragmenting_file(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "algorithm": "firstfit", "checks": ["packng"],
+        "generator": {"family": "fig2", "k": 3, "mu": 5},
+    }))
+    for args in (["run", path, "--alg", "firstfit", "--checks", "packng"],
+                 ["run", "--config", cfg_path]):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert "Error: unknown check packng" in result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_run_reports_invalid_file(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(Instance(items=(Item(0, 0.0, 0, 1.0),), scale=8), path)
+    result = invoke("run", path, "--alg", "firstfit")
+    assert result.exit_code == 1
+    assert result.stderr == "INVARIANT VIOLATION validate: item 0: size must be positive\n"
+
+
+def test_verify_reports_each_check_of_one_run(tmp_path, monkeypatch):
+    def failing_observer(scale):
+        def observe(engine, time):
+            raise InvariantViolation("bad_bins", "injected", time)
+        return observe
+
+    monkeypatch.setattr(harness, "bad_bin_observer", failing_observer)
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "fig2", "--k", "4", "--mu", "10", "-o", path)
+    result = invoke("verify", path, "--alg", "alg2", "--alpha", "1/4")
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [
+        "PASS packing",
+        "FAIL bad_bins: bad_bins: injected (t=0.0)",
+        "FAIL junk_load: bad_bins: injected (t=0.0)",
+        "PASS per_time",
+        "PASS migration_budget",
+    ]

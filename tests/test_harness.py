@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynbin import harness
 from dynbin.core import Instance, Item
 from dynbin.engine import simulate
 from dynbin.algorithms import DelayPolicy, MultiClassPolicy
@@ -11,10 +12,13 @@ from dynbin.harness import (
     InvariantViolation,
     aggregate,
     applicable_checks,
+    build_instance,
     check_delay_schedule,
     check_migration_budget,
     check_per_time,
+    checked_run,
     cmd_run,
+    cmd_verify,
     rows_to_csv,
     rows_to_markdown,
     run_trial,
@@ -127,3 +131,31 @@ def test_aggregate_skips_blank_columns():
     agg = aggregate(rows)
     assert agg["alg_cost"]["mean"] == 3.0
     assert "ratio" not in agg
+
+
+def test_checked_run_rejects_unknown_check():
+    cfg = ExperimentConfig(algorithm="firstfit", generator=dict(UNIFORM), checks=["packng"])
+    instance, _ = build_instance(UNIFORM, 0)
+    with pytest.raises(ValueError, match="packng"):
+        checked_run(cfg, instance)
+
+
+@pytest.mark.parametrize(
+    "alg, options, generator, runs",
+    [
+        ("alg2", {"alpha": "1/4"}, UNIFORM, 1),
+        # the decomposition check simulates FirstFit on two sub-instances
+        ("delay", {"delay_cost": 16.0}, dict(UNIFORM, duration_range=[1.0, 16.0]), 3),
+    ],
+)
+def test_verify_simulates_once(monkeypatch, alg, options, generator, runs):
+    calls = []
+    original = harness.simulate
+    monkeypatch.setattr(
+        harness, "simulate", lambda *a, **kw: calls.append(a) or original(*a, **kw)
+    )
+    instance, adversary = build_instance(generator, 0)
+    cfg = ExperimentConfig(algorithm=alg, generator=generator, **options)
+    results = cmd_verify(cfg, instance, adversary)
+    assert [check for check, ok, _ in results if ok] == applicable_checks(alg)
+    assert len(calls) == runs
