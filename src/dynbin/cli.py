@@ -139,6 +139,10 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
 def opt(instance_path, max_items, time_budget):
     """Integrate the offline per-time packing optimum over an instance."""
     instance = read_jsonl(instance_path)
+    problems = validate(instance)
+    if problems:
+        click.echo(f"INVARIANT VIOLATION validate: {'; '.join(problems)}", err=True)
+        sys.exit(1)
     if instance.has_deferred():
         raise click.UsageError(
             "instance has deferred durations; resolve them before computing the optimum"

@@ -189,3 +189,19 @@ def test_verify_reports_each_check_of_one_run(tmp_path, monkeypatch):
         "PASS per_time",
         "PASS migration_budget",
     ]
+
+
+@pytest.mark.parametrize(
+    "item, problem",
+    [
+        (Item(0, 0.0, 9, 1.0), "item 0: size exceeds bin capacity"),
+        (Item(0, 2.0, 3, -1.0), "item 0: duration must be positive"),
+    ],
+)
+def test_opt_reports_invalid_file(tmp_path, item, problem):
+    path = tmp_path / "bad.jsonl"
+    write_jsonl(Instance(items=(Item(1, 0.0, 4, 3.0), item), scale=8), path)
+    result = invoke("opt", path)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"INVARIANT VIOLATION validate: {problem}\n"

@@ -5,7 +5,10 @@ Each case runs the CLI in-process and hashes what it prints and writes:
 on one file, and `run --config` batches with every applicable check.
 The expected digests were recorded while `verify` still simulated once
 per check and `run` kept its own simulate-and-check code; the shared
-path must reproduce every byte.
+path must reproduce every byte. `verify alg1` on uniform and delaylb
+was re-recorded when the migration budget began to count alg1's single
+class against all items: each ended in `FAIL migration_budget: ... in
+class > 0.0` and exit 1 before, and now passes every check.
 """
 
 import hashlib
@@ -47,9 +50,9 @@ EXPECTED = {
     "run --config delay": "f27d3f6e4d1e8c9aad6fcd49b04ad43763fbf0ee190a71d8c075d0edb5a16f9f",
     "run --config firstfit": "b8a540bec2987d54ebfd9e5e5938fc4f1b6e2dbfb505798869579edf0641aa21",
     "run --config sizecost": "3579591e381995f2425e45db19e38028e5056aadaddd7955c6630199b07415bf",
-    "verify alg1 delaylb": "9a4504504c57617be6be8f0bed864375924af70a0258d56b0ad24d703ac00abf",
+    "verify alg1 delaylb": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg1 fig2": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
-    "verify alg1 uniform": "e53c33d2532298ac5b387b923d2d27605b8acb3e56e80e7cdc5fdf2079bf359f",
+    "verify alg1 uniform": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg2 delaylb": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg2 fig2": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg2 uniform": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",

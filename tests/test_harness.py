@@ -5,7 +5,7 @@ import pytest
 from dynbin import harness
 from dynbin.core import Instance, Item
 from dynbin.engine import simulate
-from dynbin.algorithms import DelayPolicy, MultiClassPolicy
+from dynbin.algorithms import DelayPolicy, MultiClassPolicy, SingleClassPolicy
 from dynbin.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -95,6 +95,16 @@ def test_per_time_check_flags_violation():
     result = simulate(instance, FirstFitPolicy())
     with pytest.raises(InvariantViolation):
         check_per_time(instance, result, Fraction(9, 10), lambda t: 0, 24, 2.0)
+
+
+def test_migration_budget_counts_alg1_class_against_all_items():
+    # alg1 records its migrations under the one class key "class"; the
+    # budget is 4*alpha/(1-2*alpha) = 2 migrations per item of the instance
+    instance, _ = build_instance(UNIFORM, 1)
+    policy = SingleClassPolicy(Fraction(1, 4), Fraction(1, 2))
+    result = simulate(instance, policy)
+    assert result.ledger.per_class() == {"class": 4}
+    check_migration_budget(instance, result, Fraction(1, 4))
 
 
 def test_migration_budget_accepts_compliant_run():
