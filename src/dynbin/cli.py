@@ -15,6 +15,14 @@ from .engine import simulate, verify_packing  # noqa: F401
 from .harness import ExperimentConfig, InvariantViolation, UnknownCheck
 
 
+def _read_instance(path):
+    """The instance file at path; a malformed one is a one-line error."""
+    try:
+        return read_jsonl(path)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _adversary_for(instance):
     if instance.adversary is None:
         return None
@@ -97,7 +105,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
                 cfg = ExperimentConfig.from_dict(json.load(fh))
             report = harness.cmd_run(cfg)
         else:
-            instance = read_jsonl(instance_path)
+            instance = _read_instance(instance_path)
             cfg = ExperimentConfig(
                 algorithm=alg,
                 generator={"family": "file", "path": instance_path},
@@ -138,7 +146,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
 @click.option("--time-budget", type=float, default=oracles.DEFAULT_TIME_BUDGET)
 def opt(instance_path, max_items, time_budget):
     """Integrate the offline per-time packing optimum over an instance."""
-    instance = read_jsonl(instance_path)
+    instance = _read_instance(instance_path)
     problems = validate(instance)
     if problems:
         click.echo(f"INVARIANT VIOLATION validate: {'; '.join(problems)}", err=True)
@@ -165,7 +173,7 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
 
     Prints one line per check; exits nonzero if any check fails.
     """
-    instance = read_jsonl(instance_path)
+    instance = _read_instance(instance_path)
     problems = validate(instance)
     if problems:
         for p in problems:

@@ -209,15 +209,32 @@ def write_jsonl(instance: Instance, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _record(path, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
+    """One JSON object holding every key, else a ValueError naming the
+    file and line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{path}:{lineno}: expected a JSON object")
+    missing = [k for k in keys if k not in rec]
+    if missing:
+        raise ValueError(f"{path}:{lineno}: missing {', '.join(missing)}")
+    return rec
+
+
 def read_jsonl(path) -> Instance:
+    """Read write_jsonl's format. A malformed header or record raises a
+    ValueError naming the path and line."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        header = _record(path, 1, fh.readline(), ("scale",))
         items = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = _record(path, lineno, line, ("id", "arrival", "size_num", "duration"))
             items.append(
                 Item(
                     id=rec["id"],

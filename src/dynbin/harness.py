@@ -122,21 +122,83 @@ def build_policy(config: ExperimentConfig):
 
 def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
-    bin, and none for class 0; junk bins never exceed capacity. Counts
-    are taken from the open bins themselves after every event. It raises
-    at the first violation, which the benchmark's stream workload relies
-    on; checked_run records that violation and lets the run finish."""
+    bin, and none for class 0; junk bins never exceed capacity.
+
+    After each event the observer replays the trace records appended
+    since its last call (the SETUP record included), keeping the group and
+    label of every open bin, the load of every open junk bin and the
+    number of Bad bins of each group. It then checks only the junk bins
+    that received items and the groups whose Bad count rose, first the
+    bins in id order, then the groups. A bin's state goes when it closes,
+    and a relabel of a closed bin is ignored, as the open bins are all
+    that count. It raises at the first violation, which the benchmark's
+    stream workload relies on; checked_run records that violation and
+    lets the run finish."""
+    bins: dict[int, tuple[str, str]] = {}  # open bin id -> (group, label)
+    junk: dict[int, int] = {}  # open junk bin id -> load
+    bad: dict[str, int] = {}  # group -> open Bad bins
+    pos = 0  # trace records replayed so far
 
     def observe(engine, time):
-        counts: dict[str, int] = {}
-        for b in engine.open_bins():
-            if b.label == BAD:
-                counts[b.group] = counts.get(b.group, 0) + 1
-            if b.group.startswith("junk") and b.load > scale:
+        nonlocal pos
+        trace = engine.trace
+        filled: list[int] = []  # junk bins that received items
+        rose: list[str] = []  # groups that gained a Bad bin
+        for i in range(pos, len(trace)):
+            for act in trace[i]["actions"]:
+                kind = act["action"]
+                if kind == "place":
+                    bin_id = act["bin"]
+                    if bin_id in junk:
+                        junk[bin_id] += act["size"]
+                        filled.append(bin_id)
+                elif kind == "depart":
+                    bin_id = act["bin"]
+                    if bin_id in junk:
+                        junk[bin_id] -= act["size"]
+                elif kind == "open":
+                    bin_id, group, label = act["bin"], act["group"], act["label"]
+                    bins[bin_id] = (group, label)
+                    if group.startswith("junk"):
+                        junk[bin_id] = 0
+                    if label == BAD:
+                        bad[group] = bad.get(group, 0) + 1
+                        rose.append(group)
+                elif kind == "close":
+                    bin_id = act["bin"]
+                    group, label = bins.pop(bin_id)
+                    junk.pop(bin_id, None)
+                    if label == BAD:
+                        bad[group] -= 1
+                elif kind == "migrate":
+                    # an emptied source closes before this record
+                    src, dst = act["src"], act["dst"]
+                    if src in junk:
+                        junk[src] -= act["size"]
+                    if dst in junk:
+                        junk[dst] += act["size"]
+                        filled.append(dst)
+                elif kind == "label":
+                    bin_id = act["bin"]
+                    state = bins.get(bin_id)
+                    if state is None:
+                        continue
+                    group, label = state
+                    if label == BAD:
+                        bad[group] -= 1
+                    label = act["new"]
+                    bins[bin_id] = (group, label)
+                    if label == BAD:
+                        bad[group] = bad.get(group, 0) + 1
+                        rose.append(group)
+        pos = len(trace)
+        for bin_id in sorted(filled):
+            if junk.get(bin_id, 0) > scale:
                 raise InvariantViolation(
-                    "junk_load", f"junk bin {b.id} over capacity", time
+                    "junk_load", f"junk bin {bin_id} over capacity", time
                 )
-        for group, count in counts.items():
+        for group in rose:
+            count = bad[group]
             if count > 1:
                 raise InvariantViolation(
                     "bad_bins", f"{count} Bad bins in group {group}", time
@@ -148,37 +210,49 @@ def bad_bin_observer(scale: int):
 
 
 def check_per_time(
-    instance: Instance,
+    report: oracles.OptReport,
     result: SimulationResult,
     alpha: Fraction,
     additive_at,
-    max_items: int,
-    time_budget: float,
 ) -> float:
-    """Assert open bins <= OPT_t / alpha + additive at every event
-    boundary; returns the max observed ALG_t/OPT_t ratio. The segments
-    walk the oracle's event sweep in step: each segment start reads the
-    snapshot of the interval containing it, and nothing is live before
-    the first boundary or after the last."""
+    """Assert open bins <= OPT_t / alpha + additive at every segment of
+    the run, reading OPT_t from the instance's OptReport; returns the max
+    observed ALG_t/OPT_t ratio. The segments walk the report's intervals
+    in step: each segment start reads the interval containing it, and
+    nothing is live before the first boundary or after the last.
+
+    With alpha = num/den the bound is tested in integers, open * num >
+    opt * den + additive * num. An interval the oracle could not solve
+    exactly carries its L1 bound, and since OPT_t >= L1 a segment that
+    meets the bound with L1 is certified, with open/L1 as an upper bound
+    on its ratio. One that does not raises SnapshotTooLarge."""
+    num, den = alpha.numerator, alpha.denominator
+    intervals = report.intervals
+    i, n = 0, len(intervals)
     max_ratio = 0.0
-    sweep = oracles.snapshots(instance)
-    snap = next(sweep, None)
     for seg in result.segments:  # starts strictly increase
-        while snap is not None and snap.end <= seg.start:
-            snap = next(sweep, None)
-        if snap is None or seg.start < snap.start:
-            opt_t = 0
+        start, open_bins = seg.start, seg.open_bins
+        while i < n and intervals[i].end <= start:
+            i += 1
+        if i == n or start < intervals[i].start:
+            opt_t, exact = 0, True
         else:
-            opt_t = oracles.snapshot_opt(snap, instance.scale, max_items, time_budget)
-        allowed = Fraction(opt_t) / alpha + additive_at(seg.start)
-        if Fraction(seg.open_bins) > allowed:
+            opt_t, exact = intervals[i].opt, intervals[i].exact
+        additive = additive_at(start)
+        if open_bins * num > opt_t * den + additive * num:
+            allowed = Fraction(opt_t) / alpha + additive
+            if not exact:
+                raise oracles.SnapshotTooLarge(
+                    f"OPT_t at t={start} is not exact and {open_bins} open bins "
+                    f"> {float(allowed)} allowed by its lower bound {opt_t}"
+                )
             raise InvariantViolation(
                 "per_time",
-                f"{seg.open_bins} open bins > {float(allowed)} allowed (OPT_t={opt_t})",
-                seg.start,
+                f"{open_bins} open bins > {float(allowed)} allowed (OPT_t={opt_t})",
+                start,
             )
         if opt_t > 0:
-            max_ratio = max(max_ratio, seg.open_bins / opt_t)
+            max_ratio = max(max_ratio, open_bins / opt_t)
     return max_ratio
 
 
@@ -298,6 +372,7 @@ class CheckedRun:
     policy: Policy
     outcomes: dict[str, InvariantViolation | None]
     max_pertime_ratio: float | None = None  # None unless per_time ran and passed
+    opt: oracles.OptReport | None = None  # the instance's optimum, when per_time ran
 
     @property
     def violation(self) -> InvariantViolation | None:
@@ -368,10 +443,14 @@ def checked_run(
             additive = lambda t: 2 * policy.phases_at(t)
         else:
             additive = lambda t: 1
-        run.max_pertime_ratio = check(
-            "per_time", check_per_time, resolved, result, alpha, additive,
-            config.oracle_max_items, config.oracle_time_budget,
-        )
+        if "per_time" in run.outcomes:
+            # through the module attribute, which the benchmark captures to count intervals
+            run.opt = oracles.opt_total(
+                resolved, config.oracle_max_items, config.oracle_time_budget
+            )
+            run.max_pertime_ratio = check(
+                "per_time", check_per_time, run.opt, result, alpha, additive
+            )
         check("migration_budget", check_migration_budget, resolved, result, alpha)
         check("size_budget", check_size_budget, resolved, result, alpha)
     check("delay_schedule", check_delay_schedule, resolved, result, config.delay_cost)
@@ -411,9 +490,11 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
         "ratio": "",
     }
     if config.compute_opt:
-        report = oracles.opt_total(
-            run.instance, config.oracle_max_items, config.oracle_time_budget
-        )
+        report = run.opt
+        if report is None:
+            report = oracles.opt_total(
+                run.instance, config.oracle_max_items, config.oracle_time_budget
+            )
         row["opt_lb"] = report.lower_bound
         row["opt_exact"] = report.all_exact
         row["opt_ub"] = report.upper_bound

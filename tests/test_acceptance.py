@@ -95,8 +95,8 @@ def multiclass_sweep():
             stats["runs"] += 1
             try:
                 check_per_time(
-                    instance, result, alpha,
-                    lambda t: 2 * policy.phases_at(t), 24, 2.0,
+                    opt_total(instance, 24, 2.0), result, alpha,
+                    lambda t: 2 * policy.phases_at(t),
                 )
             except InvariantViolation:
                 stats["per_time"] += 1
@@ -192,7 +192,7 @@ def test_criterion_5_size_cost_variant():
             runs += 1
             try:
                 check_size_budget(instance, result, alpha)
-                check_per_time(instance, result, alpha, lambda t: 1, 24, 2.0)
+                check_per_time(opt_total(instance, 24, 2.0), result, alpha, lambda t: 1)
             except InvariantViolation:
                 violations += 1
     report(

@@ -205,3 +205,35 @@ def test_opt_reports_invalid_file(tmp_path, item, problem):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr == f"INVARIANT VIOLATION validate: {problem}\n"
+
+
+def test_verify_certifies_snapshots_too_large_for_the_exact_oracle(tmp_path):
+    # intervals of 25+ live items where FFD misses L1 are certified by L1
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "500", "--size-grid", "16",
+           "--window", "50", "--seed", "0", "-o", path)
+    result = invoke("verify", path, "--alg", "alg2", "--alpha", "1/4")
+    assert result.exit_code == 0, result.output
+    assert "PASS per_time" in result.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        (['{"seed": 0}', '{"id": 0, "arrival": 0.0, "size_num": 1, "duration": 1.0}'],
+         "1: missing scale"),
+        (['{"scale": 8}', '{"id": 0, "arrival": 0.0, "duration": 1.0}'],
+         "2: missing size_num"),
+        (['{"scale": 8}', "not json"], "2: not JSON: Expecting value"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [("run", "--alg", "firstfit"), ("opt",), ("verify", "--alg", "firstfit")]
+)
+def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    result = invoke(command[0], path, *command[1:])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {path}:{problem}\n"

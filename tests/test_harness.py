@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dynbin import harness
+from dynbin import harness, oracles
 from dynbin.core import Instance, Item
 from dynbin.engine import simulate
+from dynbin.oracles import opt_total
 from dynbin.algorithms import DelayPolicy, MultiClassPolicy, SingleClassPolicy
 from dynbin.harness import (
     CSV_COLUMNS,
@@ -94,7 +95,7 @@ def test_per_time_check_flags_violation():
 
     result = simulate(instance, FirstFitPolicy())
     with pytest.raises(InvariantViolation):
-        check_per_time(instance, result, Fraction(9, 10), lambda t: 0, 24, 2.0)
+        check_per_time(opt_total(instance, 24, 2.0), result, Fraction(9, 10), lambda t: 0)
 
 
 def test_migration_budget_counts_alg1_class_against_all_items():
@@ -169,3 +170,57 @@ def test_verify_simulates_once(monkeypatch, alg, options, generator, runs):
     results = cmd_verify(cfg, instance, adversary)
     assert [check for check, ok, _ in results if ok] == applicable_checks(alg)
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize(
+    "checks, compute_opt, sweeps",
+    [
+        (["packing", "per_time"], True, 1),
+        (["packing", "per_time"], False, 1),
+        (["packing"], True, 1),
+        (["packing"], False, 0),
+    ],
+)
+def test_checked_trial_sweeps_the_instance_once(monkeypatch, checks, compute_opt, sweeps):
+    # per_time and the row's OPT fields read one OptReport
+    calls = {"opt_total": 0, "snapshots": 0}
+
+    def counting(name):
+        original = getattr(oracles, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, name, counted)
+
+    counting("opt_total")
+    counting("snapshots")
+    cfg = ExperimentConfig(
+        algorithm="alg2",
+        generator=dict(UNIFORM),
+        alpha="1/4",
+        checks=checks,
+        compute_opt=compute_opt,
+    )
+    row = run_trial(cfg, 3)
+    assert calls == {"opt_total": sweeps, "snapshots": sweeps}
+    assert (row["max_pertime_ratio"] != "") == ("per_time" in checks)
+    assert (row["opt_total"] != "") == compute_opt
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_run_trial_certifies_large_snapshots_by_their_lower_bound(seed):
+    # about 15 live items, with intervals past the exact oracle's 24 items
+    # where FFD misses L1; per_time used to raise SnapshotTooLarge there
+    generator = dict(UNIFORM, n=2000, size_grid=16, arrival_window=200.0)
+    cfg = ExperimentConfig(
+        algorithm="alg2",
+        generator=generator,
+        alpha="1/4",
+        checks=applicable_checks("alg2"),
+    )
+    row = run_trial(cfg, seed)
+    assert row["opt_exact"] is False
+    assert row["max_pertime_ratio"] >= 1.0
+    assert row["opt_lb"] <= row["opt_total"] <= row["alg_cost"]

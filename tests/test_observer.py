@@ -1,0 +1,234 @@
+"""The incremental bad_bins/junk_load observer against a full rescan.
+
+The reference walks every open bin after every event, the way the
+observer worked before it replayed the trace. Both watch the same
+engine, event by event, until the first violation either one raises.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynbin.algorithms import (
+    DelayPolicy,
+    FirstFitPolicy,
+    MultiClassPolicy,
+    SingleClassPolicy,
+    SizeCostPolicy,
+)
+from dynbin.core import Instance, Item
+from dynbin.engine import BAD, GOOD, JUNK, Policy, simulate
+from dynbin.generators import gen_fig2, gen_uniform
+from dynbin.harness import InvariantViolation, bad_bin_observer
+
+
+def rescan_observer(scale):
+    """Counts Bad bins and junk loads from the open bins after every event."""
+
+    def observe(engine, time):
+        counts = {}
+        for b in engine.open_bins():
+            if b.label == BAD:
+                counts[b.group] = counts.get(b.group, 0) + 1
+            if b.group.startswith("junk") and b.load > scale:
+                raise InvariantViolation(
+                    "junk_load", f"junk bin {b.id} over capacity", time
+                )
+        for group, count in counts.items():
+            if count > 1:
+                raise InvariantViolation(
+                    "bad_bins", f"{count} Bad bins in group {group}", time
+                )
+            if group == "class:0" and count > 0:
+                raise InvariantViolation("bad_bins", "Bad bin in class 0", time)
+
+    return observe
+
+
+def outcome(observer, engine, time):
+    try:
+        observer(engine, time)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def compare(instance, policy, scale=None, delay_cost=0.0, adversary=None):
+    """Run both observers after every event up to the first violation;
+    returns the number of events compared and that violation, if any."""
+    scale = instance.scale if scale is None else scale
+    reference, incremental = rescan_observer(scale), bad_bin_observer(scale)
+    seen = []
+
+    def both(engine, time):
+        if seen and seen[-1] is not None:
+            return
+        expected = outcome(reference, engine, time)
+        assert outcome(incremental, engine, time) == expected, f"t={time}"
+        seen.append(expected)
+
+    simulate(instance, policy, delay_cost=delay_cost, adversary=adversary, observers=[both])
+    return len(seen), seen[-1] if seen else None
+
+
+POLICIES = {
+    "firstfit": lambda: (FirstFitPolicy(), 0.0),
+    "alg1": lambda: (SingleClassPolicy(Fraction(1, 4), Fraction(1, 2)), 0.0),
+    "alg2": lambda: (MultiClassPolicy(Fraction(1, 4)), 0.0),
+    "sizecost": lambda: (SizeCostPolicy(Fraction(1, 4)), 0.0),
+    "delay": lambda: (DelayPolicy(4.0), 4.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_matches_rescan_on_acceptance_shapes(name):
+    instances = [gen_uniform(40, 16, (1.0, 2.0), 20.0, seed) for seed in range(5)]
+    instances += [gen_uniform(25, 8, (1.0, 4 * math.sqrt(100.0)), 10.0, 0)]
+    # about 40 live items over 600 arrivals, so bins and junk phases close
+    instances += [gen_uniform(600, 16, (1.0, 2.0), 600 * 1.5 / 40, 3)]
+    for instance in instances:
+        policy, delay_cost = POLICIES[name]()
+        events, violation = compare(instance, policy, delay_cost=delay_cost)
+        assert events > 0 and violation is None
+    fig2, resolver = gen_fig2(4, 10.0)
+    policy, delay_cost = POLICIES[name]()
+    assert compare(fig2, policy, delay_cost=delay_cost, adversary=resolver)[1] is None
+
+
+class Meddler(Policy):
+    """Runs a policy and, after each arrival, makes the move drawn for it:
+    0 nothing, 1 open an empty Bad bin in the item's group, 2 relabel a
+    closed bin Bad, 3 relabel the item's bin Bad, 4 migrate the item to
+    another bin of its group, a new one if none fits. Good bins stay Good."""
+
+    def __init__(self, inner, moves):
+        self.inner = inner
+        self.moves = iter(moves)
+
+    def bind(self, engine):
+        super().bind(engine)
+        self.inner.bind(engine)
+
+    def on_arrival(self, item_id, size_num, time):
+        self.inner.on_arrival(item_id, size_num, time)
+        engine = self.engine
+        move, pick = next(self.moves, (0, 0))
+        b = engine.bin(engine.placement[item_id])
+        if move == 1:
+            engine.open_bin(BAD, b.group)
+        elif move == 2:
+            closed = [c for c in engine.bins.values() if c.closed and c.label != GOOD]
+            if closed:
+                engine.set_label(closed[pick % len(closed)].id, BAD)
+        elif move == 3 and b.label != GOOD:
+            engine.set_label(b.id, BAD)
+        elif move == 4:
+            fits = [
+                c for c in engine.bins_in(b.group)
+                if c is not b and c.load + size_num <= engine.scale
+            ]
+            dest = fits[0] if fits else engine.open_bin(b.label, b.group)
+            engine.migrate(item_id, dest.id, "meddle", b.group, time)
+
+    def on_departure(self, item_id, bin_id, time):
+        self.inner.on_departure(item_id, bin_id, time)
+
+    def on_checkpoints(self, item_ids, time):
+        self.inner.on_checkpoints(item_ids, time)
+
+
+@st.composite
+def instances(draw):
+    scale = draw(st.integers(2, 16))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 4), st.integers(1, scale)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    items = tuple(Item(i, float(a), s, float(d)) for i, (a, d, s) in enumerate(rows))
+    return Instance(items=items, scale=scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instances(),
+    st.sampled_from(sorted(POLICIES)),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100)), max_size=40),
+)
+def test_matches_rescan_on_drawn_instances(instance, name, shrink, moves):
+    # a scale below the instance's makes junk bins overflow by the
+    # observer's measure; the moves break the Bad-bin structure
+    policy, delay_cost = POLICIES[name]()
+    compare(
+        instance,
+        Meddler(policy, moves),
+        scale=max(1, instance.scale - shrink),
+        delay_cost=delay_cost,
+    )
+
+
+class TwoBadBins(Policy):
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.place(item_id, self.engine.open_bin(BAD, "class:1").id)
+
+
+class BadInClassZero(Policy):
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.place(item_id, self.engine.open_bin(BAD, "class:0").id)
+
+
+class OverfillJunk(Policy):
+    """Puts every item in one junk bin opened at bind time, with the
+    engine's capacity check widened to twice the bin size."""
+
+    def bind(self, engine):
+        super().bind(engine)
+        self.junk = engine.open_bin(JUNK, "junk:1", persistent=True)
+
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.scale *= 2
+        try:
+            self.engine.place(item_id, self.junk.id)
+        finally:
+            self.engine.scale //= 2
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (TwoBadBins, "bad_bins: 2 Bad bins in group class:1 (t=1.0)"),
+        (BadInClassZero, "bad_bins: Bad bin in class 0 (t=0.0)"),
+        (OverfillJunk, "junk_load: junk bin 0 over capacity (t=1.0)"),
+    ],
+)
+def test_raises_what_the_rescan_raises(policy, message):
+    instance = Instance(items=tuple(Item(i, float(i), 5, 10.0) for i in range(3)), scale=8)
+    for observer in (rescan_observer, bad_bin_observer):
+        with pytest.raises(InvariantViolation) as info:
+            simulate(instance, policy(), observers=[observer(instance.scale)])
+        assert str(info.value) == message
+        assert compare(instance, policy())[1] == message
+
+
+class JunkShuttle(Policy):
+    """Places each item in one junk bin, then migrates it to a bin of its
+    own in the same group, so the first junk bin never holds two items."""
+
+    def bind(self, engine):
+        super().bind(engine)
+        self.junk = engine.open_bin(JUNK, "junk:1", persistent=True)
+
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.place(item_id, self.junk.id)
+        dest = self.engine.open_bin(JUNK, "junk:1")
+        self.engine.migrate(item_id, dest.id, "shuttle", "junk:1", time)
+
+
+def test_junk_loads_follow_migrations_out():
+    instance = Instance(items=tuple(Item(i, float(i), 5, 10.0) for i in range(3)), scale=8)
+    assert compare(instance, JunkShuttle()) == (6, None)

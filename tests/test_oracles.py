@@ -185,14 +185,25 @@ def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET
 
 
 def naive_check_per_time(instance, result, alpha, additive_at, max_items, time_budget):
-    """One live_sizes_at scan and one opt_snapshot per segment."""
+    """One live_sizes_at scan and one opt_snapshot per segment; a snapshot
+    the exact oracle gives up on is judged by its L1 bound, and raises
+    SnapshotTooLarge only if that bound does not certify the segment."""
     max_ratio = 0.0
     for seg in result.segments:
-        opt_t = opt_snapshot(
-            live_sizes_at(instance, seg.start), instance.scale, max_items, time_budget
-        )
+        sizes = live_sizes_at(instance, seg.start)
+        try:
+            opt_t = opt_snapshot(sizes, instance.scale, max_items, time_budget)
+            exact = True
+        except (SnapshotTooLarge, TimeBudgetExceeded):
+            opt_t = -(-sum(sizes) // instance.scale)
+            exact = False
         allowed = Fraction(opt_t) / alpha + additive_at(seg.start)
         if Fraction(seg.open_bins) > allowed:
+            if not exact:
+                raise SnapshotTooLarge(
+                    f"OPT_t at t={seg.start} is not exact and {seg.open_bins} open bins "
+                    f"> {float(allowed)} allowed by its lower bound {opt_t}"
+                )
             raise InvariantViolation(
                 "per_time",
                 f"{seg.open_bins} open bins > {float(allowed)} allowed (OPT_t={opt_t})",
@@ -298,11 +309,15 @@ def test_check_per_time_matches_per_segment_scan(instance, alg, alpha, additive)
     def outcome(check):
         set_cache()
         try:
-            return check(instance, result, alpha, lambda t: additive, 4, 2.0)
+            return check()
         except (InvariantViolation, SnapshotTooLarge) as exc:
             return type(exc), str(exc)
 
-    assert outcome(check_per_time) == outcome(naive_check_per_time)
+    assert outcome(
+        lambda: check_per_time(opt_total(instance, 4, 2.0), result, alpha, lambda t: additive)
+    ) == outcome(
+        lambda: naive_check_per_time(instance, result, alpha, lambda t: additive, 4, 2.0)
+    )
 
 
 def test_check_per_time_outside_the_boundaries_sees_no_items():
@@ -312,13 +327,20 @@ def test_check_per_time_outside_the_boundaries_sees_no_items():
     starts = [0.0, 1.0, 2.5, 3.0, 4.0, 5.0]
     segments = [Segment(a, b, 1) for a, b in zip(starts, starts[1:] + [6.0])]
     result = SimpleNamespace(segments=segments)
-    assert check_per_time(instance, result, Fraction(1), lambda t: 1, 4, 2.0) == 1.0
-    for check in (check_per_time, naive_check_per_time):
+    report = opt_total(instance, 4, 2.0)
+    checks = (
+        lambda additive: check_per_time(report, result, Fraction(1), lambda t: additive),
+        lambda additive: naive_check_per_time(
+            instance, result, Fraction(1), lambda t: additive, 4, 2.0
+        ),
+    )
+    assert checks[0](1) == 1.0
+    for check in checks:
         with pytest.raises(InvariantViolation) as info:
-            check(instance, result, Fraction(1), lambda t: 0, 4, 2.0)
+            check(0)
         assert str(info.value) == "per_time: 1 open bins > 0.0 allowed (OPT_t=0) (t=0.0)"
     segments[0] = Segment(0.0, 1.0, 0)
-    for check in (check_per_time, naive_check_per_time):
+    for check in checks:
         with pytest.raises(InvariantViolation) as info:
-            check(instance, result, Fraction(1), lambda t: 0, 4, 2.0)
+            check(0)
         assert str(info.value) == "per_time: 1 open bins > 0.0 allowed (OPT_t=0) (t=4.0)"
