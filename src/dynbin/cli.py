@@ -23,6 +23,19 @@ def _read_instance(path):
         raise click.ClickException(str(exc))
 
 
+def _read_config(path):
+    """The experiment config at path; a malformed one is a one-line error."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"{path}:{exc.lineno}: not JSON: {exc.msg}")
+    try:
+        return ExperimentConfig.from_dict(data)
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}")
+
+
 def _adversary_for(instance):
     if instance.adversary is None:
         return None
@@ -101,9 +114,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
         raise click.UsageError("need an instance file and --alg (or --config)")
     try:
         if config is not None:
-            with open(config) as fh:
-                cfg = ExperimentConfig.from_dict(json.load(fh))
-            report = harness.cmd_run(cfg)
+            report = harness.cmd_run(_read_config(config))
         else:
             instance = _read_instance(instance_path)
             cfg = ExperimentConfig(

@@ -8,6 +8,19 @@ receives is the departure event itself.
 Event order at equal time: departures, then migration checkpoints, then
 arrivals, then adversary resolution; ties broken by item id.
 
+The engine records what it did as tuples in two flat lists. `actions`
+holds one `(action, *fields)` record per state change, with the fields
+named in `ACTION_FIELDS`. `events` holds one `(time, kind, item, end)`
+record per processed event, where `end` is the index in `actions` just
+past the event's last action, so an event's actions start at the
+previous record's `end` (0 for the first). Actions a policy takes while
+binding form a first `(None, "SETUP", None, end)` record, present only
+when there are any.
+Tuples of plain values stay small and drop out of the cyclic garbage
+collector's walks, so a run keeps its records at little cost;
+`SimulationResult.trace` builds the old list of dicts from them on
+demand.
+
 `Engine.bins` holds every bin ever opened, closed ones included, so a
 policy can still look up a bin that closed in the event it handles.
 `Engine.bins_in` yields only the open bins of a group, from a per-group
@@ -47,6 +60,19 @@ class EventKind(IntEnum):
     CHECKPOINT = 1
     ARRIVAL = 2
     ADVERSARY_RESOLVE = 3
+
+
+EVENT_NAMES = tuple(kind.name for kind in EventKind)
+
+# the fields after the action name in each record of Engine.actions
+ACTION_FIELDS = {
+    "open": ("bin", "label", "group"),
+    "place": ("item", "bin", "size"),
+    "migrate": ("item", "src", "dst", "size"),
+    "depart": ("item", "bin", "size"),
+    "close": ("bin",),
+    "label": ("bin", "old", "new"),
+}
 
 
 @dataclass
@@ -97,9 +123,6 @@ class MigrationLedger:
             counts[e.class_key] = counts.get(e.class_key, 0) + 1
         return counts
 
-    def times_of(self, item_id: int) -> list[float]:
-        return [e.time for e in self.entries if e.item == item_id]
-
 
 @dataclass
 class Segment:
@@ -116,8 +139,24 @@ class SimulationResult:
     departures: dict[int, float]
     resolved_durations: dict[int, float]
     migrations_per_item: dict[int, int]
-    trace: list[dict]
+    events: list[tuple]
+    actions: list[tuple]
     scale: int
+
+    @property
+    def trace(self) -> list[dict]:
+        """The records as one dict per event, each holding a dict per
+        action; built anew on every access."""
+        trace = []
+        start = 0
+        for time, kind, item, end in self.events:
+            actions = [
+                dict(zip(("action", *ACTION_FIELDS[act[0]]), act))
+                for act in self.actions[start:end]
+            ]
+            trace.append({"time": time, "kind": kind, "item": item, "actions": actions})
+            start = end
+        return trace
 
     def to_dict(self) -> dict:
         return {
@@ -296,14 +335,12 @@ class Engine:
         self.migrations_per_item: dict[int, int] = {}
         self.ledger = MigrationLedger(self.scale)
         self.resolved: dict[int, float] = {}
-        self.trace: list[dict] = []
+        self.events: list[tuple] = []  # (time, kind name, item, end)
+        self.actions: list[tuple] = []  # (action, *ACTION_FIELDS[action])
         self._open_count = 0
         self._pending_checkpoints: dict[int, set[float]] = {}
         self._staged: dict[int, int] = {}  # item id -> source bin of a migration
         self._heap: list[tuple[float, int, int]] = []
-        self._current: dict | None = None  # trace record of the event in flight
-        # bind-time actions (e.g. a policy pre-opening a persistent bin)
-        self._setup: dict = {"time": None, "kind": "SETUP", "item": None, "actions": []}
         self._arrival_placed = False
 
     # ------------------------------------------------------------------
@@ -354,7 +391,7 @@ class Engine:
         index = self._fit.get(group)
         if index is not None:
             index.add(b, open_bins)
-        self._record("open", bin=b.id, label=label, group=group)
+        self.actions.append(("open", b.id, label, group))
         return b
 
     def close_bin(self, bin_id: int) -> None:
@@ -369,7 +406,7 @@ class Engine:
             return
         if b.label == GOOD and label == BAD:
             raise SimulationError(f"bin {bin_id}: Good bins never become Bad")
-        self._record("label", bin=bin_id, old=b.label, new=label)
+        self.actions.append(("label", bin_id, b.label, label))
         old, b.label = b.label, label
         index = self._fit.get(b.group)
         if index is not None and not b.closed:
@@ -380,7 +417,7 @@ class Engine:
         if item_id in self.placement:
             raise SimulationError(f"item {item_id} already placed")
         self._attach(item_id, bin_id)
-        self._record("place", item=item_id, bin=bin_id, size=self.size_of(item_id))
+        self.actions.append(("place", item_id, bin_id, self.size_of(item_id)))
         self._arrival_placed = True
 
     def begin_migration(self, item_id: int) -> int:
@@ -402,7 +439,7 @@ class Engine:
             LedgerEntry(time, item_id, size, src, bin_id, class_key, rule)
         )
         self.migrations_per_item[item_id] = self.migrations_per_item.get(item_id, 0) + 1
-        self._record("migrate", item=item_id, src=src, dst=bin_id, size=size)
+        self.actions.append(("migrate", item_id, src, bin_id, size))
         if self.delay_cost > 0:
             # closed form, not accumulation: keeps the delayed departure
             # bit-identical to arrival + duration + C * migrations
@@ -472,11 +509,7 @@ class Engine:
         index = self._fit.get(b.group)
         if index is not None:
             index.remove(b)
-        self._record("close", bin=b.id)
-
-    def _record(self, action: str, **fields) -> None:
-        target = self._current if self._current is not None else self._setup
-        target["actions"].append({"action": action, **fields})
+        self.actions.append(("close", b.id))
 
     def _schedule_departure(self, item_id: int, time: float) -> None:
         self.departure_time[item_id] = time
@@ -516,9 +549,11 @@ class Engine:
             resolve_at = max(it.arrival for it in deferred)
             heapq.heappush(heap, (resolve_at, EventKind.ADVERSARY_RESOLVE, -1))
 
+        # bind-time actions (e.g. a policy pre-opening a persistent bin)
         self.policy.bind(self)
-        if self._setup["actions"]:
-            self.trace.append(self._setup)
+        events, actions = self.events, self.actions
+        if actions:
+            events.append((None, "SETUP", None, len(actions)))
 
         segments: list[Segment] = []
         total = 0.0
@@ -544,8 +579,6 @@ class Engine:
                 segments.append(Segment(prev_time, time, self._open_count))
                 prev_time = time
 
-            self._current = {"time": time, "kind": EventKind(kind).name, "item": item_id, "actions": []}
-
             if kind == EventKind.ARRIVAL:
                 size = self.size_of(item_id)
                 self.live[item_id] = size
@@ -560,9 +593,7 @@ class Engine:
                 del self.live[item_id]
                 self._pending_checkpoints.pop(item_id, None)
                 departures[item_id] = time
-                self._record(
-                    "depart", item=item_id, bin=bin_id, size=self.size_of(item_id)
-                )
+                actions.append(("depart", item_id, bin_id, self.size_of(item_id)))
                 self._detach(item_id, bin_id)
                 self.policy.on_departure(item_id, bin_id, time)
             elif kind == EventKind.CHECKPOINT:
@@ -577,8 +608,7 @@ class Engine:
             else:  # ADVERSARY_RESOLVE
                 self._resolve(time)
 
-            self.trace.append(self._current)
-            self._current = None
+            events.append((time, EVENT_NAMES[kind], item_id, len(actions)))
             for obs in self.observers:
                 obs(self, time)
 
@@ -592,7 +622,8 @@ class Engine:
             departures=departures,
             resolved_durations=dict(self.resolved),
             migrations_per_item=dict(self.migrations_per_item),
-            trace=self.trace,
+            events=events,
+            actions=actions,
             scale=self.scale,
         )
 
@@ -608,20 +639,19 @@ def simulate(
 
 
 def verify_packing(result: SimulationResult) -> str | None:
-    """Re-walk the trace; returns a violation message or None if clean."""
+    """Re-walk the records; returns a violation message or None if clean."""
     scale = result.scale
+    actions = result.actions
     loads: dict[int, int] = {}
-    labels: dict[int, str] = {}
     placed: dict[int, tuple[int, int]] = {}  # item -> (bin, size)
-    for event in result.trace:
-        t = event["time"]
-        for act in event["actions"]:
-            kind = act["action"]
+    start = 0
+    for t, _kind, _item, end in result.events:
+        for act in actions[start:end]:
+            kind = act[0]
             if kind == "open":
-                loads[act["bin"]] = 0
-                labels[act["bin"]] = act["label"]
+                loads[act[1]] = 0
             elif kind == "place":
-                item, b, size = act["item"], act["bin"], act["size"]
+                _, item, b, size = act
                 if item in placed:
                     return f"t={t}: item {item} placed twice"
                 loads[b] += size
@@ -629,7 +659,7 @@ def verify_packing(result: SimulationResult) -> str | None:
                     return f"t={t}: bin {b} overflows capacity"
                 placed[item] = (b, size)
             elif kind == "migrate":
-                item, src, dst, size = act["item"], act["src"], act["dst"], act["size"]
+                _, item, src, dst, size = act
                 if item not in placed or placed[item][0] != src:
                     return f"t={t}: migration of item {item} from wrong bin"
                 loads[src] -= size
@@ -638,16 +668,16 @@ def verify_packing(result: SimulationResult) -> str | None:
                     return f"t={t}: bin {dst} overflows capacity"
                 placed[item] = (dst, size)
             elif kind == "depart":
-                item, b = act["item"], act["bin"]
+                _, item, b, _size = act
                 if item not in placed or placed[item][0] != b:
                     return f"t={t}: departure of item {item} from wrong bin"
                 loads[b] -= placed[item][1]
                 del placed[item]
             elif kind == "label":
-                b, old, new = act["bin"], act["old"], act["new"]
+                _, b, old, new = act
                 if old == GOOD and new == BAD:
                     return f"t={t}: bin {b} relabeled Good -> Bad"
-                labels[b] = new
+        start = end
     if placed:
         return "items left placed at end of trace"
     return None

@@ -11,7 +11,7 @@ import json
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import algorithms, generators, oracles
@@ -68,6 +68,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The config a JSON object describes, else a ValueError naming
+        what is wrong with it."""
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(unknown)}")
+        missing = [
+            name for name, f in known.items()
+            if f.default is MISSING and f.default_factory is MISSING and name not in data
+        ]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
         return cls(**data)
 
     def alpha_fraction(self) -> Fraction | None:
@@ -124,74 +138,72 @@ def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
     bin, and none for class 0; junk bins never exceed capacity.
 
-    After each event the observer replays the trace records appended
-    since its last call (the SETUP record included), keeping the group and
-    label of every open bin, the load of every open junk bin and the
-    number of Bad bins of each group. It then checks only the junk bins
-    that received items and the groups whose Bad count rose, first the
-    bins in id order, then the groups. A bin's state goes when it closes,
-    and a relabel of a closed bin is ignored, as the open bins are all
-    that count. It raises at the first violation, which the benchmark's
-    stream workload relies on; checked_run records that violation and
-    lets the run finish."""
+    After each event the observer replays the engine's action records
+    appended since its last call (bind-time ones included), keeping the
+    group and label of every open bin, the load of every open junk bin
+    and the number of Bad bins of each group. It then checks only the
+    junk bins that received items and the groups whose Bad count rose,
+    first the bins in id order, then the groups. A bin's state goes when
+    it closes, and a relabel of a closed bin is ignored, as the open bins
+    are all that count. It raises at the first violation, which the
+    benchmark's stream workload relies on; checked_run records that
+    violation and lets the run finish."""
     bins: dict[int, tuple[str, str]] = {}  # open bin id -> (group, label)
     junk: dict[int, int] = {}  # open junk bin id -> load
     bad: dict[str, int] = {}  # group -> open Bad bins
-    pos = 0  # trace records replayed so far
+    pos = 0  # action records replayed so far
 
     def observe(engine, time):
         nonlocal pos
-        trace = engine.trace
+        actions = engine.actions
         filled: list[int] = []  # junk bins that received items
         rose: list[str] = []  # groups that gained a Bad bin
-        for i in range(pos, len(trace)):
-            for act in trace[i]["actions"]:
-                kind = act["action"]
-                if kind == "place":
-                    bin_id = act["bin"]
-                    if bin_id in junk:
-                        junk[bin_id] += act["size"]
-                        filled.append(bin_id)
-                elif kind == "depart":
-                    bin_id = act["bin"]
-                    if bin_id in junk:
-                        junk[bin_id] -= act["size"]
-                elif kind == "open":
-                    bin_id, group, label = act["bin"], act["group"], act["label"]
-                    bins[bin_id] = (group, label)
-                    if group.startswith("junk"):
-                        junk[bin_id] = 0
-                    if label == BAD:
-                        bad[group] = bad.get(group, 0) + 1
-                        rose.append(group)
-                elif kind == "close":
-                    bin_id = act["bin"]
-                    group, label = bins.pop(bin_id)
-                    junk.pop(bin_id, None)
-                    if label == BAD:
-                        bad[group] -= 1
-                elif kind == "migrate":
-                    # an emptied source closes before this record
-                    src, dst = act["src"], act["dst"]
-                    if src in junk:
-                        junk[src] -= act["size"]
-                    if dst in junk:
-                        junk[dst] += act["size"]
-                        filled.append(dst)
-                elif kind == "label":
-                    bin_id = act["bin"]
-                    state = bins.get(bin_id)
-                    if state is None:
-                        continue
-                    group, label = state
-                    if label == BAD:
-                        bad[group] -= 1
-                    label = act["new"]
-                    bins[bin_id] = (group, label)
-                    if label == BAD:
-                        bad[group] = bad.get(group, 0) + 1
-                        rose.append(group)
-        pos = len(trace)
+        for act in actions[pos:]:
+            kind = act[0]
+            if kind == "place":
+                _, _, bin_id, size = act
+                if bin_id in junk:
+                    junk[bin_id] += size
+                    filled.append(bin_id)
+            elif kind == "depart":
+                _, _, bin_id, size = act
+                if bin_id in junk:
+                    junk[bin_id] -= size
+            elif kind == "open":
+                _, bin_id, label, group = act
+                bins[bin_id] = (group, label)
+                if group.startswith("junk"):
+                    junk[bin_id] = 0
+                if label == BAD:
+                    bad[group] = bad.get(group, 0) + 1
+                    rose.append(group)
+            elif kind == "close":
+                bin_id = act[1]
+                group, label = bins.pop(bin_id)
+                junk.pop(bin_id, None)
+                if label == BAD:
+                    bad[group] -= 1
+            elif kind == "migrate":
+                # an emptied source closes before this record
+                _, _, src, dst, size = act
+                if src in junk:
+                    junk[src] -= size
+                if dst in junk:
+                    junk[dst] += size
+                    filled.append(dst)
+            elif kind == "label":
+                _, bin_id, _, label = act
+                state = bins.get(bin_id)
+                if state is None:
+                    continue
+                group, old = state
+                if old == BAD:
+                    bad[group] -= 1
+                bins[bin_id] = (group, label)
+                if label == BAD:
+                    bad[group] = bad.get(group, 0) + 1
+                    rose.append(group)
+        pos = len(actions)
         for bin_id in sorted(filled):
             if junk.get(bin_id, 0) > scale:
                 raise InvariantViolation(

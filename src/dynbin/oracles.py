@@ -284,8 +284,3 @@ def opt_total(
         intervals=intervals,
     )
 
-
-def opt_expected_ub_tradeoff(k: float, s: float, mu: float) -> float:
-    """Closed-form expected cost of the witness packing for the random
-    equal-size instances: mu*(s*k + 1) + k + 1."""
-    return mu * (s * k + 1) + k + 1

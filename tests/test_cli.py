@@ -237,3 +237,21 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr == f"Error: {path}:{problem}\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"algorithm": "firstfit", "generatr": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": unknown key generatr"),
+        ('{"algorithm": "firstfit",\n "generator": {"family": "fig2"', ":2: not JSON: Expecting"),
+    ],
+)
+def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    result = invoke("run", "--config", path)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"Error: {path}{problem}")
+    assert result.stderr.count("\n") == 1

@@ -1,12 +1,14 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynbin.core import Instance, Item
 from dynbin.engine import (
     CapacityViolation,
     Engine,
     Policy,
+    Segment,
     SimulationError,
     simulate,
     verify_packing,
@@ -66,7 +68,7 @@ class TestDelayedDepartures:
         r = simulate(one, DelayPolicy(100.0), delay_cost=100.0)
         assert r.departures[0] == 225.0
         assert r.migrations_per_item[0] == 2
-        assert r.ledger.times_of(0) == [10.0, 120.0]
+        assert [e.time for e in r.ledger.entries if e.item == 0] == [10.0, 120.0]
         assert r.total_active_time == 225.0
 
     def test_policy_delay_cost_must_match_engine(self):
@@ -143,34 +145,109 @@ class TestVerifyPacking:
     def test_detects_overflow(self):
         r = self.good_run()
         r = copy.deepcopy(r)
-        for event in r.trace:
-            for act in event["actions"]:
-                if act["action"] == "place":
-                    act["size"] = r.scale + 1
-                    break
-            else:
-                continue
-            break
+        for i, act in enumerate(r.actions):
+            if act[0] == "place":
+                _, item, bin_id, _ = act
+                r.actions[i] = ("place", item, bin_id, r.scale + 1)
+                break
         msg = verify_packing(r)
         assert msg and "overflow" in msg
 
     def test_detects_wrong_bin_departure(self):
         r = copy.deepcopy(self.good_run())
-        for event in r.trace:
-            for act in event["actions"]:
-                if act["action"] == "depart":
-                    act["bin"] = act["bin"] + 999
-                    msg = verify_packing(r)
-                    assert msg and "wrong bin" in msg
-                    return
+        for i, act in enumerate(r.actions):
+            if act[0] == "depart":
+                _, item, bin_id, size = act
+                r.actions[i] = ("depart", item, bin_id + 999, size)
+                msg = verify_packing(r)
+                assert msg and "wrong bin" in msg
+                return
         pytest.fail("no departure in trace")
 
     def test_detects_double_place(self):
         r = copy.deepcopy(self.good_run())
-        for event in r.trace:
-            for act in event["actions"]:
-                if act["action"] == "place":
-                    event["actions"].append(dict(act))
+        start = 0
+        for k, (_, _, _, end) in enumerate(r.events):
+            for act in r.actions[start:end]:
+                if act[0] == "place":
+                    # a copy of the record at the end of its event's actions
+                    r.actions.insert(end, act)
+                    r.events[k:] = [(t, kind, item, e + 1) for t, kind, item, e in r.events[k:]]
                     msg = verify_packing(r)
                     assert msg and "placed twice" in msg
                     return
+            start = end
+
+
+def naive_first_fit(instance):
+    """FirstFit in O(n^2) on a plain list of bins in opening order, each
+    [load, items]; a bin closes for good when it empties. Returns the
+    segments, the total active time and the (item, bin, size) of every
+    placement, in the engine's event order."""
+    events = sorted(
+        [(it.arrival + it.duration, 0, it.id) for it in instance.items]
+        + [(it.arrival, 2, it.id) for it in instance.items]
+    )
+    sizes = {it.id: it.size_num for it in instance.items}
+    bins: list[list] = []
+    closed: set[int] = set()
+    segments, places = [], []
+    total, prev = 0.0, None
+    for time, kind, item in events:
+        open_bins = len(bins) - len(closed)
+        if prev is None:
+            prev = time
+        elif time > prev:
+            total += open_bins * (time - prev)
+            segments.append(Segment(prev, time, open_bins))
+            prev = time
+        size = sizes[item]
+        if kind == 2:
+            for b, (load, _) in enumerate(bins):
+                if b not in closed and load + size <= instance.scale:
+                    break
+            else:
+                b = len(bins)
+                bins.append([0, set()])
+            bins[b][0] += size
+            bins[b][1].add(item)
+            places.append((item, b, size))
+        else:
+            b = next(b for b, (_, items) in enumerate(bins) if item in items)
+            bins[b][0] -= size
+            bins[b][1].discard(item)
+            if bins[b][0] == 0:
+                closed.add(b)
+    return segments, total, places
+
+
+class TreesOnlyEngine(Engine):
+    """Searches every group through its first-fit trees, however few
+    bins are open."""
+
+    SCAN_LIMIT = 0
+
+
+@pytest.mark.parametrize("engine", [Engine, TreesOnlyEngine])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda scale: st.tuples(
+            st.just(scale),
+            st.lists(
+                st.tuples(st.integers(0, 20), st.integers(1, 20), st.integers(1, scale)),
+                min_size=1,
+                max_size=60,
+            ),
+        )
+    )
+)
+def test_first_fit_matches_naive_simulator(engine, drawn):
+    scale, rows = drawn
+    items = tuple(Item(i, float(a), s, float(d)) for i, (a, d, s) in enumerate(rows))
+    instance = inst(items, scale)
+    result = engine(instance, FirstFitPolicy()).run()
+    segments, total, places = naive_first_fit(instance)
+    assert result.segments == segments
+    assert result.total_active_time == total
+    assert [act[1:] for act in result.actions if act[0] == "place"] == places

@@ -21,7 +21,6 @@ from dynbin.oracles import (
     live_sizes_at,
     opt_snapshot,
     opt_total,
-    opt_expected_ub_tradeoff,
 )
 
 
@@ -129,6 +128,12 @@ class TestOptTotal:
             report = opt_total(instance)
             assert report.all_exact
             assert cost >= report.opt_total - 1e-9
+
+
+def opt_expected_ub_tradeoff(k: float, s: float, mu: float) -> float:
+    """Closed-form expected cost of the witness packing for the random
+    equal-size instances: mu*(s*k + 1) + k + 1."""
+    return mu * (s * k + 1) + k + 1
 
 
 def test_expected_witness_formula():
