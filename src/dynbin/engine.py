@@ -8,6 +8,17 @@ receives is the departure event itself.
 Event order at equal time: departures, then migration checkpoints, then
 arrivals, then adversary resolution; ties broken by item id.
 
+The event queue holds only live items. Arrivals are read in order from
+the instance's items, sorted once by (arrival, id); a heap holds the
+departure of each live item (pushed when it arrives, or when the
+adversary resolves its duration), pending checkpoints and the resolve
+event, and the two merge by (time, kind). So the heap stays as small as
+the live set, not 2n entries, and the queue's cost per event does not
+grow with n. When a run ends the engine drops its policy, which refers back
+to it: no reference cycle outlives the run, and everything it built is
+freed by reference counting as soon as the caller lets go of the result,
+policy and engine, without a pass of the cyclic garbage collector.
+
 The engine records what it did as tuples in two flat lists. `actions`
 holds one `(action, *fields)` record per state change, with the fields
 named in `ACTION_FIELDS`. `events` holds one `(time, kind, item, end)`
@@ -37,6 +48,7 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .core import Instance, UnresolvedDurationError, validate
@@ -63,6 +75,8 @@ class EventKind(IntEnum):
 
 
 EVENT_NAMES = tuple(kind.name for kind in EventKind)
+# the kinds as the queue holds them: plain ints compare faster than members
+_DEPARTURE, _CHECKPOINT, _ARRIVAL, _RESOLVE = map(int, EventKind)
 
 # the fields after the action name in each record of Engine.actions
 ACTION_FIELDS = {
@@ -450,7 +464,7 @@ class Engine:
                 + self.delay_cost * self.migrations_per_item[item_id]
             )
             self.departure_time[item_id] = new_dep
-            heapq.heappush(self._heap, (new_dep, EventKind.DEPARTURE, item_id))
+            heapq.heappush(self._heap, (new_dep, _DEPARTURE, item_id))
 
     def migrate(
         self, item_id: int, bin_id: int, rule: str, class_key: str, time: float
@@ -460,7 +474,7 @@ class Engine:
 
     def schedule_checkpoint(self, item_id: int, time: float) -> None:
         self._pending_checkpoints.setdefault(item_id, set()).add(time)
-        heapq.heappush(self._heap, (time, EventKind.CHECKPOINT, item_id))
+        heapq.heappush(self._heap, (time, _CHECKPOINT, item_id))
 
     # ------------------------------------------------------------------
     # internals
@@ -513,7 +527,7 @@ class Engine:
 
     def _schedule_departure(self, item_id: int, time: float) -> None:
         self.departure_time[item_id] = time
-        heapq.heappush(self._heap, (time, EventKind.DEPARTURE, item_id))
+        heapq.heappush(self._heap, (time, _DEPARTURE, item_id))
 
     def _resolve(self, time: float) -> None:
         # a bin that holds an item is never closed, so the open bins suffice
@@ -539,78 +553,93 @@ class Engine:
                 self._schedule_departure(item_id, self.items[item_id].arrival + d)
 
     def run(self) -> SimulationResult:
+        """Process every event in order and return the run's result. The
+        arrivals merge with the live-only heap by (time, kind): the heap's
+        top goes first if it comes before the next arrival. The policy
+        reference is dropped when the run ends, even if it raises."""
         heap = self._heap
-        for it in self.instance.items:
-            heapq.heappush(heap, (it.arrival, EventKind.ARRIVAL, it.id))
-            if it.duration is not None:
-                self._schedule_departure(it.id, it.arrival + it.duration)
-        deferred = [it for it in self.instance.items if it.deferred]
+        # latest first: popping from the end releases the list as items arrive
+        arrivals = sorted(
+            self.instance.items, key=attrgetter("arrival", "id"), reverse=True
+        )
+        deferred = [it.arrival for it in arrivals if it.deferred]
         if deferred:
-            resolve_at = max(it.arrival for it in deferred)
-            heapq.heappush(heap, (resolve_at, EventKind.ADVERSARY_RESOLVE, -1))
+            heapq.heappush(heap, (max(deferred), _RESOLVE, -1))
+        try:
+            # bind-time actions (e.g. a policy pre-opening a persistent bin)
+            policy = self.policy
+            policy.bind(self)
+            events, actions = self.events, self.actions
+            if actions:
+                events.append((None, "SETUP", None, len(actions)))
 
-        # bind-time actions (e.g. a policy pre-opening a persistent bin)
-        self.policy.bind(self)
-        events, actions = self.events, self.actions
-        if actions:
-            events.append((None, "SETUP", None, len(actions)))
+            segments: list[Segment] = []
+            total = 0.0
+            prev_time: float | None = None
+            departures: dict[int, float] = {}
+            next_arrival = (arrivals[-1].arrival, _ARRIVAL) if arrivals else None
 
-        segments: list[Segment] = []
-        total = 0.0
-        prev_time: float | None = None
-        departures: dict[int, float] = {}
-
-        while heap:
-            time, kind, item_id = heapq.heappop(heap)
-            # drop stale rescheduled departures / fired checkpoints
-            if kind == EventKind.DEPARTURE:
-                if item_id not in self.live or self.departure_time[item_id] != time:
-                    continue
-            elif kind == EventKind.CHECKPOINT:
-                pending = self._pending_checkpoints.get(item_id, set())
-                if item_id not in self.live or time not in pending:
-                    continue
-                pending.discard(time)
-
-            if prev_time is None:
-                prev_time = time
-            elif time > prev_time:
-                total += self._open_count * (time - prev_time)
-                segments.append(Segment(prev_time, time, self._open_count))
-                prev_time = time
-
-            if kind == EventKind.ARRIVAL:
-                size = self.size_of(item_id)
-                self.live[item_id] = size
-                self._arrival_placed = False
-                self.policy.on_arrival(item_id, size, time)
-                if not self._arrival_placed:
-                    raise SimulationError(
-                        f"policy did not place arriving item {item_id}"
-                    )
-            elif kind == EventKind.DEPARTURE:
-                bin_id = self.placement.pop(item_id)
-                del self.live[item_id]
-                self._pending_checkpoints.pop(item_id, None)
-                departures[item_id] = time
-                actions.append(("depart", item_id, bin_id, self.size_of(item_id)))
-                self._detach(item_id, bin_id)
-                self.policy.on_departure(item_id, bin_id, time)
-            elif kind == EventKind.CHECKPOINT:
-                batch = [item_id]
-                while heap and heap[0][0] == time and heap[0][1] == EventKind.CHECKPOINT:
-                    _, _, other = heapq.heappop(heap)
-                    pending = self._pending_checkpoints.get(other, set())
-                    if other in self.live and time in pending:
+            while heap or arrivals:
+                if heap and (not arrivals or heap[0] < next_arrival):
+                    time, kind, item_id = heapq.heappop(heap)
+                    # drop stale rescheduled departures / fired checkpoints
+                    if kind == _DEPARTURE:
+                        if item_id not in self.live or self.departure_time[item_id] != time:
+                            continue
+                    elif kind == _CHECKPOINT:
+                        pending = self._pending_checkpoints.get(item_id, set())
+                        if item_id not in self.live or time not in pending:
+                            continue
                         pending.discard(time)
-                        batch.append(other)
-                self.policy.on_checkpoints(batch, time)
-            else:  # ADVERSARY_RESOLVE
-                self._resolve(time)
+                else:
+                    it = arrivals.pop()
+                    if arrivals:
+                        next_arrival = (arrivals[-1].arrival, _ARRIVAL)
+                    time, kind, item_id = it.arrival, _ARRIVAL, it.id
 
-            events.append((time, EVENT_NAMES[kind], item_id, len(actions)))
-            for obs in self.observers:
-                obs(self, time)
+                if prev_time is None:
+                    prev_time = time
+                elif time > prev_time:
+                    total += self._open_count * (time - prev_time)
+                    segments.append(Segment(prev_time, time, self._open_count))
+                    prev_time = time
+
+                if kind == _ARRIVAL:
+                    size = it.size_num
+                    self.live[item_id] = size
+                    if it.duration is not None:
+                        self._schedule_departure(item_id, time + it.duration)
+                    self._arrival_placed = False
+                    policy.on_arrival(item_id, size, time)
+                    if not self._arrival_placed:
+                        raise SimulationError(
+                            f"policy did not place arriving item {item_id}"
+                        )
+                elif kind == _DEPARTURE:
+                    bin_id = self.placement.pop(item_id)
+                    del self.live[item_id]
+                    self._pending_checkpoints.pop(item_id, None)
+                    departures[item_id] = time
+                    actions.append(("depart", item_id, bin_id, self.size_of(item_id)))
+                    self._detach(item_id, bin_id)
+                    policy.on_departure(item_id, bin_id, time)
+                elif kind == _CHECKPOINT:
+                    batch = [item_id]
+                    while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
+                        _, _, other = heapq.heappop(heap)
+                        pending = self._pending_checkpoints.get(other, set())
+                        if other in self.live and time in pending:
+                            pending.discard(time)
+                            batch.append(other)
+                    policy.on_checkpoints(batch, time)
+                else:  # _RESOLVE
+                    self._resolve(time)
+
+                events.append((time, EVENT_NAMES[kind], item_id, len(actions)))
+                for obs in self.observers:
+                    obs(self, time)
+        finally:
+            self.policy = None
 
         if self.live:
             raise SimulationError("items left in the system at end of trace")
@@ -626,6 +655,7 @@ class Engine:
             actions=actions,
             scale=self.scale,
         )
+
 
 def simulate(
     instance: Instance,

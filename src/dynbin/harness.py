@@ -69,7 +69,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it."""
+        what is wrong with it: a key, alpha or f, the policy they build,
+        or the generator. So a batch fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -82,7 +83,22 @@ class ExperimentConfig:
         ]
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
-        return cls(**data)
+        config = cls(**data)
+        for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
+            try:
+                parse()
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        try:
+            build_policy(config)
+        except ValueError as exc:
+            raise ValueError(f"algorithm {config.algorithm}: {exc}") from None
+        except TypeError as exc:  # a parameter it needs is missing or not a number
+            raise ValueError(
+                f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
+            ) from None
+        check_generator(config.generator)
+        return config
 
     def alpha_fraction(self) -> Fraction | None:
         return Fraction(self.alpha) if self.alpha is not None else None
@@ -91,34 +107,50 @@ class ExperimentConfig:
         return Fraction(self.f) if self.f is not None else None
 
 
+# each generator family: the keys it reads, and a builder taking the seed
+# and those values in order; the builders look up the generators module's
+# functions at call time, which the benchmark's tracer patches
+GENERATORS = {
+    "fig2": (("k", "mu"), lambda seed, k, mu: generators.gen_fig2(k, mu)),
+    "tradeoff": (
+        ("inv_s", "k", "mu"),
+        lambda seed, inv_s, k, mu: (generators.gen_tradeoff_lb(inv_s, k, mu, seed), None),
+    ),
+    "basiclb": (
+        ("k", "mu"),
+        lambda seed, k, mu: (generators.gen_basic_lb(k, mu, seed), None),
+    ),
+    "delaylb": (("c",), lambda seed, c: (generators.gen_delay_lb(c, seed), None)),
+    "uniform": (
+        ("n", "size_grid", "duration_range", "arrival_window"),
+        lambda seed, n, size_grid, duration_range, arrival_window: (
+            generators.gen_uniform(
+                n, size_grid, tuple(duration_range), arrival_window, seed
+            ),
+            None,
+        ),
+    ),
+}
+
+
+def check_generator(generator) -> None:
+    """Raise a ValueError unless the generator names a known family and
+    has every key that family reads."""
+    if not isinstance(generator, dict):
+        raise ValueError("generator: expected a JSON object")
+    family = generator.get("family")
+    if family not in GENERATORS:
+        raise ValueError(f"unknown generator family {family!r}")
+    missing = [key for key in GENERATORS[family][0] if key not in generator]
+    if missing:
+        raise ValueError(f"generator {family} needs {', '.join(missing)}")
+
+
 def build_instance(generator: dict, seed: int):
     """Instantiate a generator family; returns (instance, adversary|None)."""
-    family = generator["family"]
-    if family == "fig2":
-        return generators.gen_fig2(generator["k"], generator["mu"])
-    if family == "tradeoff":
-        return (
-            generators.gen_tradeoff_lb(
-                generator["inv_s"], generator["k"], generator["mu"], seed
-            ),
-            None,
-        )
-    if family == "basiclb":
-        return generators.gen_basic_lb(generator["k"], generator["mu"], seed), None
-    if family == "delaylb":
-        return generators.gen_delay_lb(generator["c"], seed), None
-    if family == "uniform":
-        return (
-            generators.gen_uniform(
-                generator["n"],
-                generator["size_grid"],
-                tuple(generator["duration_range"]),
-                generator["arrival_window"],
-                seed,
-            ),
-            None,
-        )
-    raise ValueError(f"unknown generator family {family!r}")
+    check_generator(generator)
+    keys, build = GENERATORS[generator["family"]]
+    return build(seed, *(generator[key] for key in keys))
 
 
 def build_policy(config: ExperimentConfig):

@@ -112,35 +112,45 @@ def _solve(
     for i in range(len(sizes) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
 
-    best = upper
-    bins: list[int] = []
-
-    def descend(i: int) -> None:
-        nonlocal best
-        if i == len(sizes):
-            best = min(best, len(bins))
-            return
-        if _time.perf_counter() > deadline:
-            raise TimeBudgetExceeded("snapshot solve exceeded its time budget")
-        free = len(bins) * scale - (suffix[0] - suffix[i])
-        bound = len(bins) + max(0, -(-(suffix[i] - free) // scale))
-        if bound >= best:
-            return
-        s = sizes[i]
-        seen: set[int] = set()
-        for j, load in enumerate(bins):
-            if load + s <= scale and load not in seen:
-                seen.add(load)
-                bins[j] = load + s
-                descend(i + 1)
-                bins[j] = load
-        if len(bins) + 1 < best:
-            bins.append(s)
-            descend(i + 1)
-            bins.pop()
-
-    descend(0)
+    best = _descend(0, sizes, suffix, scale, [], upper, deadline)
     _opt_cache[key] = best
+    return best
+
+
+def _descend(
+    i: int,
+    sizes: tuple[int, ...],
+    suffix: list[int],
+    scale: int,
+    bins: list[int],
+    best: int,
+    deadline: float,
+) -> int:
+    """One branch-and-bound node of _solve: bins holds the loads of the
+    bins that pack sizes[:i], suffix[i] the sum of sizes[i:], and best
+    the fewest bins found so far, which it returns improved. A function
+    of its arguments, not a closure over _solve, so a solve leaves no
+    reference cycle behind."""
+    if i == len(sizes):
+        return min(best, len(bins))
+    if _time.perf_counter() > deadline:
+        raise TimeBudgetExceeded("snapshot solve exceeded its time budget")
+    free = len(bins) * scale - (suffix[0] - suffix[i])
+    bound = len(bins) + max(0, -(-(suffix[i] - free) // scale))
+    if bound >= best:
+        return best
+    s = sizes[i]
+    seen: set[int] = set()
+    for j, load in enumerate(bins):
+        if load + s <= scale and load not in seen:
+            seen.add(load)
+            bins[j] = load + s
+            best = _descend(i + 1, sizes, suffix, scale, bins, best, deadline)
+            bins[j] = load
+    if len(bins) + 1 < best:
+        bins.append(s)
+        best = _descend(i + 1, sizes, suffix, scale, bins, best, deadline)
+        bins.pop()
     return best
 
 

@@ -245,6 +245,15 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
         ('{"algorithm": "firstfit", "generatr": {"family": "fig2", "k": 3, "mu": 5}}',
          ": unknown key generatr"),
         ('{"algorithm": "firstfit",\n "generator": {"family": "fig2"', ":2: not JSON: Expecting"),
+        ('{"algorithm": "firstfit", "generator": {"family": "fig3"}}',
+         ": unknown generator family 'fig3'"),
+        ('{"algorithm": "alg2", "alpha": "x", "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": alpha: Invalid literal for Fraction: 'x'"),
+        ('{"algorithm": "alg9", "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": algorithm alg9: unknown algorithm 'alg9'"),
+        ('{"algorithm": "alg2", "alpha": "1/4", "generator": {"family": "uniform", "n": 5, '
+         '"duration_range": [1, 2], "arrival_window": 3}}',
+         ": generator uniform needs size_grid"),
     ],
 )
 def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):

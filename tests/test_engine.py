@@ -1,19 +1,22 @@
 import copy
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbin.core import Instance, Item
 from dynbin.engine import (
+    EVENT_NAMES,
     CapacityViolation,
     Engine,
+    EventKind,
     Policy,
     Segment,
     SimulationError,
     simulate,
     verify_packing,
 )
-from dynbin.algorithms import DelayPolicy, FirstFitPolicy
+from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy
 from dynbin.generators import gen_fig2
 
 
@@ -251,3 +254,40 @@ def test_first_fit_matches_naive_simulator(engine, drawn):
     assert result.segments == segments
     assert result.total_active_time == total
     assert [act[1:] for act in result.actions if act[0] == "place"] == places
+
+
+def bounded_queue(engine, time):
+    """The queue holds the departures of live items, and at most one
+    more entry: the adversary's resolve event."""
+    assert len(engine._heap) <= len(engine.live) + 1
+
+
+@pytest.mark.parametrize(
+    "make_policy",
+    [FirstFitPolicy, lambda: MultiClassPolicy(Fraction(1, 4))],
+    ids=["firstfit", "alg2"],
+)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(1, 3), st.integers(1, 8)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_events_follow_time_kind_id_under_ties(make_policy, rows):
+    # integer grid: many arrivals and departures share a time
+    items = tuple(Item(i, float(a), s, float(d)) for i, (a, d, s) in enumerate(rows))
+    result = Engine(inst(items, 8), make_policy(), observers=[bounded_queue]).run()
+    expected = sorted(
+        [(it.arrival, EventKind.ARRIVAL, it.id) for it in items]
+        + [(it.arrival + it.duration, EventKind.DEPARTURE, it.id) for it in items]
+    )
+    assert [(t, kind, i) for t, kind, i, _ in result.events if t is not None] == [
+        (t, EVENT_NAMES[kind], i) for t, kind, i in expected
+    ]
+
+
+def test_queue_holds_only_live_departures_through_an_adversary():
+    instance, adversary = gen_fig2(4, 10.0)
+    simulate(instance, FirstFitPolicy(), adversary=adversary, observers=[bounded_queue])

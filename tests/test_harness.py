@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,22 @@ def test_cmd_run_aggregates():
     agg = report["aggregates"]["alg_cost"]
     assert agg["min"] <= agg["mean"] <= agg["max"]
     assert agg["n"] == 5
+
+
+def test_process_pool_rows_match_serial_run():
+    cfg = ExperimentConfig(
+        algorithm="alg2",
+        generator=dict(UNIFORM),
+        alpha="1/4",
+        trials=4,
+        base_seed=5,
+        checks=applicable_checks("alg2"),
+    )
+    serial = cmd_run(cfg)
+    pooled = cmd_run(replace(cfg, jobs=2))
+    assert pooled["trials"] == serial["trials"]
+    assert pooled["aggregates"] == serial["aggregates"]
+    assert pooled["config"]["jobs"] == 2
 
 
 def test_config_roundtrip():
