@@ -36,6 +36,14 @@ def _read_config(path):
         raise click.ClickException(f"{path}: {exc}")
 
 
+def _file_config(path, **options):
+    """The config of a run on one instance file; a bad value is a one-line error."""
+    try:
+        return ExperimentConfig(generator={"family": "file", "path": path}, **options)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _adversary_for(instance):
     if instance.adversary is None:
         return None
@@ -48,11 +56,7 @@ def main():
 
 
 @main.command()
-@click.option(
-    "--family",
-    type=click.Choice(["fig2", "tradeoff", "basiclb", "delaylb", "uniform"]),
-    required=True,
-)
+@click.option("--family", type=click.Choice(list(harness.GENERATORS)), required=True)
 @click.option("--k", type=int, default=None)
 @click.option("--mu", type=float, default=None)
 @click.option("--inv-s", type=int, default=None)
@@ -66,19 +70,9 @@ def main():
 @click.option("-o", "--output", type=click.Path(), required=True)
 def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output):
     """Generate an instance file (JSON lines: header then one item per line)."""
-    params = {"family": family}
-    if family == "fig2":
-        params.update(k=k, mu=mu)
-    elif family == "tradeoff":
-        params.update(inv_s=inv_s, k=k, mu=mu)
-    elif family == "basiclb":
-        params.update(k=k, mu=mu)
-    elif family == "delaylb":
-        params.update(c=c)
-    else:
-        params.update(
-            n=n, size_grid=size_grid, duration_range=[dmin, dmax], arrival_window=window
-        )
+    options = dict(k=k, mu=mu, inv_s=inv_s, c=c, n=n, size_grid=size_grid,
+                   duration_range=[dmin, dmax], arrival_window=window)
+    params = {"family": family, **{key: options[key] for key in harness.GENERATORS[family][0]}}
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise click.UsageError(f"{family} requires: {', '.join(missing)}")
@@ -117,15 +111,9 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
             report = harness.cmd_run(_read_config(config))
         else:
             instance = _read_instance(instance_path)
-            cfg = ExperimentConfig(
-                algorithm=alg,
-                generator={"family": "file", "path": instance_path},
-                alpha=alpha,
-                f=f,
-                delay_cost=delay_c,
-                mig_order=mig_order,
-                checks=[c for c in checks.split(",") if c],
-            )
+            cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
+                               delay_cost=delay_c, mig_order=mig_order,
+                               checks=[c for c in checks.split(",") if c])
             checked = harness.checked_run(cfg, instance, _adversary_for(instance))
             if checked.violation is not None:
                 raise checked.violation
@@ -190,14 +178,8 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
         for p in problems:
             click.echo(f"FAIL validate: {p}")
         sys.exit(1)
-    cfg = ExperimentConfig(
-        algorithm=alg,
-        generator={"family": "file", "path": instance_path},
-        alpha=alpha,
-        f=f,
-        delay_cost=delay_c,
-        mig_order=mig_order,
-    )
+    cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
+                       delay_cost=delay_c, mig_order=mig_order)
     results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
     failed = False
     for check, ok, detail in results:

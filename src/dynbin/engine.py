@@ -26,7 +26,8 @@ record per processed event, where `end` is the index in `actions` just
 past the event's last action, so an event's actions start at the
 previous record's `end` (0 for the first). Actions a policy takes while
 binding form a first `(None, "SETUP", None, end)` record, present only
-when there are any.
+when there are any. `Replay` is the one reader of the records' fields
+(`SimulationResult.trace` aside), behind every packing and Bad-bin check.
 Tuples of plain values stay small and drop out of the cyclic garbage
 collector's walks, so a run keeps its records at little cost;
 `SimulationResult.trace` builds the old list of dicts from them on
@@ -668,46 +669,132 @@ def simulate(
     return Engine(instance, policy, delay_cost, adversary, observers).run()
 
 
+class Replay:
+    """The one reader of the action records, SimulationResult.trace aside.
+    It finds the first packing problem, `problem`, and the first junk_load
+    or bad_bins violation an event left, `broken`, as (check, detail, time).
+    A record with a packing problem is skipped, except that a bin may go
+    over scale, so reading goes on after it."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+        self.loads: dict[int, int] = {}  # every bin opened -> load
+        self.bins: dict[int, tuple[str, str]] = {}  # open bin -> (group, label)
+        self.placed: dict[int, tuple[int, int]] = {}  # item -> (bin, size)
+        self.bad: dict[str, int] = {}  # group -> open Bad bins
+        self.problem: str | None = None
+        self.broken: tuple[str, str, float] | None = None
+        self._over: list[int] = []  # bins a record took over scale
+        self._rose: list[str] = []  # groups that gained a Bad bin, in order
+
+    def _fail(self, problem: str) -> None:
+        if self.problem is None:
+            self.problem = problem
+
+    def read(self, actions: list[tuple], events: list[tuple], start: int = 0,
+             structure: bool = True) -> None:
+        """Apply the records of each of events, laid out as Engine.events,
+        from actions[start] on. With structure, check junk_load and bad_bins
+        after each event until `broken` is found; bind-time records (time
+        None) count toward the next event."""
+        scale, over, rose = self.scale, self._over, self._rose
+        loads, bins, placed, bad = self.loads, self.bins, self.placed, self.bad
+        checking = structure and self.broken is None
+        for time, _kind, _item, end in events:
+            for act in actions[start:end]:
+                kind = act[0]
+                if kind == "place":
+                    _, item, b, size = act
+                    if item in placed:
+                        self._fail(f"t={time}: item {item} placed twice")
+                        continue
+                    load = loads[b] = loads[b] + size
+                    if load > scale:
+                        self._fail(f"t={time}: bin {b} overflows capacity")
+                        over.append(b)
+                    placed[item] = (b, size)
+                elif kind == "depart":
+                    _, item, b, _size = act
+                    at = placed.pop(item, None)
+                    if at is None or at[0] != b:
+                        self._fail(f"t={time}: departure of item {item} from wrong bin")
+                        continue
+                    loads[b] -= at[1]
+                elif kind == "open":
+                    _, b, label, group = act
+                    loads[b] = 0
+                    bins[b] = (group, label)
+                    if label == BAD:
+                        bad[group] = bad.get(group, 0) + 1
+                        rose.append(group)
+                elif kind == "close":
+                    group, label = bins.pop(act[1], ("", ""))
+                    if label == BAD:
+                        bad[group] -= 1
+                elif kind == "migrate":
+                    _, item, src, dst, size = act
+                    at = placed.get(item)
+                    if at is None or at[0] != src:
+                        self._fail(f"t={time}: migration of item {item} from wrong bin")
+                        continue
+                    loads[src] -= size
+                    load = loads[dst] = loads[dst] + size
+                    if load > scale:
+                        self._fail(f"t={time}: bin {dst} overflows capacity")
+                        over.append(dst)
+                    placed[item] = (dst, size)
+                elif kind == "label":
+                    _, b, old, new = act
+                    if old == GOOD and new == BAD:
+                        self._fail(f"t={time}: bin {b} relabeled Good -> Bad")
+                    if b not in bins:  # only open bins count
+                        continue
+                    group, label = bins[b]
+                    bins[b] = (group, new)
+                    if label == BAD:
+                        bad[group] -= 1
+                    if new == BAD:
+                        bad[group] = bad.get(group, 0) + 1
+                        rose.append(group)
+            start = end
+            if checking and (over or rose) and time is not None:
+                self.broken = self._violation(time)
+                over.clear()
+                rose.clear()
+                checking = self.broken is None
+
+    def _violation(self, time: float) -> tuple[str, str, float] | None:
+        """The first violation the records read since the last check left:
+        the junk bins they took over scale in id order, then the groups
+        that gained a Bad bin in the order they did."""
+        for b in sorted(self._over):
+            group, _ = self.bins.get(b, ("", ""))
+            if group.startswith("junk") and self.loads[b] > self.scale:
+                return "junk_load", f"junk bin {b} over capacity", time
+        for group in self._rose:
+            count = self.bad[group]
+            if count > 1:
+                return "bad_bins", f"{count} Bad bins in group {group}", time
+            if group == "class:0" and count > 0:
+                return "bad_bins", "Bad bin in class 0", time
+        return None
+
+
+def check_records(
+    result: SimulationResult, structure: bool = True
+) -> tuple[str | None, tuple | None]:
+    """One replay of a stored run's records: its first packing problem
+    (t=None at bind time) and, with structure, its first junk_load or
+    bad_bins violation, as bad_bin_observer raises it."""
+    replay = Replay(result.scale)
+    replay.read(result.actions, result.events, structure=structure)
+    if replay.placed and replay.problem is None:
+        replay.problem = "items left placed at end of trace"
+    return replay.problem, replay.broken
+
+
 def verify_packing(result: SimulationResult) -> str | None:
-    """Re-walk the records; returns a violation message or None if clean."""
-    scale = result.scale
-    actions = result.actions
-    loads: dict[int, int] = {}
-    placed: dict[int, tuple[int, int]] = {}  # item -> (bin, size)
-    start = 0
-    for t, _kind, _item, end in result.events:
-        for act in actions[start:end]:
-            kind = act[0]
-            if kind == "open":
-                loads[act[1]] = 0
-            elif kind == "place":
-                _, item, b, size = act
-                if item in placed:
-                    return f"t={t}: item {item} placed twice"
-                loads[b] += size
-                if loads[b] > scale:
-                    return f"t={t}: bin {b} overflows capacity"
-                placed[item] = (b, size)
-            elif kind == "migrate":
-                _, item, src, dst, size = act
-                if item not in placed or placed[item][0] != src:
-                    return f"t={t}: migration of item {item} from wrong bin"
-                loads[src] -= size
-                loads[dst] += size
-                if loads[dst] > scale:
-                    return f"t={t}: bin {dst} overflows capacity"
-                placed[item] = (dst, size)
-            elif kind == "depart":
-                _, item, b, _size = act
-                if item not in placed or placed[item][0] != b:
-                    return f"t={t}: departure of item {item} from wrong bin"
-                loads[b] -= placed[item][1]
-                del placed[item]
-            elif kind == "label":
-                _, b, old, new = act
-                if old == GOOD and new == BAD:
-                    return f"t={t}: bin {b} relabeled Good -> Bad"
-        start = end
-    if placed:
-        return "items left placed at end of trace"
-    return None
+    """The first packing problem of a stored run, or None if clean; the
+    junk_load and bad_bins checks, which its callers do not read, are
+    skipped."""
+    return check_records(result, structure=False)[0]

@@ -1,7 +1,10 @@
 """Experiment harness: reproducible trial runs, per-run invariant checks,
 and CSV/Markdown reporting. Every run is simulated and checked by
 checked_run, which run_trial, cmd_verify and `dynbin run` share; the CLI
-in cli.py only parses options and prints."""
+in cli.py only parses options and prints. The packing, bad_bins and
+junk_load checks read the engine's records through engine.Replay, their
+one reader: checked_run takes all three from one replay of the stored run,
+and bad_bin_observer feeds the same reader live."""
 
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ from fractions import Fraction
 
 from . import algorithms, generators, oracles
 from .core import Instance, ScaledSize, validate, with_durations
-from .engine import BAD, Policy, SimulationResult, simulate, verify_packing
+from .engine import Policy, Replay, SimulationResult, check_records, simulate
+# unused here, but the benchmark's tracer patches this name in this module
+from .engine import verify_packing  # noqa: F401
 
 CSV_COLUMNS = [
     "family",
@@ -63,14 +68,30 @@ class ExperimentConfig:
     oracle_time_budget: float = oracles.DEFAULT_TIME_BUDGET
     jobs: int = 1
 
+    def __post_init__(self):
+        """A ValueError names a bad alpha or f, or a policy they cannot build."""
+        for name, parse in (("alpha", self.alpha_fraction), ("f", self.f_fraction)):
+            try:
+                parse()
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        try:
+            build_policy(self)
+        except ValueError as exc:
+            raise ValueError(f"algorithm {self.algorithm}: {exc}") from None
+        except TypeError as exc:  # a parameter it needs is missing or not a number
+            raise ValueError(
+                f"algorithm {self.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
+            ) from None
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it: a key, alpha or f, the policy they build,
-        or the generator. So a batch fails before its first trial."""
+        what is wrong with it: a key, a value the constructor rejects, or
+        the generator. So a batch fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -84,19 +105,6 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
-        for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
-            try:
-                parse()
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        try:
-            build_policy(config)
-        except ValueError as exc:
-            raise ValueError(f"algorithm {config.algorithm}: {exc}") from None
-        except TypeError as exc:  # a parameter it needs is missing or not a number
-            raise ValueError(
-                f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
-            ) from None
         check_generator(config.generator)
         return config
 
@@ -170,85 +178,20 @@ def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
     bin, and none for class 0; junk bins never exceed capacity.
 
-    After each event the observer replays the engine's action records
-    appended since its last call (bind-time ones included), keeping the
-    group and label of every open bin, the load of every open junk bin
-    and the number of Bad bins of each group. It then checks only the
-    junk bins that received items and the groups whose Bad count rose,
-    first the bins in id order, then the groups. A bin's state goes when
-    it closes, and a relabel of a closed bin is ignored, as the open bins
-    are all that count. It raises at the first violation, which the
-    benchmark's stream workload relies on; checked_run records that
-    violation and lets the run finish."""
-    bins: dict[int, tuple[str, str]] = {}  # open bin id -> (group, label)
-    junk: dict[int, int] = {}  # open junk bin id -> load
-    bad: dict[str, int] = {}  # group -> open Bad bins
-    pos = 0  # action records replayed so far
+    After each event the observer feeds the event's records, and those of
+    bind time before the first, to an engine.Replay, the reader behind
+    verify_packing and check_records too, and raises the first violation,
+    which the benchmark's stream workload relies on. checked_run finds the
+    same violation after the run."""
+    replay = Replay(scale)
+    pos = 0  # action records read so far
 
     def observe(engine, time):
         nonlocal pos
-        actions = engine.actions
-        filled: list[int] = []  # junk bins that received items
-        rose: list[str] = []  # groups that gained a Bad bin
-        for act in actions[pos:]:
-            kind = act[0]
-            if kind == "place":
-                _, _, bin_id, size = act
-                if bin_id in junk:
-                    junk[bin_id] += size
-                    filled.append(bin_id)
-            elif kind == "depart":
-                _, _, bin_id, size = act
-                if bin_id in junk:
-                    junk[bin_id] -= size
-            elif kind == "open":
-                _, bin_id, label, group = act
-                bins[bin_id] = (group, label)
-                if group.startswith("junk"):
-                    junk[bin_id] = 0
-                if label == BAD:
-                    bad[group] = bad.get(group, 0) + 1
-                    rose.append(group)
-            elif kind == "close":
-                bin_id = act[1]
-                group, label = bins.pop(bin_id)
-                junk.pop(bin_id, None)
-                if label == BAD:
-                    bad[group] -= 1
-            elif kind == "migrate":
-                # an emptied source closes before this record
-                _, _, src, dst, size = act
-                if src in junk:
-                    junk[src] -= size
-                if dst in junk:
-                    junk[dst] += size
-                    filled.append(dst)
-            elif kind == "label":
-                _, bin_id, _, label = act
-                state = bins.get(bin_id)
-                if state is None:
-                    continue
-                group, old = state
-                if old == BAD:
-                    bad[group] -= 1
-                bins[bin_id] = (group, label)
-                if label == BAD:
-                    bad[group] = bad.get(group, 0) + 1
-                    rose.append(group)
-        pos = len(actions)
-        for bin_id in sorted(filled):
-            if junk.get(bin_id, 0) > scale:
-                raise InvariantViolation(
-                    "junk_load", f"junk bin {bin_id} over capacity", time
-                )
-        for group in rose:
-            count = bad[group]
-            if count > 1:
-                raise InvariantViolation(
-                    "bad_bins", f"{count} Bad bins in group {group}", time
-                )
-            if group == "class:0" and count > 0:
-                raise InvariantViolation("bad_bins", "Bad bin in class 0", time)
+        replay.read(engine.actions, engine.events[-1:], pos)
+        pos = len(engine.actions)
+        if replay.broken:
+            raise InvariantViolation(*replay.broken)
 
     return observe
 
@@ -389,7 +332,8 @@ def check_decomposition(
 # ----------------------------------------------------------------------
 # trial execution
 
-# evaluation order: the observer's checks, then the post-run ones
+# report order; bad_bins, junk_load and packing come from one replay of
+# the records
 CHECKS = (
     "bad_bins",
     "junk_load",
@@ -438,26 +382,9 @@ def checked_run(
     if problems:
         raise InvariantViolation("validate", "; ".join(problems))
     policy = build_policy(config)
-    observed: list[InvariantViolation] = []
-    observers = []
-    if "bad_bins" in config.checks or "junk_load" in config.checks:
-        observer = bad_bin_observer(instance.scale)
-
-        def record_first(engine, time):
-            if not observed:
-                try:
-                    observer(engine, time)
-                except InvariantViolation as exc:
-                    observed.append(exc)
-
-        observers.append(record_first)
     # through the module global, which the benchmark patches to digest each run
     result = simulate(
-        instance,
-        policy,
-        delay_cost=config.delay_cost or 0.0,
-        adversary=adversary,
-        observers=observers,
+        instance, policy, delay_cost=config.delay_cost or 0.0, adversary=adversary
     )
     resolved = (
         with_durations(instance, result.resolved_durations)
@@ -475,12 +402,15 @@ def checked_run(
             except InvariantViolation as exc:
                 run.outcomes[name] = exc
 
-    for name in ("bad_bins", "junk_load"):
-        if name in run.outcomes and observed:
-            run.outcomes[name] = observed[0]
-    problem = verify_packing(result) if "packing" in run.outcomes else None
-    if problem:
-        run.outcomes["packing"] = InvariantViolation("packing", problem)
+    if run.outcomes.keys() & {"packing", "bad_bins", "junk_load"}:
+        problem, broken = check_records(result)
+        if problem and "packing" in run.outcomes:
+            run.outcomes["packing"] = InvariantViolation("packing", problem)
+        if broken:
+            violation = InvariantViolation(*broken)
+            for name in ("bad_bins", "junk_load"):
+                if name in run.outcomes:
+                    run.outcomes[name] = violation
     alpha = config.alpha_fraction()
     if alpha is not None:
         if config.algorithm == "alg2":

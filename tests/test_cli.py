@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from dynbin import cli, harness
 from dynbin.core import Instance, Item, write_jsonl
-from dynbin.harness import InvariantViolation
 
 CLI = [sys.executable, "-m", "dynbin"]
 
@@ -172,12 +171,10 @@ def test_run_reports_invalid_file(tmp_path):
 
 
 def test_verify_reports_each_check_of_one_run(tmp_path, monkeypatch):
-    def failing_observer(scale):
-        def observe(engine, time):
-            raise InvariantViolation("bad_bins", "injected", time)
-        return observe
-
-    monkeypatch.setattr(harness, "bad_bin_observer", failing_observer)
+    # the replay finds a clean packing and a bad_bins violation at t=0.0
+    monkeypatch.setattr(
+        harness, "check_records", lambda result: (None, ("bad_bins", "injected", 0.0))
+    )
     path = tmp_path / "inst.jsonl"
     invoke("gen", "--family", "fig2", "--k", "4", "--mu", "10", "-o", path)
     result = invoke("verify", path, "--alg", "alg2", "--alpha", "1/4")
@@ -263,4 +260,29 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"Error: {path}{problem}")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        (("run", "--alg", "alg2", "--alpha", "x"), "alpha: Invalid literal for Fraction: 'x'"),
+        (("run", "--alg", "alg2", "--alpha", "1/2"),
+         "algorithm alg2: alpha must lie in (0, 1/2)"),
+        (("run", "--alg", "alg2"), "algorithm alg2: bad or missing alpha, f or delay_cost"),
+        (("verify", "--alg", "alg1", "--alpha", "1/4"),
+         "algorithm alg1: bad or missing alpha, f or delay_cost"),
+        (("run", "--alg", "delay"), "algorithm delay: bad or missing alpha, f or delay_cost"),
+        (("verify", "--alg", "delay", "--delay-c", "0.5"),
+         "algorithm delay: delay cost must be >= 1"),
+    ],
+)
+def test_bad_option_value_is_a_one_line_error(tmp_path, args, problem):
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    result = invoke(args[0], path, *args[1:])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"Error: {problem}")
     assert result.stderr.count("\n") == 1

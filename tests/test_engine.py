@@ -181,6 +181,31 @@ class TestVerifyPacking:
                     return
             start = end
 
+    def test_detects_migration_from_wrong_bin(self):
+        # the item moves from the small pool to the big one at t = sqrt(C)
+        r = simulate(inst([Item(0, 0.0, 1, 5.0), Item(1, 1.0, 2, 1.0)]), DelayPolicy(4.0),
+                     delay_cost=4.0)
+        i = next(i for i, act in enumerate(r.actions) if act[0] == "migrate")
+        _, item, src, dst, size = r.actions[i]
+        r.actions[i] = ("migrate", item, src + 999, dst, size)
+        assert verify_packing(r) == "t=2.0: migration of item 0 from wrong bin"
+
+    def test_detects_good_bin_relabeled_bad(self):
+        instance, resolver = gen_fig2(3, 5.0)
+        r = simulate(instance, MultiClassPolicy(Fraction(1, 4)), adversary=resolver)
+        # the first Bad -> Good relabel, turned around
+        i = next(i for i, act in enumerate(r.actions) if act[0] == "label" and act[2] == "Bad")
+        _, bin_id, old, new = r.actions[i]
+        r.actions[i] = ("label", bin_id, new, old)
+        assert verify_packing(r) == f"t=0.0: bin {bin_id} relabeled Good -> Bad"
+
+    def test_detects_items_left_placed(self):
+        r = self.good_run()
+        i = max(i for i, act in enumerate(r.actions) if act[0] == "depart")
+        del r.actions[i]
+        r.events[:] = [(t, kind, item, e - 1 if e > i else e) for t, kind, item, e in r.events]
+        assert verify_packing(r) == "items left placed at end of trace"
+
 
 def naive_first_fit(instance):
     """FirstFit in O(n^2) on a plain list of bins in opening order, each

@@ -19,7 +19,7 @@ from dynbin.algorithms import (
     SizeCostPolicy,
 )
 from dynbin.core import Instance, Item
-from dynbin.engine import BAD, GOOD, JUNK, Policy, simulate
+from dynbin.engine import BAD, GOOD, JUNK, Policy, check_records, simulate
 from dynbin.generators import gen_fig2, gen_uniform
 from dynbin.harness import InvariantViolation, bad_bin_observer
 
@@ -57,7 +57,9 @@ def outcome(observer, engine, time):
 
 def compare(instance, policy, scale=None, delay_cost=0.0, adversary=None):
     """Run both observers after every event up to the first violation;
-    returns the number of events compared and that violation, if any."""
+    returns the number of events compared and that violation, if any.
+    At the instance's own scale, the replay of the stored run that
+    checked_run makes must find the same first violation."""
     scale = instance.scale if scale is None else scale
     reference, incremental = rescan_observer(scale), bad_bin_observer(scale)
     seen = []
@@ -69,8 +71,14 @@ def compare(instance, policy, scale=None, delay_cost=0.0, adversary=None):
         assert outcome(incremental, engine, time) == expected, f"t={time}"
         seen.append(expected)
 
-    simulate(instance, policy, delay_cost=delay_cost, adversary=adversary, observers=[both])
-    return len(seen), seen[-1] if seen else None
+    result = simulate(
+        instance, policy, delay_cost=delay_cost, adversary=adversary, observers=[both]
+    )
+    first = seen[-1] if seen else None
+    if scale == instance.scale:
+        broken = check_records(result)[1]
+        assert (broken and str(InvariantViolation(*broken))) == first
+    return len(seen), first
 
 
 POLICIES = {
@@ -182,6 +190,18 @@ class BadInClassZero(Policy):
         self.engine.place(item_id, self.engine.open_bin(BAD, "class:0").id)
 
 
+class BadBinsAtBind(Policy):
+    """Opens two Bad bins of one group while binding, before any event."""
+
+    def bind(self, engine):
+        super().bind(engine)
+        engine.open_bin(BAD, "class:1")
+        engine.open_bin(BAD, "class:1")
+
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.place(item_id, self.engine.open_bin(GOOD, "class:2").id)
+
+
 class OverfillJunk(Policy):
     """Puts every item in one junk bin opened at bind time, with the
     engine's capacity check widened to twice the bin size."""
@@ -204,6 +224,8 @@ class OverfillJunk(Policy):
         (TwoBadBins, "bad_bins: 2 Bad bins in group class:1 (t=1.0)"),
         (BadInClassZero, "bad_bins: Bad bin in class 0 (t=0.0)"),
         (OverfillJunk, "junk_load: junk bin 0 over capacity (t=1.0)"),
+        # bind-time records count toward the first event
+        (BadBinsAtBind, "bad_bins: 2 Bad bins in group class:1 (t=0.0)"),
     ],
 )
 def test_raises_what_the_rescan_raises(policy, message):
