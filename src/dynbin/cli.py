@@ -38,8 +38,10 @@ def _read_config(path):
 
 def _file_config(path, **options):
     """The config of a run on one instance file; a bad value is a one-line error."""
+    config = ExperimentConfig(generator={"family": "file", "path": path}, **options)
     try:
-        return ExperimentConfig(generator={"family": "file", "path": path}, **options)
+        harness.check_config(config)
+        return config
     except ValueError as exc:
         raise click.ClickException(str(exc))
 

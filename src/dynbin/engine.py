@@ -691,15 +691,13 @@ class Replay:
         if self.problem is None:
             self.problem = problem
 
-    def read(self, actions: list[tuple], events: list[tuple], start: int = 0,
-             structure: bool = True) -> None:
+    def read(self, actions: list[tuple], events: list[tuple], start: int = 0) -> None:
         """Apply the records of each of events, laid out as Engine.events,
-        from actions[start] on. With structure, check junk_load and bad_bins
-        after each event until `broken` is found; bind-time records (time
-        None) count toward the next event."""
+        from actions[start] on, and check junk_load and bad_bins after each
+        event until `broken` is found; bind-time records (time None) count
+        toward the next event."""
         scale, over, rose = self.scale, self._over, self._rose
         loads, bins, placed, bad = self.loads, self.bins, self.placed, self.bad
-        checking = structure and self.broken is None
         for time, _kind, _item, end in events:
             for act in actions[start:end]:
                 kind = act[0]
@@ -757,11 +755,11 @@ class Replay:
                         bad[group] = bad.get(group, 0) + 1
                         rose.append(group)
             start = end
-            if checking and (over or rose) and time is not None:
-                self.broken = self._violation(time)
+            if (over or rose) and time is not None:
+                if self.broken is None:
+                    self.broken = self._violation(time)
                 over.clear()
                 rose.clear()
-                checking = self.broken is None
 
     def _violation(self, time: float) -> tuple[str, str, float] | None:
         """The first violation the records read since the last check left:
@@ -780,21 +778,17 @@ class Replay:
         return None
 
 
-def check_records(
-    result: SimulationResult, structure: bool = True
-) -> tuple[str | None, tuple | None]:
+def check_records(result: SimulationResult) -> tuple[str | None, tuple | None]:
     """One replay of a stored run's records: its first packing problem
-    (t=None at bind time) and, with structure, its first junk_load or
-    bad_bins violation, as bad_bin_observer raises it."""
+    (t=None at bind time) and its first junk_load or bad_bins violation,
+    as bad_bin_observer raises it."""
     replay = Replay(result.scale)
-    replay.read(result.actions, result.events, structure=structure)
+    replay.read(result.actions, result.events)
     if replay.placed and replay.problem is None:
         replay.problem = "items left placed at end of trace"
     return replay.problem, replay.broken
 
 
 def verify_packing(result: SimulationResult) -> str | None:
-    """The first packing problem of a stored run, or None if clean; the
-    junk_load and bad_bins checks, which its callers do not read, are
-    skipped."""
-    return check_records(result, structure=False)[0]
+    """The first packing problem of a stored run, or None if clean."""
+    return check_records(result)[0]

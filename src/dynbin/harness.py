@@ -68,30 +68,14 @@ class ExperimentConfig:
     oracle_time_budget: float = oracles.DEFAULT_TIME_BUDGET
     jobs: int = 1
 
-    def __post_init__(self):
-        """A ValueError names a bad alpha or f, or a policy they cannot build."""
-        for name, parse in (("alpha", self.alpha_fraction), ("f", self.f_fraction)):
-            try:
-                parse()
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        try:
-            build_policy(self)
-        except ValueError as exc:
-            raise ValueError(f"algorithm {self.algorithm}: {exc}") from None
-        except TypeError as exc:  # a parameter it needs is missing or not a number
-            raise ValueError(
-                f"algorithm {self.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
-            ) from None
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it: a key, a value the constructor rejects, or
-        the generator. So a batch fails before its first trial."""
+        what is wrong with it: a key, a value check_config rejects, or the
+        generator. So a batch fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -105,6 +89,7 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
+        check_config(config)
         check_generator(config.generator)
         return config
 
@@ -139,6 +124,24 @@ GENERATORS = {
         ),
     ),
 }
+
+
+def check_config(config: ExperimentConfig) -> None:
+    """Raise a ValueError naming a bad alpha or f, or a policy they cannot
+    build; the policy built to find out is dropped."""
+    for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
+        try:
+            parse()
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    try:
+        build_policy(config)
+    except ValueError as exc:
+        raise ValueError(f"algorithm {config.algorithm}: {exc}") from None
+    except TypeError as exc:  # a parameter it needs is missing or not a number
+        raise ValueError(
+            f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
+        ) from None
 
 
 def check_generator(generator) -> None:

@@ -19,7 +19,7 @@ from dynbin.algorithms import (
     SizeCostPolicy,
 )
 from dynbin.core import Instance, Item
-from dynbin.engine import BAD, GOOD, JUNK, Policy, check_records, simulate
+from dynbin.engine import BAD, GOOD, JUNK, Policy, Replay, check_records, simulate
 from dynbin.generators import gen_fig2, gen_uniform
 from dynbin.harness import InvariantViolation, bad_bin_observer
 
@@ -235,6 +235,32 @@ def test_raises_what_the_rescan_raises(policy, message):
             simulate(instance, policy(), observers=[observer(instance.scale)])
         assert str(info.value) == message
         assert compare(instance, policy())[1] == message
+
+
+@pytest.mark.parametrize(
+    "policy, broken",
+    [
+        (TwoBadBins, True),
+        (BadInClassZero, True),
+        (OverfillJunk, True),
+        (lambda: MultiClassPolicy(Fraction(1, 4)), False),
+    ],
+)
+def test_replay_keeps_only_the_event_being_read(policy, broken):
+    """The bins and groups an event left for the Bad-bin check go at its
+    end, checked or not, so a replay holds no more than one event's worth
+    of them, before and after it finds a violation."""
+    # at most three items live at once, so OverfillJunk stays within its widened check
+    instance = Instance(items=tuple(Item(i, float(i), 5, 2.5) for i in range(40)), scale=8)
+    result = simulate(instance, policy())
+    replay = Replay(instance.scale)
+    pos = 0
+    for k, (time, _kind, _item, end) in enumerate(result.events):
+        replay.read(result.actions, result.events[k : k + 1], pos)
+        pos = end
+        if time is not None:
+            assert replay._over == [] and replay._rose == [], f"t={time}"
+    assert (replay.broken is not None) == broken
 
 
 class JunkShuttle(Policy):
