@@ -78,7 +78,10 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise click.UsageError(f"{family} requires: {', '.join(missing)}")
-    instance, _ = harness.build_instance(params, seed)
+    try:
+        instance, _ = harness.build_instance(params, seed)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     write_jsonl(instance, output)
     click.echo(f"wrote {len(instance)} items to {output}")
 

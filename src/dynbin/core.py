@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -33,10 +33,10 @@ class ScaledSize(NamedTuple):
         return Fraction(self.numerator, self.scale)
 
 
-@dataclass(frozen=True)
-class Item:
+class Item(NamedTuple):
     """One arriving object. duration=None means the duration is deferred
-    and will be assigned by an adversary callback during simulation."""
+    and will be assigned by an adversary callback during simulation. A
+    tuple: immutable, and cheap to build by the thousand."""
 
     id: int
     arrival: float
@@ -71,7 +71,8 @@ class Instance:
         return len(self.items)
 
     def has_deferred(self) -> bool:
-        return any(it.deferred for it in self.items)
+        # the field, not the `deferred` property: one call less per item
+        return any(it.duration is None for it in self.items)
 
 
 def _require_resolved(instance: Instance) -> None:
@@ -123,7 +124,7 @@ def with_durations(instance: Instance, durations: dict[int, float]) -> Instance:
         if it.deferred:
             if it.id not in durations:
                 raise UnresolvedDurationError(f"no duration for item {it.id}")
-            items.append(replace(it, duration=durations[it.id]))
+            items.append(it._replace(duration=durations[it.id]))
         else:
             items.append(it)
     return replace(instance, items=tuple(items), adversary=None)

@@ -31,7 +31,14 @@ when there are any. `Replay` is the one reader of the records' fields
 Tuples of plain values stay small and drop out of the cyclic garbage
 collector's walks, so a run keeps its records at little cost;
 `SimulationResult.trace` builds the old list of dicts from them on
-demand.
+demand. The segments of constant open-bin count are kept the same way,
+as two flat columns: `times`, the boundaries, and `open_counts`, one per
+segment; `SimulationResult.segments` builds a `Segment` list from them on
+demand. So the collector walks a few lists of a result, not an object
+per segment or per record. What it still walks is the `Bin`s of a running
+engine (slotted, each with its `set` of items), every `Item` and
+`LedgerEntry` (tuples, but the collector never untracks a tuple
+subclass) and the engine's dicts and lists.
 
 `Engine.bins` holds every bin ever opened, closed ones included, so a
 policy can still look up a bin that closed in the event it handles.
@@ -50,7 +57,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Instance, UnresolvedDurationError, validate
 
@@ -90,7 +97,7 @@ ACTION_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Bin:
     id: int
     label: str
@@ -105,8 +112,7 @@ class Bin:
         return self.load > 0
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     time: float
     item: int
     size_num: int
@@ -149,7 +155,10 @@ class Segment:
 @dataclass
 class SimulationResult:
     total_active_time: float
-    segments: list[Segment]
+    # segment i is [times[i], times[i + 1]) with open_counts[i] open bins;
+    # times has one entry more than open_counts, or both are empty
+    times: list[float]
+    open_counts: list[int]
     ledger: MigrationLedger
     departures: dict[int, float]
     resolved_durations: dict[int, float]
@@ -173,14 +182,18 @@ class SimulationResult:
             start = end
         return trace
 
+    @property
+    def segments(self) -> list[Segment]:
+        """The segments as one Segment each; built anew on every access."""
+        times = self.times
+        return list(map(Segment, times, times[1:], self.open_counts))
+
     def to_dict(self) -> dict:
+        times = self.times
         return {
             "total_active_time": self.total_active_time,
-            "segments": [[s.start, s.end, s.open_bins] for s in self.segments],
-            "ledger": [
-                [e.time, e.item, e.size_num, e.source, e.destination, e.class_key, e.rule]
-                for e in self.ledger.entries
-            ],
+            "segments": list(map(list, zip(times, times[1:], self.open_counts))),
+            "ledger": list(map(list, self.ledger.entries)),
             "departures": {str(k): v for k, v in sorted(self.departures.items())},
             "migration_counts": {
                 "unit": self.ledger.unit_count,
@@ -563,7 +576,7 @@ class Engine:
         arrivals = sorted(
             self.instance.items, key=attrgetter("arrival", "id"), reverse=True
         )
-        deferred = [it.arrival for it in arrivals if it.deferred]
+        deferred = [it.arrival for it in arrivals if it.duration is None]
         if deferred:
             heapq.heappush(heap, (max(deferred), _RESOLVE, -1))
         try:
@@ -574,7 +587,8 @@ class Engine:
             if actions:
                 events.append((None, "SETUP", None, len(actions)))
 
-            segments: list[Segment] = []
+            times: list[float] = []
+            open_counts: list[int] = []
             total = 0.0
             prev_time: float | None = None
             departures: dict[int, float] = {}
@@ -600,9 +614,11 @@ class Engine:
 
                 if prev_time is None:
                     prev_time = time
+                    times.append(time)
                 elif time > prev_time:
                     total += self._open_count * (time - prev_time)
-                    segments.append(Segment(prev_time, time, self._open_count))
+                    times.append(time)
+                    open_counts.append(self._open_count)
                     prev_time = time
 
                 if kind == _ARRIVAL:
@@ -644,10 +660,13 @@ class Engine:
 
         if self.live:
             raise SimulationError("items left in the system at end of trace")
+        if not open_counts:  # every event at one time, a duration lost to rounding
+            times.clear()
 
         return SimulationResult(
             total_active_time=total,
-            segments=segments,
+            times=times,
+            open_counts=open_counts,
             ledger=self.ledger,
             departures=departures,
             resolved_durations=dict(self.resolved),

@@ -220,8 +220,8 @@ def check_per_time(
     intervals = report.intervals
     i, n = 0, len(intervals)
     max_ratio = 0.0
-    for seg in result.segments:  # starts strictly increase
-        start, open_bins = seg.start, seg.open_bins
+    # segment starts strictly increase; the last time only ends a segment
+    for start, open_bins in zip(result.times, result.open_counts):
         while i < n and intervals[i].end <= start:
             i += 1
         if i == n or start < intervals[i].start:

@@ -286,3 +286,22 @@ def test_bad_option_value_is_a_one_line_error(tmp_path, args, problem):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"Error: {problem}")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        (("--family", "tradeoff", "--inv-s", "4", "--k", "3", "--mu", "4"),
+         "k must be a positive multiple of inv_s"),
+        (("--family", "uniform", "--n", "10", "--size-grid", "12", "--window", "5"),
+         "size_grid must be a power of two"),
+        (("--family", "delaylb", "--c", "5"), "C must be a perfect square"),
+    ],
+)
+def test_gen_bad_value_is_a_one_line_error(tmp_path, args, problem):
+    path = tmp_path / "x.jsonl"
+    result = invoke("gen", *args, "-o", path)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {problem}\n"
+    assert not path.exists()

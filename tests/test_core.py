@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dynbin.algorithms import DelayPolicy
 from dynbin.core import (
     Instance,
     Item,
@@ -17,6 +19,7 @@ from dynbin.core import (
     with_durations,
     write_jsonl,
 )
+from dynbin.engine import LedgerEntry, simulate
 
 
 def make(items, scale=4, **kw):
@@ -89,6 +92,33 @@ def test_with_durations():
     assert not resolved.has_deferred()
     assert resolved.items[0].duration == 5.0
     assert resolved.items[1].duration == 2.0
+
+
+def test_value_types_keep_their_contract():
+    item = Item(0, 1.0, 2)
+    entry = LedgerEntry(1.0, 0, 2, 0, 1, "class:0", "rule")
+    for value, name in ((item, "duration"), (entry, "time")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5.0)
+    assert item.deferred
+    with pytest.raises(UnresolvedDurationError):
+        item.departure
+
+    inst = make([Item(3, 0.0, 1, None), Item(7, 1.0, 2, 2.0), Item(5, 2.0, 1, None)])
+    resolved = with_durations(inst, {3: 4.0, 7: 9.0, 5: 1.5})
+    assert [it.id for it in resolved.items] == [3, 7, 5]
+    assert [it.duration for it in resolved.items] == [4.0, 2.0, 1.5]
+    fixed = [(it.id, it.arrival, it.size_num) for it in resolved.items]
+    assert fixed == [(it.id, it.arrival, it.size_num) for it in inst.items]
+
+    # d=25, C=100: two migrations, so two ledger rows
+    one = make([Item(0, 0.0, 1, 25.0)], scale=2)
+    result = simulate(one, DelayPolicy(100.0), delay_cost=100.0)
+    fields = list(inspect.signature(LedgerEntry).parameters)
+    assert fields == ["time", "item", "size_num", "source", "destination", "class_key", "rule"]
+    rows = result.to_dict()["ledger"]
+    assert len(rows) == 2
+    assert rows == [[getattr(e, name) for name in fields] for e in result.ledger.entries]
 
 
 def test_with_durations_missing_id():

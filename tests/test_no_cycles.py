@@ -1,8 +1,9 @@
 """A finished run leaves no cyclic garbage: the engine lets go of its
 policy when the run ends and the oracle's branch and bound recurses
 through a plain function, so reference counting frees everything a run
-built as soon as the caller drops it. Each test runs with the cyclic
-collector off and expects a collection afterwards to find nothing."""
+built as soon as the caller drops it. Each of those tests runs with the
+cyclic collector off and expects a collection afterwards to find nothing.
+The result a run returns also gives the collector little to walk."""
 
 import gc
 from fractions import Fraction
@@ -10,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from dynbin import oracles
-from dynbin.algorithms import make_policy
+from dynbin.algorithms import FirstFitPolicy, make_policy
 from dynbin.core import Instance, Item
 from dynbin.engine import simulate
-from dynbin.generators import gen_fig2
+from dynbin.generators import gen_fig2, gen_uniform
 from dynbin.harness import ExperimentConfig, applicable_checks, run_trial
 
 UNIFORM = {
@@ -81,3 +82,17 @@ def test_branch_and_bound_leaves_no_cycles(collector_off):
     assert (interval.lower, interval.opt, interval.upper) == (2, 3, 3)
     assert interval.exact
     assert gc.collect() == 0
+
+
+def test_a_held_result_adds_few_tracked_objects():
+    # the segments are two flat lists and the records tuples of plain
+    # values, which a collection untracks: holding a result costs the
+    # collector a few containers, not an object per segment
+    instance = gen_uniform(2000, 16, (1.0, 2.0), 75.0, 0)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = simulate(instance, FirstFitPolicy())
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(result.segments) > 3000
+    assert added < 100

@@ -329,9 +329,13 @@ def test_check_per_time_outside_the_boundaries_sees_no_items():
     # hand-made segments: before the first arrival, on it, inside an
     # interval, and after the last departure
     instance = Instance(items=(Item(0, 1.0, 3, 2.0), Item(1, 2.0, 6, 2.0)), scale=8)
-    starts = [0.0, 1.0, 2.5, 3.0, 4.0, 5.0]
-    segments = [Segment(a, b, 1) for a, b in zip(starts, starts[1:] + [6.0])]
-    result = SimpleNamespace(segments=segments)
+    times = [0.0, 1.0, 2.5, 3.0, 4.0, 5.0, 6.0]
+
+    def hand_made(open_counts):
+        segments = [Segment(*seg) for seg in zip(times, times[1:], open_counts)]
+        return SimpleNamespace(times=times, open_counts=open_counts, segments=segments)
+
+    result = hand_made([1] * 6)
     report = opt_total(instance, 4, 2.0)
     checks = (
         lambda additive: check_per_time(report, result, Fraction(1), lambda t: additive),
@@ -344,7 +348,7 @@ def test_check_per_time_outside_the_boundaries_sees_no_items():
         with pytest.raises(InvariantViolation) as info:
             check(0)
         assert str(info.value) == "per_time: 1 open bins > 0.0 allowed (OPT_t=0) (t=0.0)"
-    segments[0] = Segment(0.0, 1.0, 0)
+    result = hand_made([0] + [1] * 5)
     for check in checks:
         with pytest.raises(InvariantViolation) as info:
             check(0)
