@@ -2,7 +2,11 @@
 multi-class algorithms, the size-cost variant with dedicated bins, and the
 migration-delay algorithm, plus the sub-instance decomposition of a delay
 run. All threshold comparisons are exact: an integer load is compared
-with a Fraction threshold by cross-multiplying."""
+with a Fraction threshold by cross-multiplying.
+
+Each policy class states its name, the parameters its constructor takes,
+the harness checks that apply to it and its per-time bound. ALGORITHMS is
+the one registry of names, which make_policy, the harness and the CLI read."""
 
 from __future__ import annotations
 
@@ -33,57 +37,43 @@ def size_class(size: ScaledSize) -> int:
     return c
 
 
-class FirstFitPool:
-    """Ordered pool of bins filled first-fit: each item goes to the
-    earliest-opened open bin where it fits, else a fresh bin. The pool
-    owns its group, so every bin in it carries the pool's label."""
+MIG_ORDERS = ("id", "size-desc")
 
-    def __init__(self, engine: Engine, group: str, label: str = GOOD):
-        self.engine = engine
-        self.group = group
-        self.label = label
 
-    def select(self, size_num: int):
-        b = self.engine.first_fit(self.group, self.label, size_num)
-        return b if b is not None else self.engine.open_bin(self.label, self.group)
+def check_params(alpha: Fraction, mig_order: str, f: Fraction = Fraction(1)) -> None:
+    """Raise a ValueError unless alpha, f and mig_order are in range."""
+    if not 0 < alpha < Fraction(1, 2):
+        raise ValueError("alpha must lie in (0, 1/2)")
+    if not alpha < f <= 1:
+        raise ValueError("f must lie in (alpha, 1]")
+    if mig_order not in MIG_ORDERS:
+        raise ValueError(f"unknown migration order {mig_order!r}")
 
 
 class FirstFitPolicy(Policy):
+    """Each item goes to the earliest-opened bin it fits in, else a new bin."""
+
     name = "firstfit"
 
-    def bind(self, engine: Engine) -> None:
-        super().bind(engine)
-        self.pool = FirstFitPool(engine, "ff")
-
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        self.engine.place(item_id, self.pool.select(size_num).id)
+        engine = self.engine
+        b = engine.first_fit("ff", GOOD, size_num) or engine.open_bin(GOOD, "ff")
+        engine.place(item_id, b.id)
 
 
 class SingleClassMigrator:
     """Arrival/departure rules of the bounded-migration single-class
-    algorithm, bound to one bin group. Reused per size class by the
-    complete algorithm and (with f = 1 - alpha) by the size-cost one."""
+    algorithm, bound to one bin group, which also keys its migrations.
+    Reused per size class by the complete algorithm and (with f = 1 -
+    alpha) by the size-cost one, which pass checked parameters."""
 
     def __init__(
-        self,
-        engine: Engine,
-        group: str,
-        alpha: Fraction,
-        f: Fraction,
-        class_key: str,
-        mig_order: str = "id",
+        self, engine: Engine, group: str, alpha: Fraction, f: Fraction, mig_order: str
     ):
-        if not Fraction(0) < alpha < Fraction(1, 2):
-            raise ValueError("alpha must lie in (0, 1/2)")
-        if not alpha < f <= 1:
-            raise ValueError("f must lie in (alpha, 1]")
-        if mig_order not in ("id", "size-desc"):
-            raise ValueError(f"unknown migration order {mig_order!r}")
         self.engine = engine
         self.group = group
         self.alpha = alpha
         self.f = f
-        self.class_key = class_key
         self.mig_order = mig_order
 
     def _relabel(self, b) -> None:
@@ -127,7 +117,7 @@ class SingleClassMigrator:
             if dest is None:
                 dest = engine.open_bin(BAD, self.group)
                 targets.append(dest)
-            engine.migrate(item_id, dest.id, "drain", self.class_key, time)
+            engine.migrate(item_id, dest.id, "drain", self.group, time)
             self._relabel(dest)
 
 
@@ -135,32 +125,22 @@ class SingleClassPolicy(Policy):
     """Bounded-migration algorithm for a single size class."""
 
     name = "alg1"
+    params = ("alpha", "f", "mig_order")
+    checks = ("packing", "bad_bins", "junk_load", "per_time", "migration_budget")
 
-    def __init__(
-        self,
-        alpha: Fraction,
-        f: Fraction,
-        item_class: int | None = None,
-        mig_order: str = "id",
-    ):
+    def __init__(self, alpha: Fraction, f: Fraction, mig_order: str = "id"):
         self.alpha = Fraction(alpha)
         self.f = Fraction(f)
-        self.item_class = item_class
         self.mig_order = mig_order
+        check_params(self.alpha, mig_order, self.f)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
         self.migrator = SingleClassMigrator(
-            engine, "class", self.alpha, self.f, "class", self.mig_order
+            engine, "class", self.alpha, self.f, self.mig_order
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        if self.item_class is not None:
-            c = size_class(ScaledSize(size_num, self.engine.scale))
-            if c != self.item_class:
-                raise SimulationError(
-                    f"item {item_id} has class {c}, expected {self.item_class}"
-                )
         self.migrator.place(item_id, size_num)
 
     def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
@@ -170,15 +150,17 @@ class SingleClassPolicy(Policy):
 class MultiClassPolicy(Policy):
     """Complete bounded-migration algorithm: guess-and-double the maximum
     number of simultaneous items, one single-class sub-instance per size
-    class, one junk bin per phase for the classes beyond the guess."""
+    class, one junk bin per phase for the classes beyond the guess. Its
+    per-time bound adds two bins per phase begun."""
 
     name = "alg2"
+    params = ("alpha", "mig_order")
+    checks = SingleClassPolicy.checks
 
     def __init__(self, alpha: Fraction, mig_order: str = "id"):
         self.alpha = Fraction(alpha)
-        if not Fraction(0) < self.alpha < Fraction(1, 2):
-            raise ValueError("alpha must lie in (0, 1/2)")
         self.mig_order = mig_order
+        check_params(self.alpha, mig_order)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
@@ -193,7 +175,7 @@ class MultiClassPolicy(Policy):
     def _start_class(self, c: int) -> None:
         f_c = Fraction(1, 2) if c == 0 else Fraction(1) - Fraction(1, 2**c)
         self.classes[c] = SingleClassMigrator(
-            self.engine, f"class:{c}", self.alpha, f_c, f"class:{c}", self.mig_order
+            self.engine, f"class:{c}", self.alpha, f_c, self.mig_order
         )
 
     def _double(self, time: float) -> None:
@@ -211,6 +193,9 @@ class MultiClassPolicy(Policy):
             if start <= time:
                 count = phase
         return count
+
+    def additive_at(self, time: float) -> int:
+        return 2 * self.phases_at(time)
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         # live count includes the arriving item; a burst can cross several
@@ -237,22 +222,18 @@ class SizeCostPolicy(Policy):
     rest run the single-class rules with promotion threshold 1 - alpha."""
 
     name = "sizecost"
+    params = ("alpha", "mig_order")
+    checks = ("packing", "bad_bins", "per_time", "size_budget")
 
     def __init__(self, alpha: Fraction, mig_order: str = "id"):
         self.alpha = Fraction(alpha)
-        if not Fraction(0) < self.alpha < Fraction(1, 2):
-            raise ValueError("alpha must lie in (0, 1/2)")
         self.mig_order = mig_order
+        check_params(self.alpha, mig_order)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
         self.migrator = SingleClassMigrator(
-            engine,
-            "shared",
-            self.alpha,
-            Fraction(1) - self.alpha,
-            "shared",
-            self.mig_order,
+            engine, "shared", self.alpha, 1 - self.alpha, self.mig_order
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
@@ -279,6 +260,8 @@ class DelayPolicy(Policy):
     """
 
     name = "delay"
+    params = ("delay_cost",)
+    checks = ("packing", "delay_schedule", "decomposition")
 
     def __init__(self, delay_cost: float):
         if delay_cost < 1:
@@ -290,21 +273,21 @@ class DelayPolicy(Policy):
         super().bind(engine)
         if engine.delay_cost != self.delay_cost:
             raise SimulationError("engine delay cost does not match the policy")
-        self.small = FirstFitPool(engine, "Is")
-        self.big = FirstFitPool(engine, "Ib")
         self.location: dict[int, str] = {}
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        self.engine.place(item_id, self.small.select(size_num).id)
+        engine = self.engine
+        b = engine.first_fit("Is", GOOD, size_num) or engine.open_bin(GOOD, "Is")
+        engine.place(item_id, b.id)
         self.location[item_id] = "Is"
-        self.engine.schedule_checkpoint(item_id, time + self.sqrt_c)
+        engine.schedule_checkpoint(item_id, time + self.sqrt_c)
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
         engine = self.engine
         staged = [(i, engine.begin_migration(i)) for i in sorted(item_ids)]
         for item_id, size_num in staged:
             src_pool = self.location[item_id]
-            dest = self.big.select(size_num)
+            dest = engine.first_fit("Ib", GOOD, size_num) or engine.open_bin(GOOD, "Ib")
             rule = "small-to-big" if src_pool == "Is" else "reshuffle"
             engine.complete_migration(item_id, dest.id, rule, src_pool, time)
             self.location[item_id] = "Ib"
@@ -313,25 +296,25 @@ class DelayPolicy(Policy):
             )
 
 
+ALGORITHMS = {
+    cls.name: cls
+    for cls in (FirstFitPolicy, SingleClassPolicy, MultiClassPolicy, SizeCostPolicy, DelayPolicy)
+}
+
+
 def make_policy(
     name: str,
     alpha: Fraction | None = None,
     f: Fraction | None = None,
     delay_cost: float | None = None,
     mig_order: str = "id",
-    item_class: int | None = None,
 ) -> Policy:
-    if name == "firstfit":
-        return FirstFitPolicy()
-    if name == "alg1":
-        return SingleClassPolicy(alpha, f, item_class=item_class, mig_order=mig_order)
-    if name == "alg2":
-        return MultiClassPolicy(alpha, mig_order=mig_order)
-    if name == "sizecost":
-        return SizeCostPolicy(alpha, mig_order=mig_order)
-    if name == "delay":
-        return DelayPolicy(delay_cost)
-    raise ValueError(f"unknown algorithm {name!r}")
+    """The policy ALGORITHMS names, built from the parameters its class takes."""
+    cls = ALGORITHMS.get(name)
+    if cls is None:
+        raise ValueError(f"unknown algorithm {name!r}")
+    values = {"alpha": alpha, "f": f, "delay_cost": delay_cost, "mig_order": mig_order}
+    return cls(*(values[p] for p in cls.params))
 
 
 def decompose_delay_run(

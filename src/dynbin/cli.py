@@ -8,7 +8,7 @@ import sys
 
 import click
 
-from . import generators, harness, oracles
+from . import algorithms, generators, harness, oracles
 from .core import read_jsonl, validate, write_jsonl
 # unused here, but the benchmark's tracer patches both names in this module
 from .engine import simulate, verify_packing  # noqa: F401
@@ -86,18 +86,15 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
     click.echo(f"wrote {len(instance)} items to {output}")
 
 
-_RUN_CHOICES = ["firstfit", "alg1", "alg2", "sizecost", "delay"]
-
-
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True), required=False)
 @click.option("--config", type=click.Path(exists=True), default=None,
               help="Experiment config JSON; runs a batch of seeded trials.")
-@click.option("--alg", type=click.Choice(_RUN_CHOICES), default=None)
+@click.option("--alg", type=click.Choice(list(algorithms.ALGORITHMS)), default=None)
 @click.option("--alpha", type=str, default=None, help="Fraction, e.g. 1/4")
 @click.option("--f", type=str, default=None, help="Fraction, e.g. 1/2")
 @click.option("--delay-c", type=float, default=None)
-@click.option("--mig-order", type=click.Choice(["id", "size-desc"]), default="id")
+@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default="id")
 @click.option("--checks", type=str, default="",
               help="Comma-separated invariant checks to enforce on the run, "
               f"from: {', '.join(harness.CHECKS)}.")
@@ -167,11 +164,11 @@ def opt(instance_path, max_items, time_budget):
 
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True))
-@click.option("--alg", type=click.Choice(_RUN_CHOICES), required=True)
+@click.option("--alg", type=click.Choice(list(algorithms.ALGORITHMS)), required=True)
 @click.option("--alpha", type=str, default=None)
 @click.option("--f", type=str, default=None)
 @click.option("--delay-c", type=float, default=None)
-@click.option("--mig-order", type=click.Choice(["id", "size-desc"]), default="id")
+@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default="id")
 def verify(instance_path, alg, alpha, f, delay_c, mig_order):
     """Run every invariant check applicable to an algorithm on one instance.
 

@@ -301,9 +301,13 @@ class FirstFitIndex:
 
 
 class Policy:
-    """Behavioral contract implemented by each packing algorithm."""
+    """Behavioral contract implemented by each packing algorithm, which
+    also states its name, params, checks and per-time bound."""
 
     name = "policy"
+    params: tuple[str, ...] = ()
+    checks: tuple[str, ...] = ("packing",)
+    phase_history = ()  # (start time, phase) of each phase a phased policy begins
 
     def bind(self, engine: "Engine") -> None:
         self.engine = engine
@@ -315,11 +319,11 @@ class Policy:
         pass
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
-        for item_id in item_ids:
-            self.on_checkpoint(item_id, time)
-
-    def on_checkpoint(self, item_id: int, time: float) -> None:
         pass
+
+    def additive_at(self, time: float) -> int:
+        """The additive term of open bins <= OPT_t / alpha + additive at time."""
+        return 1
 
 
 class Engine:

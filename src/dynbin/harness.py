@@ -74,8 +74,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it: a key, a value check_config rejects, or the
-        generator. So a batch fails before its first trial."""
+        what is wrong with it: a key, a count, a value check_config
+        rejects, or a generator whose builder rejects it, found by drawing
+        the first trial's instance. So a batch fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -89,8 +90,20 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
+        for name, value, least in (
+            ("trials", config.trials, 0),
+            ("base_seed", config.base_seed, None),
+            ("jobs", config.jobs, 1),
+        ):
+            if type(value) is not int:
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
         check_config(config)
-        check_generator(config.generator)
+        try:
+            build_instance(config.generator, config.base_seed)
+        except TypeError as exc:  # a generator value of the wrong type
+            raise ValueError(f"generator {config.generator['family']}: {exc}") from None
         return config
 
     def alpha_fraction(self) -> Fraction | None:
@@ -416,17 +429,13 @@ def checked_run(
                     run.outcomes[name] = violation
     alpha = config.alpha_fraction()
     if alpha is not None:
-        if config.algorithm == "alg2":
-            additive = lambda t: 2 * policy.phases_at(t)
-        else:
-            additive = lambda t: 1
         if "per_time" in run.outcomes:
             # through the module attribute, which the benchmark captures to count intervals
             run.opt = oracles.opt_total(
                 resolved, config.oracle_max_items, config.oracle_time_budget
             )
             run.max_pertime_ratio = check(
-                "per_time", check_per_time, run.opt, result, alpha, additive
+                "per_time", check_per_time, run.opt, result, alpha, policy.additive_at
             )
         check("migration_budget", check_migration_budget, resolved, result, alpha)
         check("size_budget", check_size_budget, resolved, result, alpha)
@@ -441,7 +450,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     if run.violation is not None:
         raise run.violation
     result = run.result
-    phases = len(getattr(run.policy, "phase_history", [])) or None
     row = {
         "family": config.generator["family"],
         "params": json.dumps(
@@ -459,7 +467,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
         "max_pertime_ratio": (
             "" if run.max_pertime_ratio is None else run.max_pertime_ratio
         ),
-        "phases": phases if phases is not None else "",
+        "phases": len(run.policy.phase_history) or "",
         "opt_lb": "",
         "opt_exact": "",
         "opt_ub": "",
@@ -539,14 +547,7 @@ def rows_to_markdown(rows: list[dict]) -> str:
 
 
 def applicable_checks(algorithm: str) -> list[str]:
-    checks = ["packing"]
-    if algorithm in ("alg1", "alg2"):
-        checks += ["bad_bins", "junk_load", "per_time", "migration_budget"]
-    elif algorithm == "sizecost":
-        checks += ["bad_bins", "per_time", "size_budget"]
-    elif algorithm == "delay":
-        checks += ["delay_schedule", "decomposition"]
-    return checks
+    return list(algorithms.ALGORITHMS[algorithm].checks)
 
 
 def cmd_verify(

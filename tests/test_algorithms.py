@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynbin import cli, harness
 from dynbin.core import Instance, Item, mu
 from dynbin.engine import BAD, GOOD, simulate
 from dynbin.algorithms import (
+    ALGORITHMS,
     DelayPolicy,
     FirstFitPolicy,
     MultiClassPolicy,
@@ -242,10 +244,11 @@ class TestDelay:
 
 
 def test_make_policy_names():
-    assert make_policy("firstfit").name == "firstfit"
-    assert make_policy("alg1", alpha=Fraction(1, 4), f=Fraction(1, 2)).name == "alg1"
-    assert make_policy("alg2", alpha=Fraction(1, 4)).name == "alg2"
-    assert make_policy("sizecost", alpha=Fraction(1, 4)).name == "sizecost"
-    assert make_policy("delay", delay_cost=16.0).name == "delay"
+    (alg_option,) = [p for p in cli.run.params if p.name == "alg"]
+    for name, cls in ALGORITHMS.items():
+        policy = make_policy(name, alpha=Fraction(1, 4), f=Fraction(1, 2), delay_cost=16.0)
+        assert type(policy) is cls and policy.name == name
+        assert set(cls.checks) <= set(harness.CHECKS)
+        assert name in alg_option.type.choices
     with pytest.raises(ValueError):
         make_policy("nope")

@@ -251,6 +251,27 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
         ('{"algorithm": "alg2", "alpha": "1/4", "generator": {"family": "uniform", "n": 5, '
          '"duration_range": [1, 2], "arrival_window": 3}}',
          ": generator uniform needs size_grid"),
+        ('{"algorithm": "alg2", "alpha": "1/4", "mig_order": "bogus", '
+         '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": algorithm alg2: unknown migration order 'bogus'"),
+        ('{"algorithm": "firstfit", "generator": {"family": "fig2", "k": 1, "mu": 5}}',
+         ": k must be >= 2"),
+        ('{"algorithm": "firstfit", "generator": {"family": "uniform", "n": 5, "size_grid": 12, '
+         '"duration_range": [1, 2], "arrival_window": 3}}',
+         ": size_grid must be a power of two"),
+        ('{"algorithm": "firstfit", "generator": {"family": "fig2", "k": "x", "mu": 5}}',
+         ": generator fig2: "),
+        ('{"algorithm": "firstfit", "trials": "x", "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": trials: expected an integer, got 'x'"),
+        ('{"algorithm": "firstfit", "trials": true, "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": trials: expected an integer, got True"),
+        ('{"algorithm": "firstfit", "trials": -1, "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": trials must be >= 0"),
+        ('{"algorithm": "firstfit", "base_seed": "a", '
+         '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": base_seed: expected an integer, got 'a'"),
+        ('{"algorithm": "firstfit", "jobs": 0, "generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": jobs must be >= 1"),
     ],
 )
 def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
@@ -275,6 +296,10 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         (("run", "--alg", "delay"), "algorithm delay: bad or missing alpha, f or delay_cost"),
         (("verify", "--alg", "delay", "--delay-c", "0.5"),
          "algorithm delay: delay cost must be >= 1"),
+        (("verify", "--alg", "alg1", "--alpha", "1/2", "--f", "3/4"),
+         "algorithm alg1: alpha must lie in (0, 1/2)"),
+        (("verify", "--alg", "alg1", "--alpha", "1/4", "--f", "1/8"),
+         "algorithm alg1: f must lie in (alpha, 1]"),
     ],
 )
 def test_bad_option_value_is_a_one_line_error(tmp_path, args, problem):

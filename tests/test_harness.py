@@ -94,10 +94,12 @@ def test_csv_and_markdown_render():
 
 
 def test_applicable_checks_cover_all_algorithms():
-    for alg in ("firstfit", "alg1", "alg2", "sizecost", "delay"):
-        assert "packing" in applicable_checks(alg)
-    assert "decomposition" in applicable_checks("delay")
-    assert "size_budget" in applicable_checks("sizecost")
+    bounded = ["packing", "bad_bins", "junk_load", "per_time", "migration_budget"]
+    assert applicable_checks("firstfit") == ["packing"]
+    assert applicable_checks("alg1") == bounded
+    assert applicable_checks("alg2") == bounded
+    assert applicable_checks("sizecost") == ["packing", "bad_bins", "per_time", "size_budget"]
+    assert applicable_checks("delay") == ["packing", "delay_schedule", "decomposition"]
 
 
 def test_per_time_check_flags_violation():
