@@ -74,9 +74,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it: a key, a count, a value check_config
-        rejects, or a generator whose builder rejects it, found by drawing
-        the first trial's instance. So a batch fails before its first trial."""
+        what is wrong with it: a key, a field of the wrong type or out of
+        range, a value check_config rejects, or a generator whose builder
+        rejects it, found by drawing the first trial's instance. So a batch
+        fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -90,15 +91,33 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
-        for name, value, least in (
-            ("trials", config.trials, 0),
-            ("base_seed", config.base_seed, None),
-            ("jobs", config.jobs, 1),
+
+        def integer(v):
+            return type(v) is int
+
+        def number(v):  # a JSON number, which true and false are not
+            return type(v) in (int, float)
+
+        def at_least(least):
+            return f">= {least}", lambda v: v >= least
+
+        # each field: what its value must be, and the range a non-null one must lie in
+        for name, expected, typed, bound in (
+            ("trials", "an integer", integer, at_least(0)),
+            ("base_seed", "an integer", integer, None),
+            ("jobs", "an integer", integer, at_least(1)),
+            ("oracle_max_items", "an integer", integer, at_least(0)),
+            ("oracle_time_budget", "a number", number, ("> 0", lambda v: v > 0)),
+            ("delay_cost", "a number or null", lambda v: v is None or number(v), at_least(0)),
+            ("compute_opt", "true or false", lambda v: type(v) is bool, None),
+            ("checks", "a list of strings",
+             lambda v: type(v) is list and all(type(c) is str for c in v), None),
         ):
-            if type(value) is not int:
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
-            if least is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}")
+            value = getattr(config, name)
+            if not typed(value):
+                raise ValueError(f"{name}: expected {expected}, got {value!r}")
+            if bound is not None and value is not None and not bound[1](value):
+                raise ValueError(f"{name} must be {bound[0]}")
         check_config(config)
         try:
             build_instance(config.generator, config.base_seed)

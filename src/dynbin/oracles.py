@@ -5,9 +5,10 @@ upper bounds for the randomized lower-bound instances."""
 from __future__ import annotations
 
 import time as _time
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Instance, UnresolvedDurationError, span, vol
 
@@ -23,16 +24,16 @@ class TimeBudgetExceeded(RuntimeError):
     pass
 
 
-def _ffd_counts(counts: dict[int, int], scale: int) -> int:
-    """First-Fit-Decreasing bin count of a snapshot given as counts of
-    each size numerator. Each copy of one size goes to the first bin that
-    fits it, and the bins before that one stay too full for the next
-    copy, so bin after bin takes as many copies as fit: O(sizes * bins)
-    for any number of items, and the same count as item-by-item FFD."""
+def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int:
+    """First-Fit-Decreasing bin count of a snapshot given as counts of each
+    size numerator and order, those sizes descending. Bin after bin takes as
+    many copies of a size as fit, which is where item-by-item FFD puts them:
+    O(sizes * bins). No bin has room for a size above half a bin, since one
+    at least as large opened each, so each copy opens a bin with no scan."""
     free: list[int] = []  # residual capacity of each bin, in opening order
-    for s in sorted(counts, reverse=True):
+    for s in order:
         c = counts[s]
-        if free and max(free) >= s:
+        if 2 * s <= scale and free and max(free) >= s:
             for i, r in enumerate(free):
                 if r >= s:
                     fit = r // s
@@ -56,10 +57,11 @@ def ffd_snapshot(sizes, scale: int) -> int:
     counts = Counter(sizes)
     if counts and not (min(counts) > 0 and max(counts) <= scale):
         raise ValueError("snapshot sizes must lie in (0, scale]")
-    return _ffd_counts(counts, scale)
+    return _ffd_counts(counts, sorted(counts, reverse=True), scale)
 
 
 _opt_cache: dict[tuple[tuple[int, ...], int], int] = {}
+_most_bnb_items = 0  # the largest snapshot branch and bound has cached
 
 
 def opt_snapshot(
@@ -93,6 +95,7 @@ def _solve(
     raise TimeBudgetExceeded. sizes is non-empty and descending; upper is
     its FFD count when the caller has it, else FFD runs here through the
     module's ffd_snapshot, which also rejects sizes outside (0, scale]."""
+    global _most_bnb_items
     key = (sizes, scale)
     cached = _opt_cache.get(key)
     if cached is not None:
@@ -113,6 +116,7 @@ def _solve(
         suffix[i] = suffix[i + 1] + sizes[i]
 
     best = _descend(0, sizes, suffix, scale, [], upper, deadline)
+    _most_bnb_items = max(_most_bnb_items, len(sizes))
     _opt_cache[key] = best
     return best
 
@@ -154,7 +158,7 @@ def _descend(
     return best
 
 
-@dataclass
+@dataclass(slots=True)
 class OptInterval:
     start: float
     end: float
@@ -203,17 +207,18 @@ class Snapshot(NamedTuple):
     start: float
     end: float
     counts: dict[int, int]
+    items: int  # number of live items
     lower: int  # L1: ceil(live volume / scale)
     upper: int  # FFD bin count
 
 
 def snapshots(instance: Instance) -> Iterator[Snapshot]:
     """Sweep the sorted arrival and departure boundaries once, keeping the
-    counts of live size numerators and their volume, and yield one
-    Snapshot per interval: O(n log n) for the events plus FFD on the
-    counts per interval. Raises ValueError on a size outside (0, scale],
-    a negative duration, which would drive a count below zero, or an
-    unresolved one."""
+    counts of live size numerators, those sizes in order, the item count
+    and the volume, and yield one Snapshot per interval: O(n log n) for the
+    events plus FFD on the ordered counts per interval, which sorts nothing.
+    Raises ValueError on a size outside (0, scale], a negative duration,
+    which would drive a count below zero, or an unresolved one."""
     if instance.has_deferred():
         raise UnresolvedDurationError("unresolved durations")
     scale = instance.scale
@@ -230,30 +235,38 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
         | {it.arrival + it.duration for it in instance.items}
     )
     counts: dict[int, int] = {}
-    volume = 0
+    order: list[int] = []  # the keys of counts, ascending
+    volume = items = 0
     for start, end in zip(boundaries, boundaries[1:]):
         for d in deltas[start]:
-            s = abs(d)
-            c = counts.get(s, 0) + (1 if d > 0 else -1)
+            s, step = abs(d), 1 if d > 0 else -1
+            c = counts.get(s, 0) + step
             if c:
                 counts[s] = c
             else:
                 del counts[s]
+                order.remove(s)
+            if c == 1 and step == 1:  # the first live item of its size
+                insort(order, s)
             volume += d
+            items += step
         yield Snapshot(
-            start, end, dict(counts), -(-volume // scale), _ffd_counts(counts, scale)
+            start, end, dict(counts), items, -(-volume // scale),
+            _ffd_counts(counts, reversed(order), scale),
         )
 
 
 def snapshot_opt(
     snap: Snapshot, scale: int, max_items: int, time_budget: float
-) -> int:
-    """Exact OPT_t of a swept snapshot, ending as opt_snapshot would on
-    its sizes. FFD == L1 needs no cache lookup: a cached value is exact,
-    so it equals that bound too. Otherwise the descending sizes go to
-    _solve with the FFD count already known."""
+) -> int | None:
+    """Exact OPT_t of a swept snapshot, ending as opt_snapshot would on its
+    sizes; None, with no sizes built, when it has more than max_items items
+    and more than _most_bnb_items, so the cache cannot hold it. FFD == L1
+    needs no lookup: a cached value is exact, so it equals that bound too."""
     if snap.lower == snap.upper:
         return snap.upper
+    if snap.items > max_items and snap.items > _most_bnb_items:
+        return None
     sizes: list[int] = []
     for s in sorted(snap.counts, reverse=True):
         sizes += [s] * snap.counts[s]
@@ -278,10 +291,11 @@ def opt_total(
     for snap in snapshots(instance):
         try:
             opt = snapshot_opt(snap, instance.scale, max_items, time_budget)
-            exact = True
         except (SnapshotTooLarge, TimeBudgetExceeded):
+            opt = None
+        exact = opt is not None
+        if not exact:
             opt = snap.lower
-            exact = False
             all_exact = False
         intervals.append(OptInterval(snap.start, snap.end, exact, opt, snap.lower, snap.upper))
         total += opt * (snap.end - snap.start)

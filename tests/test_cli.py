@@ -285,6 +285,39 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
 
 
 @pytest.mark.parametrize(
+    "name, value",
+    [
+        ("oracle_max_items", "x"),
+        ("oracle_max_items", -1),
+        ("oracle_max_items", 2.5),
+        ("oracle_max_items", True),
+        ("oracle_time_budget", 0),
+        ("oracle_time_budget", "x"),
+        ("oracle_time_budget", True),
+        ("oracle_time_budget", None),
+        ("delay_cost", "x"),
+        ("delay_cost", -1),
+        ("delay_cost", False),
+        ("compute_opt", "yes"),
+        ("compute_opt", 1),
+        ("checks", "packing"),
+        ("checks", [1]),
+        ("checks", None),
+    ],
+)
+def test_bad_config_field_is_one_error_line(tmp_path, name, value):
+    path = tmp_path / "cfg.json"
+    config = {"algorithm": "alg2", "alpha": "1/4", name: value,
+              "generator": {"family": "fig2", "k": 3, "mu": 5}}
+    path.write_text(json.dumps(config))
+    result = invoke("run", "--config", path)
+    assert result.exit_code in (1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and name in errors[0]
+
+
+@pytest.mark.parametrize(
     "args, problem",
     [
         (("run", "--alg", "alg2", "--alpha", "x"), "alpha: Invalid literal for Fraction: 'x'"),

@@ -220,21 +220,25 @@ def naive_check_per_time(instance, result, alpha, additive_at, max_items, time_b
 
 
 def set_cache(contents=None):
+    """Empty the oracle cache, or fill it with contents, and set the
+    oracle's record of the largest snapshot branch and bound has cached
+    to the largest snapshot in it, so a test starts from what it loads."""
     oracles._opt_cache.clear()
     oracles._opt_cache.update(contents or {})
+    oracles._most_bnb_items = max((len(sizes) for sizes, _ in oracles._opt_cache), default=0)
 
 
 @st.composite
-def grid_instances(draw, min_duration=0):
+def grid_instances(draw, min_duration=0, max_scale=16, max_items=24):
     """Arrivals and durations on an integer grid, so departures meet
     arrivals, gaps open between busy stretches and, with min_duration 0,
     some lifetimes are empty."""
-    scale = draw(st.integers(1, 16))
+    scale = draw(st.integers(1, max_scale))
     rows = draw(
         st.lists(
             st.tuples(st.integers(0, 10), st.integers(min_duration, 4), st.integers(1, scale)),
             min_size=8,  # enough overlap that some snapshots exceed max_items=4
-            max_size=24,
+            max_size=max_items,
         )
     )
     items = tuple(Item(i, float(a), s, float(d)) for i, (a, d, s) in enumerate(rows))
@@ -256,8 +260,10 @@ HAND_MADE = Instance(
 )
 
 
+# up to 60 items on scales up to 64: intervals hold several copies of a
+# size, sizes above half a bin, and far more than max_items=4 live items
 @settings(max_examples=300, deadline=None)
-@given(grid_instances(), st.booleans())
+@given(grid_instances(max_scale=64, max_items=60), st.booleans())
 @example(HAND_MADE, False)
 @example(Instance(items=(), scale=3), False)
 @example(HAND_MADE, True)
@@ -282,6 +288,16 @@ def test_warm_cache_makes_a_large_interval_exact():
     warm = opt_total(HAND_MADE, 4)
     assert warm.intervals[0].exact and warm.intervals[0].opt == 3
     assert warm.intervals[0].upper == 4
+    set_cache()
+
+
+def test_opt_snapshot_fills_the_cache_the_sweep_reads():
+    # the first interval of HAND_MADE, solved on its own by branch and
+    # bound, is exact in a sweep whose max_items it exceeds
+    set_cache()
+    assert opt_snapshot([5, 5, 4, 4, 3, 3, 3, 3], 10, max_items=24) == 3
+    report = opt_total(HAND_MADE, 4)
+    assert report.intervals[0].exact and report.intervals[0].opt == 3
     set_cache()
 
 
