@@ -19,34 +19,40 @@ to it: no reference cycle outlives the run, and everything it built is
 freed by reference counting as soon as the caller lets go of the result,
 policy and engine, without a pass of the cyclic garbage collector.
 
-The engine records what it did as tuples in two flat lists. `actions`
-holds one `(action, *fields)` record per state change, with the fields
-named in `ACTION_FIELDS`. `events` holds one `(time, kind, item, end)`
-record per processed event, where `end` is the index in `actions` just
-past the event's last action, so an event's actions start at the
-previous record's `end` (0 for the first). Actions a policy takes while
-binding form a first `(None, "SETUP", None, end)` record, present only
-when there are any. `Replay` is the one reader of the records' fields
-(`SimulationResult.trace` aside), behind every packing and Bad-bin check.
-Tuples of plain values stay small and drop out of the cyclic garbage
-collector's walks, so a run keeps its records at little cost;
-`SimulationResult.trace` builds the old list of dicts from them on
-demand. The segments of constant open-bin count are kept the same way,
-as two flat columns: `times`, the boundaries, and `open_counts`, one per
-segment; `SimulationResult.segments` builds a `Segment` list from them on
-demand. So the collector walks a few lists of a result, not an object
-per segment or per record. What it still walks is the `Bin`s of a running
-engine (slotted, each with its `set` of items), every `Item` and
-`LedgerEntry` (tuples, but the collector never untracks a tuple
-subclass) and the engine's dicts and lists.
-
-`Engine.bins` holds every bin ever opened, closed ones included, so a
-policy can still look up a bin that closed in the event it handles.
+Besides the records and result columns below, a run's state is O(live):
+the engine keeps the size (`live`), `Item` and departure time of each
+live item, and drops them when it departs, and it keeps only open bins.
+`Engine.bins` holds the open bins and those closed in the event being
+processed, so the policy's callback (`on_departure` above all) and the
+observers can still look up a bin that closed in the event they handle.
+A bin leaves it when that event ends, and a later call naming it (`bin`,
+`set_label`, `close_bin`, a placement) raises
+`SimulationError("bin N is closed")`.
 `Engine.bins_in` yields only the open bins of a group, from a per-group
 index that a bin leaves when it closes. First fit runs on a max-residual
 segment tree per (group, label) over opening order, so a placement costs
 O(log B) in the number B of open bins of the group, not a scan of every
 bin ever opened; a group with only a few open bins is scanned instead.
+
+The engine records what it did in two flat lists of plain values, with
+no object per record. `actions` holds each state change as its action
+name followed by the values of the fields `ACTION_FIELDS` names for it,
+so a `place` takes four entries: `"place", item, bin, size`. `events`
+holds four entries per processed event, `time, kind, item, end`, where
+`end` is the index in `actions` just past the event's last action, so
+an event's actions start at the previous event's `end` (0 for the
+first). Actions a policy takes while binding form a first
+`None, "SETUP", None, end` event, present only when there are any.
+`Replay` is the one reader of the records' fields (`SimulationResult.trace`
+aside), behind every packing and Bad-bin check; it reads each field by
+its position. `SimulationResult.trace` builds the old list of dicts from
+the records on demand. The segments of constant open-bin count are kept
+the same way, as two flat columns: `times`, the boundaries, and
+`open_counts`, one per segment; `SimulationResult.segments` builds a
+`Segment` list from them on demand. So of a run, the cyclic garbage
+collector walks a few lists, the `Bin`s (slotted, each with its `set` of
+items) of the open bins only, and the ledger's `LedgerEntry`s, named
+tuples, which it never untracks; the instance's `Item`s are the caller's.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Instance, UnresolvedDurationError, validate
+from .core import Instance, Item, validate
 
 BAD = "Bad"
 GOOD = "Good"
@@ -163,23 +169,25 @@ class SimulationResult:
     departures: dict[int, float]
     resolved_durations: dict[int, float]
     migrations_per_item: dict[int, int]
-    events: list[tuple]
-    actions: list[tuple]
+    events: list  # time, kind, item, end: four entries per event
+    actions: list  # each action's name, then its ACTION_FIELDS values
     scale: int
 
     @property
     def trace(self) -> list[dict]:
         """The records as one dict per event, each holding a dict per
         action; built anew on every access."""
+        events, actions = self.events, self.actions
         trace = []
-        start = 0
-        for time, kind, item, end in self.events:
-            actions = [
-                dict(zip(("action", *ACTION_FIELDS[act[0]]), act))
-                for act in self.actions[start:end]
-            ]
-            trace.append({"time": time, "kind": kind, "item": item, "actions": actions})
-            start = end
+        i = 0
+        for k in range(0, len(events), 4):
+            time, kind, item, end = events[k : k + 4]
+            acts = []
+            while i < end:
+                keys = ("action", *ACTION_FIELDS[actions[i]])
+                acts.append(dict(zip(keys, actions[i : i + len(keys)])))
+                i += len(keys)
+            trace.append({"time": time, "kind": kind, "item": item, "actions": acts})
         return trace
 
     @property
@@ -353,22 +361,21 @@ class Engine:
         self.adversary = adversary
         self.observers = list(observers)
 
-        self.items = {it.id: it for it in instance.items}
-        self.durations: dict[int, float | None] = {
-            it.id: it.duration for it in instance.items
-        }
-        self.bins: dict[int, Bin] = {}  # every bin ever opened
+        self.bins: dict[int, Bin] = {}  # open, or closed in the current event
+        self._closed: list[int] = []  # bins closed in the current event
         self._open_by_group: dict[str, dict[int, Bin]] = {}
         self._fit: dict[str, FirstFitIndex] = {}  # groups past SCAN_LIMIT
         self._next_bin_id = 0
         self.placement: dict[int, int] = {}
         self.live: dict[int, int] = {}  # item id -> size numerator
-        self.departure_time: dict[int, float] = {}
+        # live item -> its Item, with the adversary's duration once resolved
+        self._live_items: dict[int, Item] = {}
+        self.departure_time: dict[int, float] = {}  # live item -> departure
         self.migrations_per_item: dict[int, int] = {}
         self.ledger = MigrationLedger(self.scale)
         self.resolved: dict[int, float] = {}
-        self.events: list[tuple] = []  # (time, kind name, item, end)
-        self.actions: list[tuple] = []  # (action, *ACTION_FIELDS[action])
+        self.events: list = []  # time, kind name, item, end per event
+        self.actions: list = []  # action name, then its ACTION_FIELDS values
         self._open_count = 0
         self._pending_checkpoints: dict[int, set[float]] = {}
         self._staged: dict[int, int] = {}  # item id -> source bin of a migration
@@ -379,13 +386,24 @@ class Engine:
     # policy-facing API
 
     def size_of(self, item_id: int) -> int:
-        return self.items[item_id].size_num
+        """The size numerator of a live item."""
+        return self.live[item_id]
 
     def live_count(self) -> int:
         return len(self.live)
 
     def bin(self, bin_id: int) -> Bin:
-        return self.bins[bin_id]
+        """The bin, if it is open or closed in the current event."""
+        try:
+            return self.bins[bin_id]
+        except KeyError:
+            raise self._no_bin(bin_id) from None
+
+    def _no_bin(self, bin_id: int) -> SimulationError:
+        """The error for a call naming a bin that is closed or was never opened."""
+        if bin_id in range(self._next_bin_id):
+            return SimulationError(f"bin {bin_id} is closed")
+        return SimulationError(f"no bin {bin_id}")
 
     def bins_in(self, group: str) -> Iterator[Bin]:
         """Non-closed bins of a group in opening order."""
@@ -423,22 +441,22 @@ class Engine:
         index = self._fit.get(group)
         if index is not None:
             index.add(b, open_bins)
-        self.actions.append(("open", b.id, label, group))
+        self.actions.extend(("open", b.id, label, group))
         return b
 
     def close_bin(self, bin_id: int) -> None:
-        b = self.bins[bin_id]
+        b = self.bin(bin_id)
         b.persistent = False
         if b.load == 0 and not b.closed:
             self._close(b)
 
     def set_label(self, bin_id: int, label: str) -> None:
-        b = self.bins[bin_id]
+        b = self.bin(bin_id)
         if b.label == label:
             return
         if b.label == GOOD and label == BAD:
             raise SimulationError(f"bin {bin_id}: Good bins never become Bad")
-        self.actions.append(("label", bin_id, b.label, label))
+        self.actions.extend(("label", bin_id, b.label, label))
         old, b.label = b.label, label
         index = self._fit.get(b.group)
         if index is not None and not b.closed:
@@ -449,7 +467,7 @@ class Engine:
         if item_id in self.placement:
             raise SimulationError(f"item {item_id} already placed")
         self._attach(item_id, bin_id)
-        self.actions.append(("place", item_id, bin_id, self.size_of(item_id)))
+        self.actions.extend(("place", item_id, bin_id, self.live[item_id]))
         self._arrival_placed = True
 
     def begin_migration(self, item_id: int) -> int:
@@ -466,19 +484,19 @@ class Engine:
     ) -> None:
         src = self._staged.pop(item_id)
         self._attach(item_id, bin_id)
-        size = self.size_of(item_id)
+        size = self.live[item_id]
         self.ledger.record(
             LedgerEntry(time, item_id, size, src, bin_id, class_key, rule)
         )
         self.migrations_per_item[item_id] = self.migrations_per_item.get(item_id, 0) + 1
-        self.actions.append(("migrate", item_id, src, bin_id, size))
+        self.actions.extend(("migrate", item_id, src, bin_id, size))
         if self.delay_cost > 0:
             # closed form, not accumulation: keeps the delayed departure
             # bit-identical to arrival + duration + C * migrations
-            it = self.items[item_id]
+            it = self._live_items[item_id]
             new_dep = (
                 it.arrival
-                + self.durations[item_id]
+                + it.duration
                 + self.delay_cost * self.migrations_per_item[item_id]
             )
             self.departure_time[item_id] = new_dep
@@ -498,10 +516,10 @@ class Engine:
     # internals
 
     def _attach(self, item_id: int, bin_id: int) -> None:
-        b = self.bins[bin_id]
-        if b.closed:
-            raise SimulationError(f"bin {bin_id} is closed")
-        size = self.size_of(item_id)
+        b = self.bins.get(bin_id)
+        if b is None or b.closed:
+            raise self._no_bin(bin_id)
+        size = self.live[item_id]
         if b.load + size > self.scale:
             raise CapacityViolation(
                 f"capacity violation: item {item_id} (size {size}/{self.scale}) "
@@ -520,7 +538,7 @@ class Engine:
     def _detach(self, item_id: int, bin_id: int) -> None:
         b = self.bins[bin_id]
         b.items.discard(item_id)
-        b.load -= self.size_of(item_id)
+        b.load -= self.live[item_id]
         if b.load == 0:
             self._open_count -= 1
             if not b.persistent:
@@ -532,8 +550,9 @@ class Engine:
 
     def _close(self, b: Bin) -> None:
         """The one place a bin closes: it leaves the open index and the
-        first-fit trees."""
+        first-fit trees now, and `bins` when the event ends."""
         b.closed = True
+        self._closed.append(b.id)
         open_bins = self._open_by_group[b.group]
         del open_bins[b.id]
         if not open_bins:  # keeps open_bins() from walking empty groups
@@ -541,24 +560,25 @@ class Engine:
         index = self._fit.get(b.group)
         if index is not None:
             index.remove(b)
-        self.actions.append(("close", b.id))
+        self.actions.extend(("close", b.id))
 
     def _schedule_departure(self, item_id: int, time: float) -> None:
         self.departure_time[item_id] = time
         heapq.heappush(self._heap, (time, _DEPARTURE, item_id))
 
     def _resolve(self, time: float) -> None:
-        # a bin that holds an item is never closed, so the open bins suffice
+        # the resolve event follows the last deferred arrival, and a
+        # deferred item cannot depart before it, so every one is live; a
+        # bin that holds an item is never closed, so the open bins suffice
+        items = self._live_items
         snapshot = []
         for b in sorted(self.open_bins(), key=lambda b: b.id):
-            deferred = sorted(
-                i for i in b.items if self.durations[i] is None
-            )
+            deferred = sorted(i for i in b.items if items[i].duration is None)
             if deferred:
                 snapshot.append((b.id, deferred))
         assignment = self.adversary.resolve(snapshot)
-        for item_id, duration in self.durations.items():
-            if duration is None:
+        for item_id, it in items.items():
+            if it.duration is None:
                 if item_id not in assignment or assignment[item_id] is None:
                     raise SimulationError(
                         f"adversary left item {item_id} unresolved"
@@ -566,9 +586,9 @@ class Engine:
                 d = float(assignment[item_id])
                 if d <= 0:
                     raise SimulationError("adversary assigned nonpositive duration")
-                self.durations[item_id] = d
+                items[item_id] = it._replace(duration=d)
                 self.resolved[item_id] = d
-                self._schedule_departure(item_id, self.items[item_id].arrival + d)
+                self._schedule_departure(item_id, it.arrival + d)
 
     def run(self) -> SimulationResult:
         """Process every event in order and return the run's result. The
@@ -588,8 +608,10 @@ class Engine:
             policy = self.policy
             policy.bind(self)
             events, actions = self.events, self.actions
+            live, live_items, bins, closed = self.live, self._live_items, self.bins, self._closed
+            departure_time = self.departure_time
             if actions:
-                events.append((None, "SETUP", None, len(actions)))
+                events.extend((None, "SETUP", None, len(actions)))
 
             times: list[float] = []
             open_counts: list[int] = []
@@ -603,11 +625,11 @@ class Engine:
                     time, kind, item_id = heapq.heappop(heap)
                     # drop stale rescheduled departures / fired checkpoints
                     if kind == _DEPARTURE:
-                        if item_id not in self.live or self.departure_time[item_id] != time:
+                        if item_id not in live or departure_time[item_id] != time:
                             continue
                     elif kind == _CHECKPOINT:
                         pending = self._pending_checkpoints.get(item_id, set())
-                        if item_id not in self.live or time not in pending:
+                        if item_id not in live or time not in pending:
                             continue
                         pending.discard(time)
                 else:
@@ -627,7 +649,8 @@ class Engine:
 
                 if kind == _ARRIVAL:
                     size = it.size_num
-                    self.live[item_id] = size
+                    live[item_id] = size
+                    live_items[item_id] = it
                     if it.duration is not None:
                         self._schedule_departure(item_id, time + it.duration)
                     self._arrival_placed = False
@@ -638,31 +661,35 @@ class Engine:
                         )
                 elif kind == _DEPARTURE:
                     bin_id = self.placement.pop(item_id)
-                    del self.live[item_id]
+                    actions.extend(("depart", item_id, bin_id, live[item_id]))
+                    self._detach(item_id, bin_id)
+                    del live[item_id], live_items[item_id], departure_time[item_id]
                     self._pending_checkpoints.pop(item_id, None)
                     departures[item_id] = time
-                    actions.append(("depart", item_id, bin_id, self.size_of(item_id)))
-                    self._detach(item_id, bin_id)
                     policy.on_departure(item_id, bin_id, time)
                 elif kind == _CHECKPOINT:
                     batch = [item_id]
                     while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
                         _, _, other = heapq.heappop(heap)
                         pending = self._pending_checkpoints.get(other, set())
-                        if other in self.live and time in pending:
+                        if other in live and time in pending:
                             pending.discard(time)
                             batch.append(other)
                     policy.on_checkpoints(batch, time)
                 else:  # _RESOLVE
                     self._resolve(time)
 
-                events.append((time, EVENT_NAMES[kind], item_id, len(actions)))
+                events.extend((time, EVENT_NAMES[kind], item_id, len(actions)))
                 for obs in self.observers:
                     obs(self, time)
+                if closed:  # the event has ended: its closed bins leave
+                    for bin_id in closed:
+                        del bins[bin_id]
+                    closed.clear()
         finally:
             self.policy = None
 
-        if self.live:
+        if live:
             raise SimulationError("items left in the system at end of trace")
         if not open_counts:  # every event at one time, a duration lost to rounding
             times.clear()
@@ -673,8 +700,8 @@ class Engine:
             open_counts=open_counts,
             ledger=self.ledger,
             departures=departures,
-            resolved_durations=dict(self.resolved),
-            migrations_per_item=dict(self.migrations_per_item),
+            resolved_durations=self.resolved,
+            migrations_per_item=self.migrations_per_item,
             events=events,
             actions=actions,
             scale=self.scale,
@@ -697,11 +724,15 @@ class Replay:
     It finds the first packing problem, `problem`, and the first junk_load
     or bad_bins violation an event left, `broken`, as (check, detail, time).
     A record with a packing problem is skipped, except that a bin may go
-    over scale, so reading goes on after it."""
+    over scale, so reading goes on after it. A record naming a bin that is
+    not open, never opened or closed, is a packing problem, save a label
+    on a bin that closed earlier in the same event, which the engine
+    allows. A bin is forgotten once the event that closed it ends, so a
+    replay holds only the open bins and the placed items."""
 
     def __init__(self, scale: int):
         self.scale = scale
-        self.loads: dict[int, int] = {}  # every bin opened -> load
+        self.loads: dict[int, int] = {}  # bin open, or closed by this event -> load
         self.bins: dict[int, tuple[str, str]] = {}  # open bin -> (group, label)
         self.placed: dict[int, tuple[int, int]] = {}  # item -> (bin, size)
         self.bad: dict[str, int] = {}  # group -> open Bad bins
@@ -709,66 +740,94 @@ class Replay:
         self.broken: tuple[str, str, float] | None = None
         self._over: list[int] = []  # bins a record took over scale
         self._rose: list[str] = []  # groups that gained a Bad bin, in order
+        self._shut: list[int] = []  # bins the event being read closed
 
     def _fail(self, problem: str) -> None:
         if self.problem is None:
             self.problem = problem
 
-    def read(self, actions: list[tuple], events: list[tuple], start: int = 0) -> None:
-        """Apply the records of each of events, laid out as Engine.events,
-        from actions[start] on, and check junk_load and bad_bins after each
-        event until `broken` is found; bind-time records (time None) count
-        toward the next event."""
-        scale, over, rose = self.scale, self._over, self._rose
+    def read(self, actions: list, events: list, start: int = 0) -> None:
+        """Apply the records of each event in events, laid out as
+        Engine.events, from actions[start] on, and check junk_load and
+        bad_bins after each event until `broken` is found; bind-time
+        records (time None) count toward the next event."""
+        scale, over, rose, shut = self.scale, self._over, self._rose, self._shut
         loads, bins, placed, bad = self.loads, self.bins, self.placed, self.bad
-        for time, _kind, _item, end in events:
-            for act in actions[start:end]:
-                kind = act[0]
+        fail = self._fail
+        i = start
+        quads = iter(events)
+        for time, _kind, _item, end in zip(quads, quads, quads, quads):
+            while i < end:
+                kind = actions[i]
                 if kind == "place":
-                    _, item, b, size = act
+                    item, b, size = actions[i + 1], actions[i + 2], actions[i + 3]
+                    i += 4
                     if item in placed:
-                        self._fail(f"t={time}: item {item} placed twice")
+                        fail(f"t={time}: item {item} placed twice")
                         continue
-                    load = loads[b] = loads[b] + size
+                    # a bin closed earlier in this event is still in loads;
+                    # a place into it shows when the event ends, not empty
+                    load = loads.get(b)
+                    if load is None:
+                        fail(f"t={time}: item {item} placed in bin {b}, which is not open")
+                        continue
+                    load = loads[b] = load + size
                     if load > scale:
-                        self._fail(f"t={time}: bin {b} overflows capacity")
+                        fail(f"t={time}: bin {b} overflows capacity")
                         over.append(b)
                     placed[item] = (b, size)
                 elif kind == "depart":
-                    _, item, b, _size = act
+                    item, b = actions[i + 1], actions[i + 2]
+                    i += 4
                     at = placed.pop(item, None)
                     if at is None or at[0] != b:
-                        self._fail(f"t={time}: departure of item {item} from wrong bin")
+                        fail(f"t={time}: departure of item {item} from wrong bin")
                         continue
                     loads[b] -= at[1]
                 elif kind == "open":
-                    _, b, label, group = act
+                    b, label, group = actions[i + 1], actions[i + 2], actions[i + 3]
+                    i += 4
                     loads[b] = 0
                     bins[b] = (group, label)
                     if label == BAD:
                         bad[group] = bad.get(group, 0) + 1
                         rose.append(group)
                 elif kind == "close":
-                    group, label = bins.pop(act[1], ("", ""))
+                    b = actions[i + 1]
+                    i += 2
+                    if b not in bins:
+                        fail(f"t={time}: bin {b} closed, but it is not open")
+                        continue
+                    group, label = bins.pop(b)
                     if label == BAD:
                         bad[group] -= 1
+                    shut.append(b)
                 elif kind == "migrate":
-                    _, item, src, dst, size = act
+                    item, src, dst, size = (
+                        actions[i + 1], actions[i + 2], actions[i + 3], actions[i + 4]
+                    )
+                    i += 5
                     at = placed.get(item)
                     if at is None or at[0] != src:
-                        self._fail(f"t={time}: migration of item {item} from wrong bin")
+                        fail(f"t={time}: migration of item {item} from wrong bin")
                         continue
-                    loads[src] -= size
+                    if dst not in loads:
+                        fail(f"t={time}: item {item} migrated to bin {dst}, which is not open")
+                        continue
+                    loads[src] -= size  # first: dst may be src
                     load = loads[dst] = loads[dst] + size
                     if load > scale:
-                        self._fail(f"t={time}: bin {dst} overflows capacity")
+                        fail(f"t={time}: bin {dst} overflows capacity")
                         over.append(dst)
                     placed[item] = (dst, size)
                 elif kind == "label":
-                    _, b, old, new = act
+                    b, old, new = actions[i + 1], actions[i + 2], actions[i + 3]
+                    i += 4
                     if old == GOOD and new == BAD:
-                        self._fail(f"t={time}: bin {b} relabeled Good -> Bad")
+                        fail(f"t={time}: bin {b} relabeled Good -> Bad")
                     if b not in bins:  # only open bins count
+                        if b not in shut:
+                            fail(f"t={time}: bin {b} relabeled, but it is not open")
                         continue
                     group, label = bins[b]
                     bins[b] = (group, new)
@@ -777,9 +836,20 @@ class Replay:
                     if new == BAD:
                         bad[group] = bad.get(group, 0) + 1
                         rose.append(group)
-            start = end
-            if (over or rose) and time is not None:
-                if self.broken is None:
+                else:  # no action: the rest of the event cannot be read
+                    fail(f"t={time}: unknown action {kind!r}")
+                    break
+            i = end
+            if (shut or over or rose) and time is not None:
+                # a migration writes its source bin's close before the
+                # migrate record that empties it, so loads wait for the end
+                for b in shut:
+                    if loads[b]:
+                        fail(f"t={time}: bin {b} closed, but it is not empty")
+                    else:
+                        del loads[b]
+                shut.clear()
+                if (over or rose) and self.broken is None:
                     self.broken = self._violation(time)
                 over.clear()
                 rose.clear()

@@ -74,10 +74,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
-        what is wrong with it: a key, a field of the wrong type or out of
-        range, a value check_config rejects, or a generator whose builder
-        rejects it, found by drawing the first trial's instance. So a batch
-        fails before its first trial."""
+        what is wrong with it: a key, a value check_config rejects, a
+        generator key of the wrong type or out of range, or a generator
+        whose builder rejects it, found by drawing the first trial's
+        instance. So a batch fails before its first trial."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -91,38 +91,8 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
-
-        def integer(v):
-            return type(v) is int
-
-        def number(v):  # a JSON number, which true and false are not
-            return type(v) in (int, float)
-
-        def at_least(least):
-            return f">= {least}", lambda v: v >= least
-
-        # each field: what its value must be, and the range a non-null one must lie in
-        for name, expected, typed, bound in (
-            ("trials", "an integer", integer, at_least(0)),
-            ("base_seed", "an integer", integer, None),
-            ("jobs", "an integer", integer, at_least(1)),
-            ("oracle_max_items", "an integer", integer, at_least(0)),
-            ("oracle_time_budget", "a number", number, ("> 0", lambda v: v > 0)),
-            ("delay_cost", "a number or null", lambda v: v is None or number(v), at_least(0)),
-            ("compute_opt", "true or false", lambda v: type(v) is bool, None),
-            ("checks", "a list of strings",
-             lambda v: type(v) is list and all(type(c) is str for c in v), None),
-        ):
-            value = getattr(config, name)
-            if not typed(value):
-                raise ValueError(f"{name}: expected {expected}, got {value!r}")
-            if bound is not None and value is not None and not bound[1](value):
-                raise ValueError(f"{name} must be {bound[0]}")
         check_config(config)
-        try:
-            build_instance(config.generator, config.base_seed)
-        except TypeError as exc:  # a generator value of the wrong type
-            raise ValueError(f"generator {config.generator['family']}: {exc}") from None
+        build_instance(config.generator, config.base_seed)
         return config
 
     def alpha_fraction(self) -> Fraction | None:
@@ -158,9 +128,69 @@ GENERATORS = {
 }
 
 
+def _integer(v) -> bool:
+    return type(v) is int
+
+
+def _number(v) -> bool:
+    """A JSON number: not true or false, and not the NaN or Infinity that
+    Python's json module reads beyond the standard."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _at_least(least):
+    return f">= {least}", lambda v: v >= least
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+
+# each config field: what its value must be, and the range a non-null one must lie in
+CONFIG_FIELDS = {
+    "trials": ("an integer", _integer, _at_least(0)),
+    "base_seed": ("an integer", _integer, None),
+    "jobs": ("an integer", _integer, _at_least(1)),
+    "oracle_max_items": ("an integer", _integer, _at_least(0)),
+    "oracle_time_budget": ("a number", _number, _POSITIVE),
+    "delay_cost": ("a number or null", lambda v: v is None or _number(v), _at_least(0)),
+    "compute_opt": ("true or false", lambda v: type(v) is bool, None),
+    "checks": ("a list of strings",
+               lambda v: type(v) is list and all(type(c) is str for c in v), None),
+}
+
+# each generator key: what its value must be, and the range it must lie in;
+# the builders check what is left (k >= 2, a power-of-two size_grid, ...)
+GENERATOR_KEYS = {
+    **{key: ("an integer", _integer, _at_least(1))
+       for key in ("n", "size_grid", "k", "inv_s", "c")},
+    "mu": ("a number", _number, _POSITIVE),
+    "duration_range": (
+        "two numbers",
+        lambda v: type(v) in (list, tuple) and len(v) == 2 and all(map(_number, v)),
+        ("two positive numbers, lo <= hi", lambda v: 0 < v[0] <= v[1]),
+    ),
+    "arrival_window": ("a number", _number, _at_least(0)),
+}
+
+
+def _value_problem(name: str, value, expected: str, typed, bound) -> str | None:
+    """What is wrong with a value that is not of its type or, when not
+    null, not within its bound; None if nothing is."""
+    if not typed(value):
+        return f"{name}: expected {expected}, got {value!r}"
+    if bound is not None and value is not None and not bound[1](value):
+        return f"{name} must be {bound[0]}"
+    return None
+
+
 def check_config(config: ExperimentConfig) -> None:
-    """Raise a ValueError naming a bad alpha or f, or a policy they cannot
-    build; the policy built to find out is dropped."""
+    """Raise a ValueError naming a field of the wrong type or out of range
+    (CONFIG_FIELDS), a bad alpha or f, or a policy they cannot build; the
+    policy built to find out is dropped. Both a config file and the
+    run/verify options go through it."""
+    for name, rule in CONFIG_FIELDS.items():
+        problem = _value_problem(name, getattr(config, name), *rule)
+        if problem:
+            raise ValueError(problem)
     for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
         try:
             parse()
@@ -178,15 +208,21 @@ def check_config(config: ExperimentConfig) -> None:
 
 def check_generator(generator) -> None:
     """Raise a ValueError unless the generator names a known family and
-    has every key that family reads."""
+    has every key that family reads, each of its type and range
+    (GENERATOR_KEYS)."""
     if not isinstance(generator, dict):
         raise ValueError("generator: expected a JSON object")
     family = generator.get("family")
     if family not in GENERATORS:
         raise ValueError(f"unknown generator family {family!r}")
-    missing = [key for key in GENERATORS[family][0] if key not in generator]
+    keys = GENERATORS[family][0]
+    missing = [key for key in keys if key not in generator]
     if missing:
         raise ValueError(f"generator {family} needs {', '.join(missing)}")
+    for key in keys:
+        problem = _value_problem(key, generator[key], *GENERATOR_KEYS[key])
+        if problem:
+            raise ValueError(f"generator {family}: {problem}")
 
 
 def build_instance(generator: dict, seed: int):
@@ -213,8 +249,9 @@ def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
     bin, and none for class 0; junk bins never exceed capacity.
 
-    After each event the observer feeds the event's records, and those of
-    bind time before the first, to an engine.Replay, the reader behind
+    After each event the observer feeds the event's records (its four
+    entries at the end of Engine.events), and those of bind time before
+    the first, to an engine.Replay, the reader behind
     verify_packing and check_records too, and raises the first violation,
     which the benchmark's stream workload relies on. checked_run finds the
     same violation after the run."""
@@ -223,7 +260,7 @@ def bad_bin_observer(scale: int):
 
     def observe(engine, time):
         nonlocal pos
-        replay.read(engine.actions, engine.events[-1:], pos)
+        replay.read(engine.actions, engine.events[-4:], pos)
         pos = len(engine.actions)
         if replay.broken:
             raise InvariantViolation(*replay.broken)

@@ -295,6 +295,8 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("oracle_time_budget", "x"),
         ("oracle_time_budget", True),
         ("oracle_time_budget", None),
+        ("oracle_time_budget", float("nan")),
+        ("oracle_time_budget", float("inf")),
         ("delay_cost", "x"),
         ("delay_cost", -1),
         ("delay_cost", False),
@@ -333,6 +335,10 @@ def test_bad_config_field_is_one_error_line(tmp_path, name, value):
          "algorithm alg1: alpha must lie in (0, 1/2)"),
         (("verify", "--alg", "alg1", "--alpha", "1/4", "--f", "1/8"),
          "algorithm alg1: f must lie in (alpha, 1]"),
+        # the options meet the same field table as a config file
+        (("run", "--alg", "alg2", "--alpha", "1/4", "--delay-c", "-1"),
+         "delay_cost must be >= 0"),
+        (("verify", "--alg", "delay", "--delay-c", "-4"), "delay_cost must be >= 0"),
     ],
 )
 def test_bad_option_value_is_a_one_line_error(tmp_path, args, problem):
@@ -362,4 +368,74 @@ def test_gen_bad_value_is_a_one_line_error(tmp_path, args, problem):
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr == f"Error: {problem}\n"
+    assert not path.exists()
+
+
+UNIFORM = {"family": "uniform", "n": 5, "size_grid": 16, "duration_range": [1, 2],
+           "arrival_window": 3}
+FIG2 = {"family": "fig2", "k": 3, "mu": 5}
+
+
+@pytest.mark.parametrize(
+    "generator, problem",
+    [
+        (dict(UNIFORM, n=-3), "n must be >= 1"),
+        (dict(UNIFORM, n=0), "n must be >= 1"),
+        (dict(UNIFORM, n=2.5), "n: expected an integer, got 2.5"),
+        (dict(UNIFORM, n=True), "n: expected an integer, got True"),
+        (dict(UNIFORM, size_grid=0), "size_grid must be >= 1"),
+        (dict(UNIFORM, size_grid="16"), "size_grid: expected an integer, got '16'"),
+        (dict(UNIFORM, duration_range=[2, 1]),
+         "duration_range must be two positive numbers, lo <= hi"),
+        (dict(UNIFORM, duration_range=[0, 1]),
+         "duration_range must be two positive numbers, lo <= hi"),
+        (dict(UNIFORM, duration_range=[1]), "duration_range: expected two numbers, got [1]"),
+        (dict(UNIFORM, duration_range=[1, "2"]),
+         "duration_range: expected two numbers, got [1, '2']"),
+        (dict(UNIFORM, duration_range=3), "duration_range: expected two numbers, got 3"),
+        (dict(UNIFORM, arrival_window=-1), "arrival_window must be >= 0"),
+        (dict(UNIFORM, arrival_window=None), "arrival_window: expected a number, got None"),
+        (dict(FIG2, k=0), "k must be >= 1"),
+        (dict(FIG2, k=3.0), "k: expected an integer, got 3.0"),
+        (dict(FIG2, mu=0), "mu must be > 0"),
+        (dict(FIG2, mu="5"), "mu: expected a number, got '5'"),
+        (dict(FIG2, mu=float("inf")), "mu: expected a number, got inf"),
+        (dict(UNIFORM, duration_range=[1, float("inf")]),
+         "duration_range: expected two numbers, got [1, inf]"),
+        ({"family": "tradeoff", "inv_s": -2, "k": 4, "mu": 4}, "inv_s must be >= 1"),
+        ({"family": "delaylb", "c": False}, "c: expected an integer, got False"),
+    ],
+)
+def test_bad_generator_value_is_one_error_line(tmp_path, generator, problem):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"algorithm": "firstfit", "generator": generator}))
+    result = invoke("run", "--config", path)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {path}: generator {generator['family']}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "generator, problem",
+    [
+        # values past the key table still reach their builder's own check
+        (dict(FIG2, k=1), "k must be >= 2"),
+        (dict(FIG2, mu=0.5), "mu must exceed 1"),
+        (dict(UNIFORM, size_grid=12), "size_grid must be a power of two"),
+        ({"family": "delaylb", "c": 5}, "C must be a perfect square"),
+    ],
+)
+def test_builder_messages_stay(tmp_path, generator, problem):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"algorithm": "firstfit", "generator": generator}))
+    result = invoke("run", "--config", path)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {path}: {problem}\n"
+
+
+def test_gen_checks_the_generator_keys(tmp_path):
+    path = tmp_path / "x.jsonl"
+    result = invoke("gen", "--family", "uniform", "--n", "-3", "--size-grid", "16", "-o", path)
+    assert result.exit_code == 1
+    assert result.stderr == "Error: generator uniform: n must be >= 1\n"
     assert not path.exists()

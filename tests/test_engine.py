@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dynbin.core import Instance, Item
 from dynbin.engine import (
+    ACTION_FIELDS,
+    BAD,
     EVENT_NAMES,
+    GOOD,
     CapacityViolation,
     Engine,
     EventKind,
@@ -17,11 +20,26 @@ from dynbin.engine import (
     verify_packing,
 )
 from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy
-from dynbin.generators import gen_fig2
+from dynbin.generators import gen_fig2, gen_uniform
 
 
 def inst(items, scale=4):
     return Instance(items=tuple(items), scale=scale)
+
+
+def action_records(actions):
+    """(index, record) of each action in a flat action list, the record a
+    tuple of the action's name and fields."""
+    i = 0
+    while i < len(actions):
+        n = 1 + len(ACTION_FIELDS[actions[i]])
+        yield i, tuple(actions[i : i + n])
+        i += n
+
+
+def event_records(events):
+    """The (time, kind, item, end) of each event in a flat event list."""
+    return [tuple(events[k : k + 4]) for k in range(0, len(events), 4)]
 
 
 class TestTotalActiveTime:
@@ -142,69 +160,113 @@ class TestVerifyPacking:
         instance, resolver = gen_fig2(3, 5.0)
         return simulate(instance, FirstFitPolicy(), adversary=resolver)
 
+    def first(self, r, action):
+        """The index in r.actions of the first record of the action."""
+        return next(i for i, act in action_records(r.actions) if act[0] == action)
+
     def test_clean_trace_passes(self):
         assert verify_packing(self.good_run()) is None
 
     def test_detects_overflow(self):
-        r = self.good_run()
-        r = copy.deepcopy(r)
-        for i, act in enumerate(r.actions):
-            if act[0] == "place":
-                _, item, bin_id, _ = act
-                r.actions[i] = ("place", item, bin_id, r.scale + 1)
-                break
+        r = copy.deepcopy(self.good_run())
+        r.actions[self.first(r, "place") + 3] = r.scale + 1
         msg = verify_packing(r)
         assert msg and "overflow" in msg
 
     def test_detects_wrong_bin_departure(self):
         r = copy.deepcopy(self.good_run())
-        for i, act in enumerate(r.actions):
-            if act[0] == "depart":
-                _, item, bin_id, size = act
-                r.actions[i] = ("depart", item, bin_id + 999, size)
-                msg = verify_packing(r)
-                assert msg and "wrong bin" in msg
-                return
-        pytest.fail("no departure in trace")
+        r.actions[self.first(r, "depart") + 2] += 999
+        msg = verify_packing(r)
+        assert msg and "wrong bin" in msg
 
     def test_detects_double_place(self):
         r = copy.deepcopy(self.good_run())
-        start = 0
-        for k, (_, _, _, end) in enumerate(r.events):
-            for act in r.actions[start:end]:
-                if act[0] == "place":
-                    # a copy of the record at the end of its event's actions
-                    r.actions.insert(end, act)
-                    r.events[k:] = [(t, kind, item, e + 1) for t, kind, item, e in r.events[k:]]
-                    msg = verify_packing(r)
-                    assert msg and "placed twice" in msg
-                    return
-            start = end
+        i = self.first(r, "place")
+        # a copy of the record at the end of its event's actions
+        k = next(k for k in range(3, len(r.events), 4) if r.events[k] > i)
+        end = r.events[k]
+        r.actions[end:end] = r.actions[i : i + 4]
+        for j in range(k, len(r.events), 4):
+            r.events[j] += 4
+        msg = verify_packing(r)
+        assert msg and "placed twice" in msg
 
     def test_detects_migration_from_wrong_bin(self):
         # the item moves from the small pool to the big one at t = sqrt(C)
         r = simulate(inst([Item(0, 0.0, 1, 5.0), Item(1, 1.0, 2, 1.0)]), DelayPolicy(4.0),
                      delay_cost=4.0)
-        i = next(i for i, act in enumerate(r.actions) if act[0] == "migrate")
-        _, item, src, dst, size = r.actions[i]
-        r.actions[i] = ("migrate", item, src + 999, dst, size)
+        r.actions[self.first(r, "migrate") + 2] += 999
         assert verify_packing(r) == "t=2.0: migration of item 0 from wrong bin"
 
     def test_detects_good_bin_relabeled_bad(self):
         instance, resolver = gen_fig2(3, 5.0)
         r = simulate(instance, MultiClassPolicy(Fraction(1, 4)), adversary=resolver)
         # the first Bad -> Good relabel, turned around
-        i = next(i for i, act in enumerate(r.actions) if act[0] == "label" and act[2] == "Bad")
-        _, bin_id, old, new = r.actions[i]
-        r.actions[i] = ("label", bin_id, new, old)
+        i = next(
+            i for i, act in action_records(r.actions) if act[0] == "label" and act[2] == "Bad"
+        )
+        bin_id = r.actions[i + 1]
+        r.actions[i + 2], r.actions[i + 3] = r.actions[i + 3], r.actions[i + 2]
         assert verify_packing(r) == f"t=0.0: bin {bin_id} relabeled Good -> Bad"
 
     def test_detects_items_left_placed(self):
         r = self.good_run()
-        i = max(i for i, act in enumerate(r.actions) if act[0] == "depart")
-        del r.actions[i]
-        r.events[:] = [(t, kind, item, e - 1 if e > i else e) for t, kind, item, e in r.events]
+        i = max(i for i, act in action_records(r.actions) if act[0] == "depart")
+        # the last departure, and the close of the bin it emptied
+        assert r.actions[i + 4 :] == ["close", r.actions[i + 2]]
+        del r.actions[i:]
+        for j in range(3, len(r.events), 4):
+            r.events[j] = min(r.events[j], i)
         assert verify_packing(r) == "items left placed at end of trace"
+
+    def test_detects_place_in_a_never_opened_bin(self):
+        r = self.good_run()
+        i = self.first(r, "place")
+        r.actions[i + 2] = 10**6
+        assert verify_packing(r) == (
+            f"t=0.0: item {r.actions[i + 1]} placed in bin 1000000, which is not open"
+        )
+
+    def test_detects_place_in_a_closed_bin(self):
+        # bin 0 closes at t=1; item 1 goes to a new bin 1 at t=2
+        r = simulate(inst([Item(0, 0.0, 3, 1.0), Item(1, 2.0, 3, 1.0)]), FirstFitPolicy())
+        i = max(i for i, act in action_records(r.actions) if act[0] == "place")
+        assert r.actions[i : i + 4] == ["place", 1, 1, 3]
+        r.actions[i + 2] = 0
+        assert verify_packing(r) == "t=2.0: item 1 placed in bin 0, which is not open"
+
+    def test_a_migration_into_its_own_full_bin_is_clean(self):
+        class Shuffle(Policy):
+            """Fills one bin, then moves the first item out and back in."""
+
+            def on_arrival(self, item_id, size_num, time):
+                b = self.engine.first_fit("g", GOOD, size_num) or self.engine.open_bin(GOOD, "g")
+                self.engine.place(item_id, b.id)
+                if item_id == 1:
+                    self.engine.migrate(0, b.id, "shuffle", "g", time)
+
+        r = simulate(inst([Item(0, 0.0, 2, 2.0), Item(1, 1.0, 2, 2.0)]), Shuffle())
+        assert ["migrate", 0, 0, 0, 2] == r.actions[self.first(r, "migrate") :][:5]
+        assert verify_packing(r) is None
+
+    def test_an_unknown_action_ends_its_event(self):
+        r = self.good_run()
+        r.actions[self.first(r, "open")] = "bogus"
+        assert verify_packing(r) == "t=0.0: unknown action 'bogus'"
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            (("close", 0), "bin 0 closed, but it is not open"),
+            (("label", 0, "Good", "Junk"), "bin 0 relabeled, but it is not open"),
+        ],
+    )
+    def test_detects_a_record_naming_a_bin_closed_in_an_earlier_event(self, record, problem):
+        r = simulate(inst([Item(0, 0.0, 3, 1.0), Item(1, 2.0, 3, 1.0)]), FirstFitPolicy())
+        # appended to the last event, the departure at t=3
+        r.actions += record
+        r.events[-1] += len(record)
+        assert verify_packing(r) == f"t=3.0: {problem}"
 
 
 def naive_first_fit(instance):
@@ -278,7 +340,7 @@ def test_first_fit_matches_naive_simulator(engine, drawn):
     segments, total, places = naive_first_fit(instance)
     assert result.segments == segments
     assert result.total_active_time == total
-    assert [act[1:] for act in result.actions if act[0] == "place"] == places
+    assert [act[1:] for _, act in action_records(result.actions) if act[0] == "place"] == places
 
 
 def bounded_queue(engine, time):
@@ -308,7 +370,7 @@ def test_events_follow_time_kind_id_under_ties(make_policy, rows):
         [(it.arrival, EventKind.ARRIVAL, it.id) for it in items]
         + [(it.arrival + it.duration, EventKind.DEPARTURE, it.id) for it in items]
     )
-    assert [(t, kind, i) for t, kind, i, _ in result.events if t is not None] == [
+    assert [(t, kind, i) for t, kind, i, _ in event_records(result.events) if t is not None] == [
         (t, EVENT_NAMES[kind], i) for t, kind, i in expected
     ]
 
@@ -316,3 +378,52 @@ def test_events_follow_time_kind_id_under_ties(make_policy, rows):
 def test_queue_holds_only_live_departures_through_an_adversary():
     instance, adversary = gen_fig2(4, 10.0)
     simulate(instance, FirstFitPolicy(), adversary=adversary, observers=[bounded_queue])
+
+
+class Revisit(Policy):
+    """Places each item in a bin of its own, and at the second arrival
+    makes one call naming the first item's bin, which closed at t=1."""
+
+    def __init__(self, call):
+        self.call = call
+
+    def on_arrival(self, item_id, size_num, time):
+        b = self.engine.open_bin(GOOD, "g")
+        if item_id == 1:
+            self.call(self.engine, 0, item_id)
+        self.engine.place(item_id, b.id)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda engine, bin_id, item_id: engine.bin(bin_id),
+        lambda engine, bin_id, item_id: engine.set_label(bin_id, BAD),
+        lambda engine, bin_id, item_id: engine.close_bin(bin_id),
+        lambda engine, bin_id, item_id: engine.place(item_id, bin_id),
+    ],
+    ids=["bin", "set_label", "close_bin", "place"],
+)
+def test_a_call_naming_a_bin_closed_in_an_earlier_event_is_refused(call):
+    instance = inst([Item(0, 0.0, 1, 1.0), Item(1, 2.0, 1, 1.0)])
+    with pytest.raises(SimulationError, match="^bin 0 is closed$"):
+        simulate(instance, Revisit(call))
+    with pytest.raises(SimulationError, match="^no bin 7$"):
+        simulate(instance, Revisit(lambda engine, bin_id, item_id: call(engine, 7, item_id)))
+
+
+@pytest.mark.parametrize(
+    "make_policy, delay_cost",
+    [(FirstFitPolicy, 0.0), (lambda: MultiClassPolicy(Fraction(1, 4)), 0.0),
+     (lambda: DelayPolicy(4.0), 4.0)],
+    ids=["firstfit", "alg2", "delay"],
+)
+def test_records_are_flat_lists_of_plain_values(make_policy, delay_cost):
+    instance = gen_uniform(200, 16, (1.0, 8.0), 20.0, 1)
+    result = simulate(instance, make_policy(), delay_cost=delay_cost)
+    assert not any(type(x) is tuple for x in result.actions)
+    assert not any(type(x) is tuple for x in result.events)
+    kinds = {act[0] for _, act in action_records(result.actions)}
+    assert {"open", "place", "depart", "close"} <= kinds
+    assert len(result.events) % 4 == 0
+    assert result.events[-1] == len(result.actions)

@@ -107,9 +107,11 @@ def test_matches_rescan_on_acceptance_shapes(name):
 
 class Meddler(Policy):
     """Runs a policy and, after each arrival, makes the move drawn for it:
-    0 nothing, 1 open an empty Bad bin in the item's group, 2 relabel a
-    closed bin Bad, 3 relabel the item's bin Bad, 4 migrate the item to
-    another bin of its group, a new one if none fits. Good bins stay Good."""
+    0 nothing, 1 open an empty Bad bin in the item's group, 2 open and
+    close a Junk bin in the item's group, then relabel Bad a bin that
+    closed earlier in the event (the engine keeps those until the event
+    ends), 3 relabel the item's bin Bad, 4 migrate the item to another bin
+    of its group, a new one if none fits. Good bins stay Good."""
 
     def __init__(self, inner, moves):
         self.inner = inner
@@ -127,9 +129,9 @@ class Meddler(Policy):
         if move == 1:
             engine.open_bin(BAD, b.group)
         elif move == 2:
+            engine.close_bin(engine.open_bin(JUNK, b.group).id)
             closed = [c for c in engine.bins.values() if c.closed and c.label != GOOD]
-            if closed:
-                engine.set_label(closed[pick % len(closed)].id, BAD)
+            engine.set_label(closed[pick % len(closed)].id, BAD)
         elif move == 3 and b.label != GOOD:
             engine.set_label(b.id, BAD)
         elif move == 4:
@@ -255,12 +257,31 @@ def test_replay_keeps_only_the_event_being_read(policy, broken):
     result = simulate(instance, policy())
     replay = Replay(instance.scale)
     pos = 0
-    for k, (time, _kind, _item, end) in enumerate(result.events):
-        replay.read(result.actions, result.events[k : k + 1], pos)
+    for k in range(0, len(result.events), 4):
+        time, end = result.events[k], result.events[k + 3]
+        replay.read(result.actions, result.events[k : k + 4], pos)
         pos = end
         if time is not None:
             assert replay._over == [] and replay._rose == [], f"t={time}"
+            # and it holds only the open bins
+            assert replay._shut == [] and set(replay.loads) == set(replay.bins), f"t={time}"
     assert (replay.broken is not None) == broken
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_relabeling_a_bin_closed_in_the_same_event_is_clean(name):
+    """Move 2 relabels a bin that closed earlier in its event, a call the
+    engine allows; the replay lets it pass, and counts no Bad bin for it."""
+    instance = gen_uniform(60, 16, (1.0, 2.0), 20.0, 0)
+    policy, delay_cost = POLICIES[name]()
+    result = simulate(
+        instance, Meddler(policy, [(2, i) for i in range(60)]), delay_cost=delay_cost
+    )
+    actions = [act for event in result.trace for act in event["actions"]]
+    relabeled = [act["bin"] for act in actions if act["action"] == "label" and act["new"] == BAD]
+    closed = {act["bin"] for act in actions if act["action"] == "close"}
+    assert len(relabeled) == 60 and set(relabeled) <= closed
+    assert check_records(result) == (None, None)
 
 
 class JunkShuttle(Policy):

@@ -1,8 +1,11 @@
 """The engine's open-bin index and first-fit trees against naive scans.
 
-The naive references walk `Engine.bins`, the registry of every bin ever
-opened, in id order: the scan the engine did on every placement before
-it kept an index of open bins.
+The naive references walk a registry of every bin the engine opened, in
+id order: the scan the engine did on every placement before it kept an
+index of open bins. The tests keep that registry themselves, from what
+`open_bin` returns or from `Engine.bins` after every event (a bin that
+closes leaves it only when its event has ended), so the references do
+not rest on the bins the engine keeps.
 """
 
 from fractions import Fraction
@@ -25,21 +28,21 @@ SCALE = 8
 GROUPS = ("a", "b")
 
 
-def naive_first_fit(engine, group, label, size_num):
-    for b in sorted(engine.bins.values(), key=lambda b: b.id):
+def naive_first_fit(registry, scale, group, label, size_num):
+    for b in sorted(registry.values(), key=lambda b: b.id):
         if (
             b.group == group
             and b.label == label
             and not b.closed
-            and b.load + size_num <= engine.scale
+            and b.load + size_num <= scale
         ):
             return b
     return None
 
 
-def naive_open_index(engine):
+def naive_open_index(registry):
     groups = {}
-    for b in sorted(engine.bins.values(), key=lambda b: b.id):
+    for b in sorted(registry.values(), key=lambda b: b.id):
         if not b.closed:
             groups.setdefault(b.group, []).append(b.id)
     return groups
@@ -72,12 +75,15 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
     items = [Item(i, 0.0, s, 1.0) for i, s in enumerate(sizes)]
     engine = Engine(Instance(items=tuple(items), scale=SCALE), Policy())
     engine.SCAN_LIMIT = scan_limit
+    engine.live.update(enumerate(sizes))  # every item has arrived
+    registry = {}  # every bin opened
     for kind, x, y in ops:
-        live = [b for b in engine.bins.values() if not b.closed]
+        live = [b for b in registry.values() if not b.closed]
         if kind == "open":
-            engine.open_bin(
+            b = engine.open_bin(
                 (BAD, GOOD)[x % 2], GROUPS[(x // 2) % len(GROUPS)], persistent=y % 3 == 0
             )
+            registry[b.id] = b
         elif kind == "attach":
             unplaced = [i for i in range(len(sizes)) if i not in engine.placement]
             if not unplaced:
@@ -97,15 +103,15 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
             b = live[x % len(live)]
             if b.label == BAD:
                 engine.set_label(b.id, GOOD)
-        assert open_index(engine) == naive_open_index(engine)
+        assert open_index(engine) == naive_open_index(registry)
         for group in GROUPS:
-            assert [b.id for b in engine.bins_in(group)] == naive_open_index(engine).get(
+            assert [b.id for b in engine.bins_in(group)] == naive_open_index(registry).get(
                 group, []
             )
             for label in (BAD, GOOD):
                 for size_num in range(1, SCALE + 1):
                     assert engine.first_fit(group, label, size_num) is naive_first_fit(
-                        engine, group, label, size_num
+                        registry, SCALE, group, label, size_num
                     )
 
 
@@ -124,17 +130,37 @@ def test_open_index_matches_registry_after_every_event(name):
     instance = gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, 7)
     policy, delay_cost = POLICIES[name]()
     events = []
+    registry = {}  # every bin opened, each entered after the event that opened it
 
     def watch(engine, time):
-        expected = naive_open_index(engine)
+        registry.update(engine.bins)
+        expected = naive_open_index(registry)
         assert open_index(engine) == expected, f"t={time}"
         for group, ids in expected.items():
-            for label in {engine.bin(i).label for i in ids}:
+            for label in {registry[i].label for i in ids}:
                 for size_num in (1, 5, 8, 13, 16):
                     assert engine.first_fit(group, label, size_num) is naive_first_fit(
-                        engine, group, label, size_num
+                        registry, engine.scale, group, label, size_num
                     ), f"t={time} group={group} label={label} size={size_num}"
         events.append(time)
 
     result = simulate(instance, policy, delay_cost=delay_cost, observers=[watch])
     assert len(events) == len(result.trace) - (result.trace[0]["kind"] == "SETUP")
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_closed_bins_leave_when_their_event_ends(name):
+    """After every event, Engine.bins holds the open bins and those the
+    event closed, and no bin that closed in an earlier event."""
+    instance = gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, 7)
+    policy, delay_cost = POLICIES[name]()
+    seen_closed = set()
+
+    def watch(engine, time):
+        closed = {b.id for b in engine.bins.values() if b.closed}
+        assert not closed & seen_closed, f"t={time}"
+        seen_closed.update(closed)
+        assert {b.id for b in engine.open_bins()} == set(engine.bins) - closed, f"t={time}"
+
+    simulate(instance, policy, delay_cost=delay_cost, observers=[watch])
+    assert len(seen_closed) > 100  # hundreds of bins closed, each seen once
