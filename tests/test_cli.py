@@ -295,8 +295,6 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("oracle_time_budget", "x"),
         ("oracle_time_budget", True),
         ("oracle_time_budget", None),
-        ("oracle_time_budget", float("nan")),
-        ("oracle_time_budget", float("inf")),
         ("delay_cost", "x"),
         ("delay_cost", -1),
         ("delay_cost", False),
@@ -305,6 +303,8 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("checks", "packing"),
         ("checks", [1]),
         ("checks", None),
+        ("oracle_time_budget", float("nan")),
+        ("oracle_time_budget", float("inf")),
     ],
 )
 def test_bad_config_field_is_one_error_line(tmp_path, name, value):
