@@ -27,14 +27,13 @@ from .engine import (
 
 
 def size_class(size: ScaledSize) -> int:
-    """The unique c with size in (1/2^(c+1), 1/2^c], computed exactly."""
+    """The unique c with size in (1/2^(c+1), 1/2^c], computed exactly:
+    num * 2^c <= scale < num * 2^(c+1) holds for c = floor(log2(scale //
+    num)), the bit length of scale // num less one."""
     num, scale = size
-    if num <= 0:
-        raise ValueError("size must be positive")
-    c = 0
-    while num * (2 ** (c + 1)) <= scale:
-        c += 1
-    return c
+    if not 0 < num <= scale:
+        raise ValueError("size must lie in (0, scale]")
+    return (scale // num).bit_length() - 1
 
 
 MIG_ORDERS = ("id", "size-desc")
@@ -65,20 +64,24 @@ class SingleClassMigrator:
     """Arrival/departure rules of the bounded-migration single-class
     algorithm, bound to one bin group, which also keys its migrations.
     Reused per size class by the complete algorithm and (with f = 1 -
-    alpha) by the size-cost one, which pass checked parameters."""
+    alpha) by the size-cost one, which pass checked parameters.
+
+    Both thresholds are turned into integers once: a Bad bin turns Good
+    when load * f.denominator >= f.numerator * scale, and a Good bin is
+    drained when load * alpha.denominator < alpha.numerator * scale."""
 
     def __init__(
         self, engine: Engine, group: str, alpha: Fraction, f: Fraction, mig_order: str
     ):
         self.engine = engine
         self.group = group
-        self.alpha = alpha
-        self.f = f
         self.mig_order = mig_order
+        self._good_at = (f.numerator * engine.scale, f.denominator)
+        self._drain_below = (alpha.numerator * engine.scale, alpha.denominator)
 
     def _relabel(self, b) -> None:
-        f = self.f
-        if b.label == BAD and b.load * f.denominator >= f.numerator * self.engine.scale:
+        threshold, den = self._good_at
+        if b.label == BAD and b.load * den >= threshold:
             self.engine.set_label(b.id, GOOD)
 
     def place(self, item_id: int, size_num: int) -> None:
@@ -96,8 +99,8 @@ class SingleClassMigrator:
         b = engine.bin(bin_id)
         if b.label != GOOD or b.load == 0:
             return
-        alpha = self.alpha
-        if b.load * alpha.denominator >= alpha.numerator * engine.scale:
+        threshold, den = self._drain_below
+        if b.load * den >= threshold:
             return
         # drain: migrate every resident first-fit over Bad, Good, then new bins
         residents = sorted(b.items)
@@ -166,6 +169,7 @@ class MultiClassPolicy(Policy):
         super().bind(engine)
         self.rho = 1
         self.classes: dict[int, SingleClassMigrator] = {}
+        self.by_group: dict[str, SingleClassMigrator] = {}  # the classes by group name
         self._start_class(0)
         self.phase = 1
         self.phase_history: list[tuple[float, int]] = [(0.0, 1)]
@@ -173,10 +177,11 @@ class MultiClassPolicy(Policy):
         self.junk_bins: list[int] = [self.junk.id]
 
     def _start_class(self, c: int) -> None:
-        f_c = Fraction(1, 2) if c == 0 else Fraction(1) - Fraction(1, 2**c)
-        self.classes[c] = SingleClassMigrator(
+        f_c = Fraction(1, 2) if c == 0 else Fraction(2**c - 1, 2**c)  # 1 - 2^-c
+        migrator = SingleClassMigrator(
             self.engine, f"class:{c}", self.alpha, f_c, self.mig_order
         )
+        self.classes[c] = self.by_group[migrator.group] = migrator
 
     def _double(self, time: float) -> None:
         self.rho *= 2
@@ -200,21 +205,21 @@ class MultiClassPolicy(Policy):
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         # live count includes the arriving item; a burst can cross several
         # powers of two, so the doubling repeats
-        while self.engine.live_count() > self.rho:
+        engine = self.engine
+        while engine.live_count() > self.rho:
             self._double(time)
-        c = size_class(ScaledSize(size_num, self.engine.scale))
-        log_rho = self.rho.bit_length() - 1
-        if c < log_rho:
+        c = (engine.scale // size_num).bit_length() - 1  # size_class, inlined
+        if c < self.rho.bit_length() - 1:
             self.classes[c].place(item_id, size_num)
         else:
             # overflow here would be a real bug: the per-phase small items
             # always fit in one junk bin
-            self.engine.place(item_id, self.junk.id)
+            engine.place(item_id, self.junk.id)
 
     def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
-        group = self.engine.bin(bin_id).group
-        if group.startswith("class:"):
-            self.classes[int(group.split(":")[1])].handle_departure(bin_id, time)
+        migrator = self.by_group.get(self.engine.bin(bin_id).group)
+        if migrator is not None:  # not a junk bin
+            migrator.handle_departure(bin_id, time)
 
 
 class SizeCostPolicy(Policy):
@@ -235,10 +240,12 @@ class SizeCostPolicy(Policy):
         self.migrator = SingleClassMigrator(
             engine, "shared", self.alpha, 1 - self.alpha, self.mig_order
         )
+        # size >= alpha, in integers: size_num * den >= num * scale
+        self._dedicated_at = (self.alpha.numerator * engine.scale, self.alpha.denominator)
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        alpha = self.alpha
-        if size_num * alpha.denominator >= alpha.numerator * self.engine.scale:
+        threshold, den = self._dedicated_at
+        if size_num * den >= threshold:
             b = self.engine.open_bin(DEDICATED, "dedicated")
             self.engine.place(item_id, b.id)
         else:

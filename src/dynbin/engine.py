@@ -81,6 +81,15 @@ class CapacityViolation(SimulationError):
     pass
 
 
+class InvalidInstance(SimulationError):
+    """An instance validate rejects; problems lists what it found, so a
+    caller can report them without validating again."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid instance: " + "; ".join(problems))
+        self.problems = problems
+
+
 class EventKind(IntEnum):
     DEPARTURE = 0
     CHECKPOINT = 1
@@ -277,16 +286,18 @@ class FirstFitIndex:
         return tree
 
     def _write(self, tree: list[int], leaf: int, value: int) -> None:
+        """Set a leaf and climb while the parent's max changes; value is
+        the node climbed from, so only its sibling is read."""
         i = leaf + self.size
         tree[i] = value
-        i >>= 1
-        while i:
-            left, right = tree[2 * i], tree[2 * i + 1]
-            best = left if left > right else right
-            if tree[i] == best:
-                break
-            tree[i] = best
+        while i > 1:
+            sibling = tree[i ^ 1]
+            if sibling > value:
+                value = sibling
             i >>= 1
+            if tree[i] == value:
+                break
+            tree[i] = value
 
     def _renumber(self, open_bins: dict[int, Bin]) -> None:
         """Give the open bins leaves 0, 1, ... in opening order and
@@ -349,7 +360,7 @@ class Engine:
     ):
         problems = validate(instance)
         if problems:
-            raise SimulationError("invalid instance: " + "; ".join(problems))
+            raise InvalidInstance(problems)
         if delay_cost < 0:
             raise SimulationError("delay cost must be nonnegative")
         if instance.has_deferred() and adversary is None:
@@ -525,12 +536,11 @@ class Engine:
                 f"capacity violation: item {item_id} (size {size}/{self.scale}) "
                 f"does not fit in bin {bin_id} at load {b.load}/{self.scale}"
             )
-        was_open = b.open
+        if not b.load:
+            self._open_count += 1
         b.load += size
         b.items.add(item_id)
         self.placement[item_id] = bin_id
-        if not was_open:
-            self._open_count += 1
         index = self._fit.get(b.group)
         if index is not None:
             index.update(b)
@@ -595,14 +605,14 @@ class Engine:
         arrivals merge with the live-only heap by (time, kind): the heap's
         top goes first if it comes before the next arrival. The policy
         reference is dropped when the run ends, even if it raises."""
-        heap = self._heap
+        heap, heappush, heappop = self._heap, heapq.heappush, heapq.heappop
         # latest first: popping from the end releases the list as items arrive
         arrivals = sorted(
             self.instance.items, key=attrgetter("arrival", "id"), reverse=True
         )
         deferred = [it.arrival for it in arrivals if it.duration is None]
         if deferred:
-            heapq.heappush(heap, (max(deferred), _RESOLVE, -1))
+            heappush(heap, (max(deferred), _RESOLVE, -1))
         try:
             # bind-time actions (e.g. a policy pre-opening a persistent bin)
             policy = self.policy
@@ -622,7 +632,7 @@ class Engine:
 
             while heap or arrivals:
                 if heap and (not arrivals or heap[0] < next_arrival):
-                    time, kind, item_id = heapq.heappop(heap)
+                    time, kind, item_id = heappop(heap)
                     # drop stale rescheduled departures / fired checkpoints
                     if kind == _DEPARTURE:
                         if item_id not in live or departure_time[item_id] != time:
@@ -652,7 +662,8 @@ class Engine:
                     live[item_id] = size
                     live_items[item_id] = it
                     if it.duration is not None:
-                        self._schedule_departure(item_id, time + it.duration)
+                        departure_time[item_id] = departure = time + it.duration
+                        heappush(heap, (departure, _DEPARTURE, item_id))
                     self._arrival_placed = False
                     policy.on_arrival(item_id, size, time)
                     if not self._arrival_placed:
@@ -670,7 +681,7 @@ class Engine:
                 elif kind == _CHECKPOINT:
                     batch = [item_id]
                     while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
-                        _, _, other = heapq.heappop(heap)
+                        _, _, other = heappop(heap)
                         pending = self._pending_checkpoints.get(other, set())
                         if other in live and time in pending:
                             pending.discard(time)

@@ -13,13 +13,14 @@ import io
 import json
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import algorithms, generators, oracles
-from .core import Instance, ScaledSize, validate, with_durations
-from .engine import Policy, Replay, SimulationResult, check_records, simulate
+from .core import Instance, ScaledSize, with_durations
+from .engine import InvalidInstance, Policy, Replay, SimulationResult, check_records, simulate
 # unused here, but the benchmark's tracer patches this name in this module
 from .engine import verify_packing  # noqa: F401
 
@@ -319,22 +320,29 @@ def check_migration_budget(
     instance: Instance, result: SimulationResult, alpha: Fraction
 ) -> None:
     """Unit-cost budget: total and per-class migrations bounded by
-    4*alpha/(1-2*alpha) times the (class) item count."""
-    factor = 4 * alpha / (1 - 2 * alpha)
+    4*alpha/(1-2*alpha) times the (class) item count, tested in integers
+    as count * den > num * items with factor = num/den. The classes are
+    counted only when some class migrated, once per distinct size."""
+    # 4 alpha / (1 - 2 alpha) with alpha = p/q, built as one Fraction
+    factor = Fraction(4 * alpha.numerator, alpha.denominator - 2 * alpha.numerator)
+    num, den = factor.numerator, factor.denominator
     n = len(instance.items)
-    if result.ledger.unit_count > factor * n:
+    if result.ledger.unit_count * den > num * n:
         raise InvariantViolation(
             "migration_budget",
             f"{result.ledger.unit_count} migrations > {float(factor * n)}",
         )
+    per_class = result.ledger.per_class()
+    if not per_class:
+        return
     # alg1 keeps its one class under "class", which holds every item
     class_sizes: dict[str, int] = {"class": n}
-    for it in instance.items:
-        c = algorithms.size_class(ScaledSize(it.size_num, instance.scale))
-        class_sizes[f"class:{c}"] = class_sizes.get(f"class:{c}", 0) + 1
-    for class_key, count in result.ledger.per_class().items():
+    for size, count in Counter(it.size_num for it in instance.items).items():
+        key = f"class:{algorithms.size_class(ScaledSize(size, instance.scale))}"
+        class_sizes[key] = class_sizes.get(key, 0) + count
+    for class_key, count in per_class.items():
         n_c = class_sizes.get(class_key, 0)
-        if count > factor * n_c:
+        if count * den > num * n_c:
             raise InvariantViolation(
                 "migration_budget",
                 f"{count} migrations in {class_key} > {float(factor * n_c)}",
@@ -442,22 +450,24 @@ class CheckedRun:
 def checked_run(
     config: ExperimentConfig, instance: Instance, adversary=None
 ) -> CheckedRun:
-    """Validate the instance, simulate config's policy on it once and run
-    every check in config.checks on that run. The alpha-bounded checks
-    pass vacuously without an alpha."""
+    """Simulate config's policy on the instance once and run every check
+    in config.checks on that run. The alpha-bounded checks pass vacuously
+    without an alpha. An instance that fails validation raises
+    InvariantViolation("validate", ...), from the one validation the
+    engine makes."""
     unknown = [c for c in config.checks if c not in CHECKS]
     if unknown:
         raise UnknownCheck(
             f"unknown check {', '.join(unknown)}; choose from {', '.join(CHECKS)}"
         )
-    problems = validate(instance)
-    if problems:
-        raise InvariantViolation("validate", "; ".join(problems))
     policy = build_policy(config)
-    # through the module global, which the benchmark patches to digest each run
-    result = simulate(
-        instance, policy, delay_cost=config.delay_cost or 0.0, adversary=adversary
-    )
+    try:
+        # through the module global, which the benchmark patches to digest each run
+        result = simulate(
+            instance, policy, delay_cost=config.delay_cost or 0.0, adversary=adversary
+        )
+    except InvalidInstance as exc:
+        raise InvariantViolation("validate", "; ".join(exc.problems)) from None
     resolved = (
         with_durations(instance, result.resolved_durations)
         if instance.has_deferred()

@@ -201,12 +201,13 @@ def live_sizes_at(instance: Instance, t: float) -> list[int]:
 
 class Snapshot(NamedTuple):
     """The live items on [start, end), between two consecutive event
-    boundaries: counts maps each live size numerator to its number of
-    items."""
+    boundaries. counts maps each live size numerator to its number of
+    items; it is a copy made only when lower < upper, the one case where
+    the exact solver may need the sizes, and None otherwise."""
 
     start: float
     end: float
-    counts: dict[int, int]
+    counts: dict[int, int] | None
     items: int  # number of live items
     lower: int  # L1: ceil(live volume / scale)
     upper: int  # FFD bin count
@@ -217,6 +218,10 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
     counts of live size numerators, those sizes in order, the item count
     and the volume, and yield one Snapshot per interval: O(n log n) for the
     events plus FFD on the ordered counts per interval, which sorts nothing.
+    FFD is skipped where it provably equals L1: with at most two live
+    items (one bin if they fit together, else two, and L1 is the same),
+    or a live volume of at most scale (one bin, or none when empty). The
+    counts are copied only for an interval where L1 < FFD.
     Raises ValueError on a size outside (0, scale], a negative duration,
     which would drive a count below zero, or an unresolved one."""
     if instance.has_deferred():
@@ -250,21 +255,23 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
                 insort(order, s)
             volume += d
             items += step
+        lower = -(-volume // scale)
+        if items <= 2 or volume <= scale:
+            upper = lower
+        else:
+            upper = _ffd_counts(counts, reversed(order), scale)
         yield Snapshot(
-            start, end, dict(counts), items, -(-volume // scale),
-            _ffd_counts(counts, reversed(order), scale),
+            start, end, dict(counts) if lower < upper else None, items, lower, upper
         )
 
 
 def snapshot_opt(
     snap: Snapshot, scale: int, max_items: int, time_budget: float
 ) -> int | None:
-    """Exact OPT_t of a swept snapshot, ending as opt_snapshot would on its
+    """Exact OPT_t of a swept snapshot where FFD misses L1 (the one kind
+    whose counts the sweep keeps), ending as opt_snapshot would on its
     sizes; None, with no sizes built, when it has more than max_items items
-    and more than _most_bnb_items, so the cache cannot hold it. FFD == L1
-    needs no lookup: a cached value is exact, so it equals that bound too."""
-    if snap.lower == snap.upper:
-        return snap.upper
+    and more than _most_bnb_items, so the cache cannot hold it."""
     if snap.items > max_items and snap.items > _most_bnb_items:
         return None
     sizes: list[int] = []
@@ -289,17 +296,20 @@ def opt_total(
     upper_total = 0.0
     all_exact = True
     for snap in snapshots(instance):
-        try:
-            opt = snapshot_opt(snap, instance.scale, max_items, time_budget)
-        except (SnapshotTooLarge, TimeBudgetExceeded):
-            opt = None
-        exact = opt is not None
-        if not exact:
-            opt = snap.lower
-            all_exact = False
-        intervals.append(OptInterval(snap.start, snap.end, exact, opt, snap.lower, snap.upper))
-        total += opt * (snap.end - snap.start)
-        upper_total += snap.upper * (snap.end - snap.start)
+        start, end, _, _, lower, upper = snap
+        # FFD == L1 needs no lookup: a cached value is exact, so it equals
+        # that bound too
+        exact, opt = True, upper
+        if lower < upper:
+            try:
+                opt = snapshot_opt(snap, instance.scale, max_items, time_budget)
+            except (SnapshotTooLarge, TimeBudgetExceeded):
+                opt = None
+            if opt is None:
+                exact, opt, all_exact = False, lower, False
+        intervals.append(OptInterval(start, end, exact, opt, lower, upper))
+        total += opt * (end - start)
+        upper_total += upper * (end - start)
     return OptReport(
         opt_total=total,
         all_exact=all_exact,

@@ -33,13 +33,32 @@ class TestSizeClass:
     def test_examples(self, num, scale, expected):
         assert size_class(ScaledSize(num, scale)) == expected
 
-    @given(st.integers(1, 512), st.integers(0, 9))
-    def test_defining_interval(self, num, log_scale):
-        scale = 2**log_scale
-        num = min(num, scale)
+    @given(
+        st.integers(1, 4096).flatmap(
+            lambda scale: st.tuples(st.integers(1, scale), st.just(scale))
+        )
+    )
+    def test_defining_interval(self, size):
+        num, scale = size
         c = size_class(ScaledSize(num, scale))
         s = Fraction(num, scale)
         assert Fraction(1, 2 ** (c + 1)) < s <= Fraction(1, 2**c)
+
+    def test_every_scale_at_the_class_boundaries(self):
+        # scale >> k is the largest size of class k and (scale >> k) + 1 the
+        # smallest of class k - 1, on every scale, power of two or not
+        # (delaylb draws scale 2 sqrt(C), 6 at C = 9)
+        for scale in range(1, 4097):
+            for k in range(scale.bit_length() + 1):
+                for num in (scale >> k, (scale >> k) + 1):
+                    if 0 < num <= scale:
+                        c = size_class(ScaledSize(num, scale))
+                        assert num << c <= scale < num << (c + 1), (num, scale)
+
+    @pytest.mark.parametrize("num,scale", [(0, 8), (-1, 8), (9, 8), (2, 1)])
+    def test_rejects_sizes_outside_the_bin(self, num, scale):
+        with pytest.raises(ValueError):
+            size_class(ScaledSize(num, scale))
 
 
 class TestFirstFit:
@@ -167,8 +186,50 @@ class TestMultiClass:
         assert policy.phases_at(1.0) == 2
         assert policy.phases_at(99.0) == policy.phase
 
+    @pytest.mark.parametrize("c, good_at", [(0, 32), (1, 32), (2, 48), (3, 56)])
+    def test_class_bad_bin_turns_good_exactly_at_f_c(self, c, good_at):
+        # f_0 = 1/2 and f_c = 1 - 2^-c, times scale 64. Real class-0 items
+        # exceed half a bin, so the policy below sends every item to the
+        # class-c rules whatever its size: a Bad bin at f_c * scale - 1
+        # stays Bad, and one more unit turns it Good
+        class OneClass(MultiClassPolicy):
+            def bind(self, engine):
+                super().bind(engine)
+                for k in range(1, c + 1):
+                    self._start_class(k)
+
+            def on_arrival(self, item_id, size_num, time):
+                self.classes[c].place(item_id, size_num)
+
+        labels = []
+
+        def watch(engine, time):
+            labels.append([b.label for b in engine.bins.values() if b.group == f"class:{c}"])
+
+        items = [Item(0, 0.0, good_at - 1, 2.0), Item(1, 1.0, 1, 2.0)]
+        simulate(inst(items, scale=64), OneClass(Fraction(1, 4)), observers=[watch])
+        assert labels[:2] == [[BAD], [GOOD]]
+
 
 class TestSizeCost:
+    @pytest.mark.parametrize(
+        "alpha, scale", [(Fraction(1, 4), 12), (Fraction(1, 3), 9), (Fraction(2, 5), 10)]
+    )
+    def test_dedicated_exactly_at_alpha(self, alpha, scale):
+        # an item of size alpha * scale gets a dedicated bin, one a grid
+        # step below joins the shared bins
+        groups = {}
+
+        def watch(engine, time):
+            for b in engine.bins.values():
+                for i in b.items:
+                    groups[i] = b.group
+
+        at = int(alpha * scale)
+        items = [Item(0, 0.0, at, 1.0), Item(1, 0.0, at - 1, 1.0)]
+        simulate(inst(items, scale), SizeCostPolicy(alpha), observers=[watch])
+        assert groups == {0: "dedicated", 1: "shared"}
+
     def test_large_items_get_dedicated_bins(self):
         groups = {}
 

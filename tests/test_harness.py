@@ -1,13 +1,15 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from dynbin import harness, oracles
-from dynbin.core import Instance, Item
-from dynbin.engine import simulate
+from dynbin import core, engine, harness, oracles
+from dynbin.core import Instance, Item, validate as core_validate
+from dynbin.engine import LedgerEntry, MigrationLedger, SimulationError, simulate
 from dynbin.oracles import opt_total
-from dynbin.algorithms import DelayPolicy, MultiClassPolicy, SingleClassPolicy
+from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy, SingleClassPolicy
 from dynbin.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -127,6 +129,26 @@ def test_migration_budget_counts_alg1_class_against_all_items():
     check_migration_budget(instance, result, Fraction(1, 4))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 10), Fraction(1, 5)])
+@pytest.mark.parametrize("class_key, n_c", [("class", 10), ("class:1", 4)])
+def test_migration_budget_is_exact_at_its_bound(alpha, class_key, n_c):
+    # six class-0 and four class-1 items; a class may migrate
+    # floor(4 alpha / (1 - 2 alpha) * n_c) times, and one more is a violation
+    items = tuple(Item(i, 0.0, 8 if i < 6 else 4, 1.0) for i in range(10))
+    instance = Instance(items=items, scale=8)
+    allowed = math.floor(4 * alpha / (1 - 2 * alpha) * n_c)
+
+    def run(count):
+        ledger = MigrationLedger(8)
+        for _ in range(count):
+            ledger.record(LedgerEntry(0.0, 6, 4, 0, 1, class_key, "drain"))
+        return SimpleNamespace(ledger=ledger)
+
+    check_migration_budget(instance, run(allowed), alpha)
+    with pytest.raises(InvariantViolation, match="migration_budget"):
+        check_migration_budget(instance, run(allowed + 1), alpha)
+
+
 def test_migration_budget_accepts_compliant_run():
     items = tuple(Item(i, 0.0, 1, 1.0 if i < 7 else 5.0) for i in range(12))
     instance = Instance(items=items, scale=8)
@@ -189,6 +211,36 @@ def test_verify_simulates_once(monkeypatch, alg, options, generator, runs):
     results = cmd_verify(cfg, instance, adversary)
     assert [check for check, ok, _ in results if ok] == applicable_checks(alg)
     assert len(calls) == runs
+
+
+def test_a_checked_trial_validates_its_instance_once(monkeypatch):
+    # the engine validates; checked_run and the harness do not again
+    calls = []
+    for module in (core, engine, harness):
+
+        def counted(instance, _name=module.__name__):
+            calls.append(_name)
+            return core_validate(instance)
+
+        monkeypatch.setattr(module, "validate", counted, raising=False)
+    cfg = ExperimentConfig(
+        algorithm="alg2", generator=dict(UNIFORM), alpha="1/4", checks=applicable_checks("alg2")
+    )
+    run_trial(cfg, 0)
+    assert calls == ["dynbin.engine"]
+
+
+def test_an_invalid_instance_keeps_its_errors():
+    bad = Instance(items=(Item(0, 0.0, 0, 1.0), Item(1, 0.0, 9, 1.0)), scale=8)
+    problems = core_validate(bad)
+    assert len(problems) == 2
+    cfg = ExperimentConfig(algorithm="firstfit", generator=dict(UNIFORM), checks=["packing"])
+    with pytest.raises(InvariantViolation) as info:
+        checked_run(cfg, bad)
+    assert (info.value.check, info.value.detail) == ("validate", "; ".join(problems))
+    with pytest.raises(SimulationError) as info:
+        simulate(bad, FirstFitPolicy())
+    assert str(info.value) == "invalid instance: " + "; ".join(problems)
 
 
 @pytest.mark.parametrize(

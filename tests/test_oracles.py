@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -299,6 +300,38 @@ def test_opt_snapshot_fills_the_cache_the_sweep_reads():
     report = opt_total(HAND_MADE, 4)
     assert report.intervals[0].exact and report.intervals[0].opt == 3
     set_cache()
+
+
+def test_ffd_shortcut_edges():
+    # every multiset of two to four sizes on scales 2..6, arriving one at a
+    # time and leaving largest id first: intervals with exactly 2 and 3
+    # live items, and with live volume exactly scale and scale + 1, around
+    # where the sweep stops skipping FFD
+    seen = set()
+    for scale in range(2, 7):
+        for k in (2, 3, 4):
+            for sizes in itertools.combinations_with_replacement(range(1, scale + 1), k):
+                items = tuple(
+                    Item(i, float(i), s, float(2 * k - 2 * i)) for i, s in enumerate(sizes)
+                )
+                instance = Instance(items=items, scale=scale)
+                for snap in oracles.snapshots(instance):
+                    live = live_sizes_at(instance, snap.start)
+                    assert (snap.items, snap.lower) == (len(live), -(-sum(live) // scale))
+                    assert snap.upper == list_ffd(live, scale)
+                    # the sizes are kept only where branch and bound may need them
+                    assert snap.counts == (Counter(live) if snap.lower < snap.upper else None)
+                    seen.add(("items", len(live)))
+                    seen.add(("volume", sum(live) - scale))
+                set_cache()
+                report = opt_total(instance)
+                assert report.all_exact
+                for iv in report.intervals:
+                    live = live_sizes_at(instance, iv.start)
+                    assert iv.upper == list_ffd(live, scale)
+                    assert iv.opt == brute_force_opt(live, scale)
+    set_cache()
+    assert {("items", 2), ("items", 3), ("volume", 0), ("volume", 1)} <= seen
 
 
 @settings(max_examples=300, deadline=None)
