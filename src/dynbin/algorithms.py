@@ -55,9 +55,7 @@ class FirstFitPolicy(Policy):
     name = "firstfit"
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        engine = self.engine
-        b = engine.first_fit("ff", GOOD, size_num) or engine.open_bin(GOOD, "ff")
-        engine.place(item_id, b.id)
+        self.engine.place_first_fit(item_id, "ff", (GOOD,), GOOD)
 
 
 class SingleClassMigrator:
@@ -84,15 +82,9 @@ class SingleClassMigrator:
         if b.label == BAD and b.load * den >= threshold:
             self.engine.set_label(b.id, GOOD)
 
-    def place(self, item_id: int, size_num: int) -> None:
+    def place(self, item_id: int) -> None:
         # first fit over Bad bins, then Good bins, then a new Bad bin
-        target = self.engine.first_fit(self.group, BAD, size_num)
-        if target is None:
-            target = self.engine.first_fit(self.group, GOOD, size_num)
-        if target is None:
-            target = self.engine.open_bin(BAD, self.group)
-        self.engine.place(item_id, target.id)
-        self._relabel(target)
+        self._relabel(self.engine.place_first_fit(item_id, self.group, (BAD, GOOD), BAD))
 
     def handle_departure(self, bin_id: int, time: float) -> None:
         engine = self.engine
@@ -144,7 +136,7 @@ class SingleClassPolicy(Policy):
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        self.migrator.place(item_id, size_num)
+        self.migrator.place(item_id)
 
     def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
         self.migrator.handle_departure(bin_id, time)
@@ -210,7 +202,7 @@ class MultiClassPolicy(Policy):
             self._double(time)
         c = (engine.scale // size_num).bit_length() - 1  # size_class, inlined
         if c < self.rho.bit_length() - 1:
-            self.classes[c].place(item_id, size_num)
+            self.classes[c].place(item_id)
         else:
             # overflow here would be a real bug: the per-phase small items
             # always fit in one junk bin
@@ -249,7 +241,7 @@ class SizeCostPolicy(Policy):
             b = self.engine.open_bin(DEDICATED, "dedicated")
             self.engine.place(item_id, b.id)
         else:
-            self.migrator.place(item_id, size_num)
+            self.migrator.place(item_id)
 
     def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
         if self.engine.bin(bin_id).group == "shared":
@@ -284,23 +276,24 @@ class DelayPolicy(Policy):
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         engine = self.engine
-        b = engine.first_fit("Is", GOOD, size_num) or engine.open_bin(GOOD, "Is")
-        engine.place(item_id, b.id)
+        engine.place_first_fit(item_id, "Is", (GOOD,), GOOD)
         self.location[item_id] = "Is"
         engine.schedule_checkpoint(item_id, time + self.sqrt_c)
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
-        engine = self.engine
-        staged = [(i, engine.begin_migration(i)) for i in sorted(item_ids)]
-        for item_id, size_num in staged:
-            src_pool = self.location[item_id]
-            dest = engine.first_fit("Ib", GOOD, size_num) or engine.open_bin(GOOD, "Ib")
+        engine, location = self.engine, self.location
+        movers = sorted(item_ids)
+        for item_id in movers:
+            engine.begin_migration(item_id)
+        next_checkpoint = time + self.delay_cost + self.sqrt_c
+        for item_id in movers:
+            src_pool = location[item_id]
             rule = "small-to-big" if src_pool == "Is" else "reshuffle"
-            engine.complete_migration(item_id, dest.id, rule, src_pool, time)
-            self.location[item_id] = "Ib"
-            engine.schedule_checkpoint(
-                item_id, time + self.delay_cost + self.sqrt_c
+            engine.complete_migration_first_fit(
+                item_id, "Ib", (GOOD,), GOOD, rule, src_pool, time
             )
+            location[item_id] = "Ib"
+            engine.schedule_checkpoint(item_id, next_checkpoint)
 
 
 ALGORITHMS = {

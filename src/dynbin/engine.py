@@ -34,6 +34,19 @@ segment tree per (group, label) over opening order, so a placement costs
 O(log B) in the number B of open bins of the group, not a scan of every
 bin ever opened; a group with only a few open bins is scanned instead.
 
+A first-fit placement is one engine call. `place_first_fit` takes an
+arriving item, a group, an ordered tuple of labels and the label of a
+bin to open: it places the item in the earliest-opened bin of the group
+where it fits, trying the labels in turn, else in a new bin, and records
+`open` (if it opened one) and then `place`, as `first_fit`, `open_bin`
+and `place` called in turn would. `complete_migration_first_fit` does the
+same for a migration staged by `begin_migration`, recording `migrate`.
+Both run the one search `first_fit` runs. A new bin is built holding the
+item and only then enters its group's trees, so each changed leaf is
+written once. `first_fit`, `open_bin`, `place`, `complete_migration` and
+`migrate` stay for placements that are not first fit: junk and dedicated
+bins, and the drain, whose targets exclude the draining bin.
+
 The engine records what it did in two flat lists of plain values, with
 no object per record. `actions` holds each state change as its action
 name followed by the values of the fields `ACTION_FIELDS` names for it,
@@ -426,33 +439,46 @@ class Engine:
 
     def first_fit(self, group: str, label: str, size_num: int) -> Bin | None:
         """The earliest-opened open bin of the group carrying the label
-        where an item of size_num fits, or None.
-
-        A group is scanned while it has at most SCAN_LIMIT open bins,
-        where keeping trees costs more than the scan. Its trees are built
-        the first time a search finds more, and kept from then on; groups
-        nobody searches (junk, dedicated) never get any."""
-        index = self._fit.get(group)
-        if index is None:
-            open_bins = self._open_by_group.get(group, {})
-            if len(open_bins) <= self.SCAN_LIMIT:
-                for b in open_bins.values():
-                    if b.label == label and b.load + size_num <= self.scale:
-                        return b
-                return None
-            index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
-        return index.first(label, size_num)
+        where an item of size_num fits, or None."""
+        return self._first_fit(group, (label,), size_num)
 
     def open_bin(self, label: str, group: str, persistent: bool = False) -> Bin:
-        b = Bin(id=self._next_bin_id, label=label, group=group, persistent=persistent)
-        self._next_bin_id += 1
-        self.bins[b.id] = b
-        open_bins = self._open_by_group.setdefault(group, {})
-        open_bins[b.id] = b
-        index = self._fit.get(group)
-        if index is not None:
-            index.add(b, open_bins)
-        self.actions.extend(("open", b.id, label, group))
+        return self._register(
+            Bin(id=self._next_bin_id, label=label, group=group, persistent=persistent)
+        )
+
+    def place_first_fit(
+        self, item_id: int, group: str, labels: tuple[str, ...], new_label: str
+    ) -> Bin:
+        """Place a newly arrived item first fit: in the earliest-opened
+        bin of the group where it fits, trying the labels in order, else in
+        a new bin of the group labeled new_label; return the bin. One call
+        for first_fit, open_bin and place, recording the same actions."""
+        if item_id in self.placement:
+            raise SimulationError(f"item {item_id} already placed")
+        size = self.live[item_id]
+        b = self._fit_or_open(item_id, size, group, labels, new_label)
+        self.actions.extend(("place", item_id, b.id, size))
+        self._arrival_placed = True
+        return b
+
+    def complete_migration_first_fit(
+        self,
+        item_id: int,
+        group: str,
+        labels: tuple[str, ...],
+        new_label: str,
+        rule: str,
+        class_key: str,
+        time: float,
+    ) -> Bin:
+        """Complete a staged migration first fit, as place_first_fit
+        places an arrival; one call for first_fit, open_bin and
+        complete_migration, recording the same actions."""
+        src = self._staged.pop(item_id)
+        size = self.live[item_id]
+        b = self._fit_or_open(item_id, size, group, labels, new_label)
+        self._migrated(item_id, size, src, b.id, rule, class_key, time)
         return b
 
     def close_bin(self, bin_id: int) -> None:
@@ -495,23 +521,7 @@ class Engine:
     ) -> None:
         src = self._staged.pop(item_id)
         self._attach(item_id, bin_id)
-        size = self.live[item_id]
-        self.ledger.record(
-            LedgerEntry(time, item_id, size, src, bin_id, class_key, rule)
-        )
-        self.migrations_per_item[item_id] = self.migrations_per_item.get(item_id, 0) + 1
-        self.actions.extend(("migrate", item_id, src, bin_id, size))
-        if self.delay_cost > 0:
-            # closed form, not accumulation: keeps the delayed departure
-            # bit-identical to arrival + duration + C * migrations
-            it = self._live_items[item_id]
-            new_dep = (
-                it.arrival
-                + it.duration
-                + self.delay_cost * self.migrations_per_item[item_id]
-            )
-            self.departure_time[item_id] = new_dep
-            heapq.heappush(self._heap, (new_dep, _DEPARTURE, item_id))
+        self._migrated(item_id, self.live[item_id], src, bin_id, rule, class_key, time)
 
     def migrate(
         self, item_id: int, bin_id: int, rule: str, class_key: str, time: float
@@ -520,11 +530,76 @@ class Engine:
         self.complete_migration(item_id, bin_id, rule, class_key, time)
 
     def schedule_checkpoint(self, item_id: int, time: float) -> None:
-        self._pending_checkpoints.setdefault(item_id, set()).add(time)
+        pending = self._pending_checkpoints.get(item_id)
+        if pending is None:
+            self._pending_checkpoints[item_id] = {time}
+        else:
+            pending.add(time)
         heapq.heappush(self._heap, (time, _CHECKPOINT, item_id))
 
     # ------------------------------------------------------------------
     # internals
+
+    def _first_fit(
+        self, group: str, labels: tuple[str, ...], size_num: int
+    ) -> Bin | None:
+        """The one first-fit search: the earliest-opened open bin of the
+        group carrying labels[0] where an item of size_num fits, else the
+        same for labels[1], and so on; None if there is none.
+
+        A group is scanned while it has at most SCAN_LIMIT open bins,
+        where keeping trees costs more than the scan. Its trees are built
+        the first time a search finds more, and kept from then on; groups
+        nobody searches (junk, dedicated) never get any."""
+        index = self._fit.get(group)
+        if index is None:
+            open_bins = self._open_by_group.get(group)
+            if not open_bins:
+                return None
+            if len(open_bins) <= self.SCAN_LIMIT:
+                room = self.scale - size_num
+                for label in labels:
+                    for b in open_bins.values():
+                        if b.label == label and b.load <= room:
+                            return b
+                return None
+            index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
+        for label in labels:
+            b = index.first(label, size_num)
+            if b is not None:
+                return b
+        return None
+
+    def _fit_or_open(
+        self, item_id: int, size: int, group: str, labels: tuple[str, ...], new_label: str
+    ) -> Bin:
+        """Attach an item of the given size to the bin _first_fit finds,
+        else to a new bin of the group labeled new_label, and return the
+        bin. A new bin is built holding the item and enters the first-fit
+        trees with its load set, so its leaf is written once."""
+        b = self._first_fit(group, labels, size)
+        if b is not None:
+            self._fill(b, item_id, size)
+            return b
+        b = self._register(Bin(self._next_bin_id, new_label, group, size, {item_id}))
+        self._open_count += 1
+        self.placement[item_id] = b.id
+        return b
+
+    def _register(self, b: Bin) -> Bin:
+        """Enter a just-built bin, its load set, into the open index and
+        its group's first-fit trees, and record that it opened."""
+        self._next_bin_id += 1
+        self.bins[b.id] = b
+        open_bins = self._open_by_group.get(b.group)
+        if open_bins is None:
+            open_bins = self._open_by_group[b.group] = {}
+        open_bins[b.id] = b
+        index = self._fit.get(b.group)
+        if index is not None:
+            index.add(b, open_bins)
+        self.actions.extend(("open", b.id, b.label, b.group))
+        return b
 
     def _attach(self, item_id: int, bin_id: int) -> None:
         b = self.bins.get(bin_id)
@@ -536,14 +611,40 @@ class Engine:
                 f"capacity violation: item {item_id} (size {size}/{self.scale}) "
                 f"does not fit in bin {bin_id} at load {b.load}/{self.scale}"
             )
+        self._fill(b, item_id, size)
+
+    def _fill(self, b: Bin, item_id: int, size: int) -> None:
+        """Add an item to an open bin it fits in."""
         if not b.load:
             self._open_count += 1
         b.load += size
         b.items.add(item_id)
-        self.placement[item_id] = bin_id
+        self.placement[item_id] = b.id
         index = self._fit.get(b.group)
         if index is not None:
             index.update(b)
+
+    def _migrated(
+        self, item_id: int, size: int, src: int, dst: int, rule: str, class_key: str, time: float
+    ) -> None:
+        """Record a completed migration and, under a delay cost, push the
+        item's departure back."""
+        self.ledger.entries.append(
+            LedgerEntry(time, item_id, size, src, dst, class_key, rule)
+        )
+        self.migrations_per_item[item_id] = self.migrations_per_item.get(item_id, 0) + 1
+        self.actions.extend(("migrate", item_id, src, dst, size))
+        if self.delay_cost > 0:
+            # closed form, not accumulation: keeps the delayed departure
+            # bit-identical to arrival + duration + C * migrations
+            it = self._live_items[item_id]
+            new_dep = (
+                it.arrival
+                + it.duration
+                + self.delay_cost * self.migrations_per_item[item_id]
+            )
+            self.departure_time[item_id] = new_dep
+            heapq.heappush(self._heap, (new_dep, _DEPARTURE, item_id))
 
     def _detach(self, item_id: int, bin_id: int) -> None:
         b = self.bins[bin_id]
@@ -619,7 +720,7 @@ class Engine:
             policy.bind(self)
             events, actions = self.events, self.actions
             live, live_items, bins, closed = self.live, self._live_items, self.bins, self._closed
-            departure_time = self.departure_time
+            departure_time, pending_checkpoints = self.departure_time, self._pending_checkpoints
             if actions:
                 events.extend((None, "SETUP", None, len(actions)))
 
@@ -638,15 +739,16 @@ class Engine:
                         if item_id not in live or departure_time[item_id] != time:
                             continue
                     elif kind == _CHECKPOINT:
-                        pending = self._pending_checkpoints.get(item_id, set())
-                        if item_id not in live or time not in pending:
+                        pending = pending_checkpoints.get(item_id)
+                        if item_id not in live or pending is None or time not in pending:
                             continue
                         pending.discard(time)
                 else:
                     it = arrivals.pop()
+                    item_id, time, size, duration = it
+                    kind = _ARRIVAL
                     if arrivals:
                         next_arrival = (arrivals[-1].arrival, _ARRIVAL)
-                    time, kind, item_id = it.arrival, _ARRIVAL, it.id
 
                 if prev_time is None:
                     prev_time = time
@@ -658,11 +760,10 @@ class Engine:
                     prev_time = time
 
                 if kind == _ARRIVAL:
-                    size = it.size_num
                     live[item_id] = size
                     live_items[item_id] = it
-                    if it.duration is not None:
-                        departure_time[item_id] = departure = time + it.duration
+                    if duration is not None:
+                        departure_time[item_id] = departure = time + duration
                         heappush(heap, (departure, _DEPARTURE, item_id))
                     self._arrival_placed = False
                     policy.on_arrival(item_id, size, time)
@@ -675,15 +776,15 @@ class Engine:
                     actions.extend(("depart", item_id, bin_id, live[item_id]))
                     self._detach(item_id, bin_id)
                     del live[item_id], live_items[item_id], departure_time[item_id]
-                    self._pending_checkpoints.pop(item_id, None)
+                    pending_checkpoints.pop(item_id, None)
                     departures[item_id] = time
                     policy.on_departure(item_id, bin_id, time)
                 elif kind == _CHECKPOINT:
                     batch = [item_id]
                     while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
                         _, _, other = heappop(heap)
-                        pending = self._pending_checkpoints.get(other, set())
-                        if other in live and time in pending:
+                        pending = pending_checkpoints.get(other)
+                        if other in live and pending is not None and time in pending:
                             pending.discard(time)
                             batch.append(other)
                     policy.on_checkpoints(batch, time)

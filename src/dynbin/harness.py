@@ -185,9 +185,12 @@ def _value_problem(name: str, value, expected: str, typed, bound) -> str | None:
 
 def check_config(config: ExperimentConfig) -> None:
     """Raise a ValueError naming a field of the wrong type or out of range
-    (CONFIG_FIELDS), a bad alpha or f, or a policy they cannot build; the
-    policy built to find out is dropped. Both a config file and the
-    run/verify options go through it."""
+    (CONFIG_FIELDS), a bad alpha or f, a policy they cannot build (the
+    policy built to find out is dropped), or a migration_budget or
+    size_budget check with an alpha outside (0, 1/2), where their budgets
+    of 1 / (1 - 2 alpha) bound nothing, or for a policy whose checks do
+    not list it. Both a config file and the run/verify options go
+    through it."""
     for name, rule in CONFIG_FIELDS.items():
         problem = _value_problem(name, getattr(config, name), *rule)
         if problem:
@@ -205,6 +208,14 @@ def check_config(config: ExperimentConfig) -> None:
         raise ValueError(
             f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
         ) from None
+    alpha = config.alpha_fraction()
+    for name in ("migration_budget", "size_budget"):
+        if name not in config.checks:
+            continue
+        if alpha is not None and not 0 < alpha < Fraction(1, 2):
+            raise ValueError(f"check {name} needs alpha in (0, 1/2), got {alpha}")
+        if name not in algorithms.ALGORITHMS[config.algorithm].checks:
+            raise ValueError(f"check {name} does not apply to algorithm {config.algorithm}")
 
 
 def check_generator(generator) -> None:

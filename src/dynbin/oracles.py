@@ -220,8 +220,15 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
     events plus FFD on the ordered counts per interval, which sorts nothing.
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),
-    or a live volume of at most scale (one bin, or none when empty). The
-    counts are copied only for an interval where L1 < FFD.
+    or a live volume of at most 1.5 bins (2 * volume <= 3 * scale). For
+    the latter, any two bins of a first-fit packing hold more than one
+    bin together, since the first item of the later bin did not fit in
+    the earlier one. So two bins need more than one bin of volume, and
+    three need more than 1.5: summing the three pairs counts each load
+    twice, 2 * volume > 3 * scale. A volume of at most scale thus packs
+    in one bin (none when empty) and one of at most 1.5 bins in two,
+    which is L1 in both cases. The counts are copied only for an
+    interval where L1 < FFD.
     Raises ValueError on a size outside (0, scale], a negative duration,
     which would drive a count below zero, or an unresolved one."""
     if instance.has_deferred():
@@ -256,7 +263,7 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
             volume += d
             items += step
         lower = -(-volume // scale)
-        if items <= 2 or volume <= scale:
+        if items <= 2 or 2 * volume <= 3 * scale:
             upper = lower
         else:
             upper = _ffd_counts(counts, reversed(order), scale)

@@ -199,7 +199,7 @@ class TestMultiClass:
                     self._start_class(k)
 
             def on_arrival(self, item_id, size_num, time):
-                self.classes[c].place(item_id, size_num)
+                self.classes[c].place(item_id)
 
         labels = []
 

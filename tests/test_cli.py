@@ -353,6 +353,49 @@ def test_bad_option_value_is_a_one_line_error(tmp_path, args, problem):
 
 
 @pytest.mark.parametrize(
+    "alg, alpha, check, problem",
+    [
+        ("firstfit", "1/2", "migration_budget",
+         "check migration_budget needs alpha in (0, 1/2), got 1/2"),
+        ("firstfit", "3/4", "migration_budget",
+         "check migration_budget needs alpha in (0, 1/2), got 3/4"),
+        ("sizecost", "1/4", "migration_budget",
+         "check migration_budget does not apply to algorithm sizecost"),
+        ("firstfit", "1/2", "size_budget", "check size_budget needs alpha in (0, 1/2), got 1/2"),
+        ("alg2", "1/4", "size_budget", "check size_budget does not apply to algorithm alg2"),
+    ],
+)
+def test_a_budget_check_it_cannot_bound_is_a_one_line_error(tmp_path, alg, alpha, check, problem):
+    # the budgets scale with 1 / (1 - 2 alpha), undefined at 1/2 and
+    # negative beyond; alg1 and alg2 keep the migration budget, sizecost
+    # the size budget
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    result = invoke("run", path, "--alg", alg, "--alpha", alpha, "--checks", check)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {problem}\n"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "algorithm": alg, "alpha": alpha, "checks": [check],
+        "generator": {"family": "fig2", "k": 3, "mu": 5},
+    }))
+    result = invoke("run", "--config", config)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {config}: {problem}\n"
+
+
+@pytest.mark.parametrize("alg, check", [("alg2", "migration_budget"), ("sizecost", "size_budget")])
+def test_a_budget_check_still_runs_where_it_applies(tmp_path, alg, check):
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    result = invoke("run", path, "--alg", alg, "--alpha", "1/4", "--checks", check)
+    assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
     "args, problem",
     [
         (("--family", "tradeoff", "--inv-s", "4", "--k", "3", "--mu", "4"),

@@ -334,6 +334,31 @@ def test_ffd_shortcut_edges():
     assert {("items", 2), ("items", 3), ("volume", 0), ("volume", 1)} <= seen
 
 
+def test_ffd_is_skipped_up_to_one_and_a_half_bins(monkeypatch):
+    # every multiset of three to five sizes on scales 2..8, all live on one
+    # interval: the sweep runs FFD exactly where 2 * volume > 3 * scale,
+    # and its bound equals ffd_snapshot on both sides of that edge
+    calls = []
+    ffd_counts = oracles._ffd_counts
+    monkeypatch.setattr(
+        oracles, "_ffd_counts", lambda *args: calls.append(1) or ffd_counts(*args)
+    )
+    seen = set()
+    for scale in range(2, 9):
+        for k in (3, 4, 5):
+            for sizes in itertools.combinations_with_replacement(range(1, scale + 1), k):
+                items = tuple(Item(i, 0.0, s, 1.0) for i, s in enumerate(sizes))
+                (snap,) = oracles.snapshots(Instance(items=items, scale=scale))
+                edge = 2 * sum(sizes) - 3 * scale
+                assert len(calls) == (edge > 0)
+                assert snap.upper == ffd_snapshot(sizes, scale)
+                calls.clear()
+                if edge <= 0:
+                    assert snap.lower == snap.upper <= 2
+                seen.add(min(max(edge, -1), 2))
+    assert seen == {-1, 0, 1, 2}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 40).flatmap(
