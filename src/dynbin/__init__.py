@@ -10,9 +10,7 @@ oracles, reproducible instance generators, and an experiment harness.
 from .core import (
     Instance,
     Item,
-    ScaledSize,
     UnresolvedDurationError,
-    concat,
     mu,
     read_jsonl,
     span,
@@ -57,9 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Instance",
     "Item",
-    "ScaledSize",
     "UnresolvedDurationError",
-    "concat",
     "mu",
     "read_jsonl",
     "span",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .core import Instance, Item, ScaledSize
+from .core import Instance, Item
 from .engine import (
     BAD,
     DEDICATED,
@@ -26,11 +26,10 @@ from .engine import (
 )
 
 
-def size_class(size: ScaledSize) -> int:
-    """The unique c with size in (1/2^(c+1), 1/2^c], computed exactly:
-    num * 2^c <= scale < num * 2^(c+1) holds for c = floor(log2(scale //
-    num)), the bit length of scale // num less one."""
-    num, scale = size
+def size_class(num: int, scale: int) -> int:
+    """The unique c with num/scale in (1/2^(c+1), 1/2^c], computed
+    exactly: num * 2^c <= scale < num * 2^(c+1) holds for c =
+    floor(log2(scale // num)), the bit length of scale // num less one."""
     if not 0 < num <= scale:
         raise ValueError("size must lie in (0, scale]")
     return (scale // num).bit_length() - 1
@@ -198,7 +197,7 @@ class MultiClassPolicy(Policy):
         # live count includes the arriving item; a burst can cross several
         # powers of two, so the doubling repeats
         engine = self.engine
-        while engine.live_count() > self.rho:
+        while len(engine.live) > self.rho:
             self._double(time)
         c = (engine.scale // size_num).bit_length() - 1  # size_class, inlined
         if c < self.rho.bit_length() - 1:
@@ -286,6 +285,8 @@ class DelayPolicy(Policy):
         for item_id in movers:
             engine.begin_migration(item_id)
         next_checkpoint = time + self.delay_cost + self.sqrt_c
+        if next_checkpoint == time:  # it would fire at this time again, forever
+            raise SimulationError(f"t={time}: the next checkpoint, t + C + sqrt(C), rounds to t")
         for item_id in movers:
             src_pool = location[item_id]
             rule = "small-to-big" if src_pool == "Is" else "reshuffle"

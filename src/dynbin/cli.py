@@ -10,6 +10,7 @@ import click
 
 from . import algorithms, generators, harness, oracles
 from .core import read_jsonl, validate, write_jsonl
+from .engine import SimulationError
 # unused here, but the benchmark's tracer patches both names in this module
 from .engine import simulate, verify_packing  # noqa: F401
 from .harness import ExperimentConfig, InvariantViolation, UnknownCheck
@@ -124,6 +125,8 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
     except InvariantViolation as exc:
         click.echo(f"INVARIANT VIOLATION {exc}", err=True)
         sys.exit(1)
+    except SimulationError as exc:
+        raise click.ClickException(str(exc))
     if config is not None:
         text = json.dumps(report, sort_keys=True, indent=2)
         if csv_path:
@@ -182,7 +185,10 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
         sys.exit(1)
     cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
                        delay_cost=delay_c, mig_order=mig_order)
-    results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
+    try:
+        results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
+    except SimulationError as exc:
+        raise click.ClickException(str(exc))
     failed = False
     for check, ok, detail in results:
         if ok:

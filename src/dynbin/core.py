@@ -9,28 +9,12 @@ item's lifetime is the half-open interval [arrival, arrival + duration).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 class UnresolvedDurationError(ValueError):
     pass
-
-
-class ScaledSize(NamedTuple):
-    """A size numerator/scale with value in (0, 1]."""
-
-    numerator: int
-    scale: int
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.scale
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.scale)
 
 
 class Item(NamedTuple):
@@ -128,46 +112,6 @@ def with_durations(instance: Instance, durations: dict[int, float]) -> Instance:
         else:
             items.append(it)
     return replace(instance, items=tuple(items), adversary=None)
-
-
-def concat(parts: Sequence[Instance], gap: float) -> Instance:
-    """Concatenate instances back to back with a positive gap between
-    the span of each part and the start of the next, so lifetimes of
-    items from distinct parts are disjoint. Ids are renumbered."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    for p in parts:
-        if not p.items:
-            raise ValueError("cannot concatenate an empty part")
-        _require_resolved(p)
-    scale = math.lcm(*(p.scale for p in parts))
-    items: list[Item] = []
-    next_id = 0
-    offset = 0.0
-    for j, part in enumerate(parts):
-        factor = scale // part.scale
-        start = min(it.arrival for it in part.items)
-        if j == 0:
-            shift = 0.0
-            offset = start
-        else:
-            shift = offset + gap - start
-        end = 0.0
-        for it in sorted(part.items, key=lambda i: i.id):
-            items.append(
-                Item(
-                    id=next_id,
-                    arrival=it.arrival + shift,
-                    size_num=it.size_num * factor,
-                    duration=it.duration,
-                )
-            )
-            end = max(end, it.arrival + shift + it.duration)
-            next_id += 1
-        offset = end
-    return Instance(items=tuple(items), scale=scale)
 
 
 def validate(instance: Instance) -> list[str]:

@@ -38,14 +38,15 @@ A first-fit placement is one engine call. `place_first_fit` takes an
 arriving item, a group, an ordered tuple of labels and the label of a
 bin to open: it places the item in the earliest-opened bin of the group
 where it fits, trying the labels in turn, else in a new bin, and records
-`open` (if it opened one) and then `place`, as `first_fit`, `open_bin`
-and `place` called in turn would. `complete_migration_first_fit` does the
-same for a migration staged by `begin_migration`, recording `migrate`.
-Both run the one search `first_fit` runs. A new bin is built holding the
-item and only then enters its group's trees, so each changed leaf is
-written once. `first_fit`, `open_bin`, `place`, `complete_migration` and
-`migrate` stay for placements that are not first fit: junk and dedicated
-bins, and the drain, whose targets exclude the draining bin.
+`open` (if it opened one) and then `place`, as
+`first_fit(group, labels, size)`, `open_bin` and `place` called in turn
+would. `complete_migration_first_fit` does the same for a migration
+staged by `begin_migration`, recording `migrate`. Both run `first_fit`,
+the one first-fit search, which returns the bin or None. A new bin is
+built holding the item and only then enters its group's trees, so each
+changed leaf is written once. `open_bin`, `place`, `complete_migration`
+and `migrate` stay for placements that are not first fit: junk and
+dedicated bins, and the drain, whose targets exclude the draining bin.
 
 The engine records what it did in two flat lists of plain values, with
 no object per record. `actions` holds each state change as its action
@@ -135,10 +136,6 @@ class Bin:
     persistent: bool = False  # survives emptying (junk bin within its phase)
     closed: bool = False
 
-    @property
-    def open(self) -> bool:
-        return self.load > 0
-
 
 class LedgerEntry(NamedTuple):
     time: float
@@ -154,9 +151,6 @@ class MigrationLedger:
     def __init__(self, scale: int):
         self.scale = scale
         self.entries: list[LedgerEntry] = []
-
-    def record(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
 
     @property
     def unit_count(self) -> int:
@@ -413,9 +407,6 @@ class Engine:
         """The size numerator of a live item."""
         return self.live[item_id]
 
-    def live_count(self) -> int:
-        return len(self.live)
-
     def bin(self, bin_id: int) -> Bin:
         """The bin, if it is open or closed in the current event."""
         try:
@@ -437,10 +428,35 @@ class Engine:
         """Every non-closed bin, group by group, each in opening order."""
         return chain.from_iterable(map(dict.values, self._open_by_group.values()))
 
-    def first_fit(self, group: str, label: str, size_num: int) -> Bin | None:
-        """The earliest-opened open bin of the group carrying the label
-        where an item of size_num fits, or None."""
-        return self._first_fit(group, (label,), size_num)
+    def first_fit(
+        self, group: str, labels: tuple[str, ...], size_num: int
+    ) -> Bin | None:
+        """The one first-fit search: the earliest-opened open bin of the
+        group carrying labels[0] where an item of size_num fits, else the
+        same for labels[1], and so on; None if there is none.
+
+        A group is scanned while it has at most SCAN_LIMIT open bins,
+        where keeping trees costs more than the scan. Its trees are built
+        the first time a search finds more, and kept from then on; groups
+        nobody searches (junk, dedicated) never get any."""
+        index = self._fit.get(group)
+        if index is None:
+            open_bins = self._open_by_group.get(group)
+            if not open_bins:
+                return None
+            if len(open_bins) <= self.SCAN_LIMIT:
+                room = self.scale - size_num
+                for label in labels:
+                    for b in open_bins.values():
+                        if b.label == label and b.load <= room:
+                            return b
+                return None
+            index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
+        for label in labels:
+            b = index.first(label, size_num)
+            if b is not None:
+                return b
+        return None
 
     def open_bin(self, label: str, group: str, persistent: bool = False) -> Bin:
         return self._register(
@@ -540,44 +556,14 @@ class Engine:
     # ------------------------------------------------------------------
     # internals
 
-    def _first_fit(
-        self, group: str, labels: tuple[str, ...], size_num: int
-    ) -> Bin | None:
-        """The one first-fit search: the earliest-opened open bin of the
-        group carrying labels[0] where an item of size_num fits, else the
-        same for labels[1], and so on; None if there is none.
-
-        A group is scanned while it has at most SCAN_LIMIT open bins,
-        where keeping trees costs more than the scan. Its trees are built
-        the first time a search finds more, and kept from then on; groups
-        nobody searches (junk, dedicated) never get any."""
-        index = self._fit.get(group)
-        if index is None:
-            open_bins = self._open_by_group.get(group)
-            if not open_bins:
-                return None
-            if len(open_bins) <= self.SCAN_LIMIT:
-                room = self.scale - size_num
-                for label in labels:
-                    for b in open_bins.values():
-                        if b.label == label and b.load <= room:
-                            return b
-                return None
-            index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
-        for label in labels:
-            b = index.first(label, size_num)
-            if b is not None:
-                return b
-        return None
-
     def _fit_or_open(
         self, item_id: int, size: int, group: str, labels: tuple[str, ...], new_label: str
     ) -> Bin:
-        """Attach an item of the given size to the bin _first_fit finds,
+        """Attach an item of the given size to the bin first_fit finds,
         else to a new bin of the group labeled new_label, and return the
         bin. A new bin is built holding the item and enters the first-fit
         trees with its load set, so its leaf is written once."""
-        b = self._first_fit(group, labels, size)
+        b = self.first_fit(group, labels, size)
         if b is not None:
             self._fill(b, item_id, size)
             return b
@@ -673,10 +659,6 @@ class Engine:
             index.remove(b)
         self.actions.extend(("close", b.id))
 
-    def _schedule_departure(self, item_id: int, time: float) -> None:
-        self.departure_time[item_id] = time
-        heapq.heappush(self._heap, (time, _DEPARTURE, item_id))
-
     def _resolve(self, time: float) -> None:
         # the resolve event follows the last deferred arrival, and a
         # deferred item cannot depart before it, so every one is live; a
@@ -699,7 +681,8 @@ class Engine:
                     raise SimulationError("adversary assigned nonpositive duration")
                 items[item_id] = it._replace(duration=d)
                 self.resolved[item_id] = d
-                self._schedule_departure(item_id, it.arrival + d)
+                self.departure_time[item_id] = departure = it.arrival + d
+                heapq.heappush(self._heap, (departure, _DEPARTURE, item_id))
 
     def run(self) -> SimulationResult:
         """Process every event in order and return the run's result. The

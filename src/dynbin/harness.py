@@ -19,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import algorithms, generators, oracles
-from .core import Instance, ScaledSize, with_durations
+from .core import Instance, with_durations
 from .engine import InvalidInstance, Policy, Replay, SimulationResult, check_records, simulate
 # unused here, but the benchmark's tracer patches this name in this module
 from .engine import verify_packing  # noqa: F401
@@ -147,6 +147,8 @@ _POSITIVE = ("> 0", lambda v: v > 0)
 
 # each config field: what its value must be, and the range a non-null one must lie in
 CONFIG_FIELDS = {
+    "algorithm": ("a string", lambda v: type(v) is str, None),
+    "mig_order": ("a string", lambda v: type(v) is str, None),
     "trials": ("an integer", _integer, _at_least(0)),
     "base_seed": ("an integer", _integer, None),
     "jobs": ("an integer", _integer, _at_least(1)),
@@ -183,14 +185,22 @@ def _value_problem(name: str, value, expected: str, typed, bound) -> str | None:
     return None
 
 
+def _check_budget_alpha(name: str, alpha: Fraction) -> None:
+    """Raise a ValueError unless alpha lies in (0, 1/2): outside it the
+    budget of the migration_budget or size_budget check, which scales
+    with 1 / (1 - 2 alpha), bounds nothing."""
+    if not 0 < alpha < Fraction(1, 2):
+        raise ValueError(f"check {name} needs alpha in (0, 1/2), got {alpha}")
+
+
 def check_config(config: ExperimentConfig) -> None:
     """Raise a ValueError naming a field of the wrong type or out of range
     (CONFIG_FIELDS), a bad alpha or f, a policy they cannot build (the
-    policy built to find out is dropped), or a migration_budget or
-    size_budget check with an alpha outside (0, 1/2), where their budgets
-    of 1 / (1 - 2 alpha) bound nothing, or for a policy whose checks do
-    not list it. Both a config file and the run/verify options go
-    through it."""
+    policy built to find out is dropped), a migration_budget or
+    size_budget check with an alpha outside (0, 1/2) (_check_budget_alpha)
+    or for a policy whose checks do not list it, or a delay_schedule or
+    decomposition check without a delay cost. Both a config file and the
+    run/verify options go through it."""
     for name, rule in CONFIG_FIELDS.items():
         problem = _value_problem(name, getattr(config, name), *rule)
         if problem:
@@ -198,7 +208,7 @@ def check_config(config: ExperimentConfig) -> None:
     for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
         try:
             parse()
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     try:
         build_policy(config)
@@ -212,10 +222,13 @@ def check_config(config: ExperimentConfig) -> None:
     for name in ("migration_budget", "size_budget"):
         if name not in config.checks:
             continue
-        if alpha is not None and not 0 < alpha < Fraction(1, 2):
-            raise ValueError(f"check {name} needs alpha in (0, 1/2), got {alpha}")
+        if alpha is not None:
+            _check_budget_alpha(name, alpha)
         if name not in algorithms.ALGORITHMS[config.algorithm].checks:
             raise ValueError(f"check {name} does not apply to algorithm {config.algorithm}")
+    for name in ("delay_schedule", "decomposition"):
+        if name in config.checks and not config.delay_cost:
+            raise ValueError(f"check {name} needs a delay_cost")
 
 
 def check_generator(generator) -> None:
@@ -225,7 +238,7 @@ def check_generator(generator) -> None:
     if not isinstance(generator, dict):
         raise ValueError("generator: expected a JSON object")
     family = generator.get("family")
-    if family not in GENERATORS:
+    if type(family) is not str or family not in GENERATORS:
         raise ValueError(f"unknown generator family {family!r}")
     keys = GENERATORS[family][0]
     missing = [key for key in keys if key not in generator]
@@ -334,6 +347,7 @@ def check_migration_budget(
     4*alpha/(1-2*alpha) times the (class) item count, tested in integers
     as count * den > num * items with factor = num/den. The classes are
     counted only when some class migrated, once per distinct size."""
+    _check_budget_alpha("migration_budget", alpha)
     # 4 alpha / (1 - 2 alpha) with alpha = p/q, built as one Fraction
     factor = Fraction(4 * alpha.numerator, alpha.denominator - 2 * alpha.numerator)
     num, den = factor.numerator, factor.denominator
@@ -349,7 +363,7 @@ def check_migration_budget(
     # alg1 keeps its one class under "class", which holds every item
     class_sizes: dict[str, int] = {"class": n}
     for size, count in Counter(it.size_num for it in instance.items).items():
-        key = f"class:{algorithms.size_class(ScaledSize(size, instance.scale))}"
+        key = f"class:{algorithms.size_class(size, instance.scale)}"
         class_sizes[key] = class_sizes.get(key, 0) + count
     for class_key, count in per_class.items():
         n_c = class_sizes.get(class_key, 0)
@@ -363,6 +377,7 @@ def check_migration_budget(
 def check_size_budget(
     instance: Instance, result: SimulationResult, alpha: Fraction
 ) -> None:
+    _check_budget_alpha("size_budget", alpha)
     total_size = sum(it.size_num for it in instance.items) / instance.scale
     budget = float(alpha / (1 - 2 * alpha)) * total_size
     if result.ledger.size_sum > budget + 1e-12:
@@ -375,11 +390,12 @@ def check_delay_schedule(
     instance: Instance, result: SimulationResult, delay_cost: float
 ) -> None:
     """Per item: migration count at most floor(d/sqrt(C)) and departure
-    exactly arrival + duration + C * migrations."""
+    exactly arrival + duration + C * migrations. An integer count exceeds
+    floor(x) exactly when it exceeds x, which holds for x = inf too."""
     sqrt_c = math.sqrt(delay_cost)
     for it in instance.items:
         migs = result.migrations_per_item.get(it.id, 0)
-        if migs > math.floor(it.duration / sqrt_c + 1e-12):
+        if migs > it.duration / sqrt_c + 1e-12:
             raise InvariantViolation(
                 "delay_schedule",
                 f"item {it.id}: {migs} migrations > floor({it.duration}/{sqrt_c})",
@@ -402,12 +418,17 @@ def check_decomposition(
 
     small, big = algorithms.decompose_delay_run(instance, result)
     sqrt_c = math.sqrt(delay_cost)
-    ff_small = simulate(small, algorithms.FirstFitPolicy()).total_active_time
-    ff_big = (
-        simulate(big, algorithms.FirstFitPolicy()).total_active_time
-        if big.items
-        else 0.0
-    )
+    try:
+        ff_small = simulate(small, algorithms.FirstFitPolicy()).total_active_time
+        ff_big = (
+            simulate(big, algorithms.FirstFitPolicy()).total_active_time
+            if big.items
+            else 0.0
+        )
+    except InvalidInstance as exc:  # a part of no length: a migration when it began
+        raise InvariantViolation(
+            "decomposition", f"invalid sub-instance: {'; '.join(exc.problems)}"
+        ) from None
     total = result.total_active_time
     if abs(total - (ff_small + ff_big)) > 1e-9 * max(1.0, abs(total)):
         raise InvariantViolation(
@@ -589,8 +610,12 @@ def aggregate(rows: list[dict]) -> dict:
         values = [r[col] for r in rows if isinstance(r.get(col), (int, float))]
         if not values:
             continue
-        mean = statistics.fmean(values)
-        std = statistics.stdev(values) if len(values) > 1 else 0.0
+        total = sum(values)
+        if math.isfinite(total):
+            mean = statistics.fmean(values)
+            std = statistics.stdev(values) if len(values) > 1 else 0.0
+        else:  # an infinite value, or a sum past the largest float
+            mean, std = total / len(values), math.nan
         half = 3 * std / math.sqrt(len(values)) if values else 0.0
         out[col] = {
             "mean": mean,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbin import cli, harness
 from dynbin.core import Instance, Item, mu
-from dynbin.engine import BAD, GOOD, simulate
+from dynbin.engine import BAD, GOOD, SimulationError, simulate
 from dynbin.algorithms import (
     ALGORITHMS,
     DelayPolicy,
@@ -17,7 +17,6 @@ from dynbin.algorithms import (
     make_policy,
     size_class,
 )
-from dynbin.core import ScaledSize
 from dynbin.generators import gen_uniform
 
 
@@ -31,7 +30,7 @@ class TestSizeClass:
         [(8, 8, 0), (5, 8, 0), (4, 8, 1), (3, 8, 1), (2, 8, 2), (1, 8, 3), (1, 1, 0)],
     )
     def test_examples(self, num, scale, expected):
-        assert size_class(ScaledSize(num, scale)) == expected
+        assert size_class(num, scale) == expected
 
     @given(
         st.integers(1, 4096).flatmap(
@@ -40,7 +39,7 @@ class TestSizeClass:
     )
     def test_defining_interval(self, size):
         num, scale = size
-        c = size_class(ScaledSize(num, scale))
+        c = size_class(num, scale)
         s = Fraction(num, scale)
         assert Fraction(1, 2 ** (c + 1)) < s <= Fraction(1, 2**c)
 
@@ -52,13 +51,13 @@ class TestSizeClass:
             for k in range(scale.bit_length() + 1):
                 for num in (scale >> k, (scale >> k) + 1):
                     if 0 < num <= scale:
-                        c = size_class(ScaledSize(num, scale))
+                        c = size_class(num, scale)
                         assert num << c <= scale < num << (c + 1), (num, scale)
 
     @pytest.mark.parametrize("num,scale", [(0, 8), (-1, 8), (9, 8), (2, 1)])
     def test_rejects_sizes_outside_the_bin(self, num, scale):
         with pytest.raises(ValueError):
-            size_class(ScaledSize(num, scale))
+            size_class(num, scale)
 
 
 class TestFirstFit:
@@ -106,7 +105,7 @@ class TestSingleClass:
         labels = []
 
         def watch(engine, time):
-            labels.append([(b.id, b.label) for b in engine.bins.values() if b.open])
+            labels.append([(b.id, b.label) for b in engine.bins.values() if b.load > 0])
 
         items = [Item(0, 0.0, 3, 2.0), Item(1, 1.0, 1, 2.0)]
         simulate(inst(items), SingleClassPolicy(alpha, f), observers=[watch])
@@ -118,7 +117,7 @@ class TestSingleClass:
         seen = []
 
         def watch(engine, time):
-            seen.append({b.id: sorted(b.items) for b in engine.bins.values() if b.open})
+            seen.append({b.id: sorted(b.items) for b in engine.bins.values() if b.load > 0})
 
         items = [Item(0, 0.0, 4, 9.0), Item(1, 1.0, 7, 9.0), Item(2, 2.0, 2, 1.0)]
         simulate(inst(items), SingleClassPolicy(alpha, f), observers=[watch])
@@ -145,7 +144,7 @@ class TestMultiClass:
         r_log = []
 
         def watch(engine, time):
-            r_log.append({b.group for b in engine.bins.values() if b.open})
+            r_log.append({b.group for b in engine.bins.values() if b.load > 0})
 
         items = [Item(0, 0.0, 1, 1.0)]
         simulate(inst(items), MultiClassPolicy(Fraction(1, 4)), observers=[watch])
@@ -250,7 +249,7 @@ class TestSizeCost:
             counts.extend(
                 len(b.items)
                 for b in engine.bins.values()
-                if b.group == "dedicated" and b.open
+                if b.group == "dedicated" and b.load > 0
             )
 
         items = [Item(i, 0.0, 4, 2.0) for i in range(6)]
@@ -302,6 +301,13 @@ class TestDelay:
     def test_rejects_delay_below_one(self):
         with pytest.raises(ValueError):
             DelayPolicy(0.5)
+
+    def test_a_checkpoint_that_rounds_to_its_own_time_ends_the_run(self):
+        # floats 16 apart at 2^56: t + 1 and t + C + sqrt(C) = t + 2 both
+        # round to t, so the checkpoint would fire at t again, forever
+        one = Instance(items=(Item(0, 2.0**56, 1, 64.0),), scale=2)
+        with pytest.raises(SimulationError, match="rounds to t"):
+            simulate(one, DelayPolicy(1.0), delay_cost=1.0)
 
 
 def test_make_policy_names():

@@ -305,6 +305,10 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("checks", None),
         ("oracle_time_budget", float("nan")),
         ("oracle_time_budget", float("inf")),
+        ("algorithm", ["x"]),
+        ("algorithm", None),
+        ("mig_order", ["x"]),
+        ("mig_order", 1),
     ],
 )
 def test_bad_config_field_is_one_error_line(tmp_path, name, value):
@@ -317,6 +321,18 @@ def test_bad_config_field_is_one_error_line(tmp_path, name, value):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and name in errors[0]
+
+
+@pytest.mark.parametrize("name", ["algorithm", "mig_order"])
+def test_a_non_string_name_is_a_type_error(tmp_path, name):
+    # a list once reached the policy registry's lookup, as an unhashable key
+    path = tmp_path / "cfg.json"
+    config = {"algorithm": "alg2", "alpha": "1/4", name: ["x"],
+              "generator": {"family": "fig2", "k": 3, "mu": 5}}
+    path.write_text(json.dumps(config))
+    result = invoke("run", "--config", path)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {path}: {name}: expected a string, got ['x']\n"
 
 
 @pytest.mark.parametrize(
@@ -386,6 +402,64 @@ def test_a_budget_check_it_cannot_bound_is_a_one_line_error(tmp_path, alg, alpha
     assert result.stderr == f"Error: {config}: {problem}\n"
 
 
+@pytest.mark.parametrize(
+    "alg, alpha, delay_c, check",
+    [
+        ("firstfit", None, None, "decomposition"),
+        ("firstfit", None, None, "delay_schedule"),
+        ("alg2", "1/4", None, "decomposition"),
+        ("firstfit", None, 0.0, "delay_schedule"),
+    ],
+)
+def test_a_delay_check_without_a_delay_cost_is_a_one_line_error(
+    tmp_path, alg, alpha, delay_c, check
+):
+    # both checks take the square root of the delay cost C
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    options = ["--alg", alg, "--checks", check]
+    if alpha is not None:
+        options += ["--alpha", alpha]
+    if delay_c is not None:
+        options += ["--delay-c", delay_c]
+    result = invoke("run", path, *options)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: check {check} needs a delay_cost\n"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "algorithm": alg, "alpha": alpha, "delay_cost": delay_c, "checks": [check],
+        "generator": {"family": "fig2", "k": 3, "mu": 5},
+    }))
+    result = invoke("run", "--config", config)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {config}: check {check} needs a delay_cost\n"
+
+
+def test_a_delay_check_runs_with_a_delay_cost(tmp_path):
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    result = invoke("run", path, "--alg", "delay", "--delay-c", "4",
+                    "--checks", "delay_schedule,decomposition")
+    assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_run_the_engine_stops_is_a_one_line_error(tmp_path, command):
+    # at 2^56 floats lie 16 apart, so a checkpoint C + sqrt(C) = 2 later
+    # rounds to its own time and the delay policy stops the run
+    path = tmp_path / "inst.jsonl"
+    write_jsonl(Instance(items=(Item(0, 2.0**56, 1, 64.0),), scale=2), path)
+    result = invoke(command, path, "--alg", "delay", "--delay-c", "1")
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        f"Error: t={2.0**56}: the next checkpoint, t + C + sqrt(C), rounds to t\n"
+    )
+
+
 @pytest.mark.parametrize("alg, check", [("alg2", "migration_budget"), ("sizecost", "size_budget")])
 def test_a_budget_check_still_runs_where_it_applies(tmp_path, alg, check):
     path = tmp_path / "inst.jsonl"
@@ -447,6 +521,9 @@ FIG2 = {"family": "fig2", "k": 3, "mu": 5}
          "duration_range: expected two numbers, got [1, inf]"),
         ({"family": "tradeoff", "inv_s": -2, "k": 4, "mu": 4}, "inv_s must be >= 1"),
         ({"family": "delaylb", "c": False}, "c: expected an integer, got False"),
+        # a family that is not a name is refused before it is looked up
+        ({"family": ["x"]}, "unknown generator family ['x']"),
+        ({"family": {}}, "unknown generator family {}"),
     ],
 )
 def test_bad_generator_value_is_one_error_line(tmp_path, generator, problem):
@@ -455,7 +532,9 @@ def test_bad_generator_value_is_one_error_line(tmp_path, generator, problem):
     result = invoke("run", "--config", path)
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert result.stderr == f"Error: {path}: generator {generator['family']}: {problem}\n"
+    family = generator["family"]
+    where = f"generator {family}: " if type(family) is str else ""
+    assert result.stderr == f"Error: {path}: {where}{problem}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import inspect
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,9 +7,7 @@ from dynbin.algorithms import DelayPolicy
 from dynbin.core import (
     Instance,
     Item,
-    ScaledSize,
     UnresolvedDurationError,
-    concat,
     mu,
     read_jsonl,
     span,
@@ -24,13 +21,6 @@ from dynbin.engine import LedgerEntry, simulate
 
 def make(items, scale=4, **kw):
     return Instance(items=tuple(items), scale=scale, **kw)
-
-
-class TestScaledSize:
-    def test_value_and_fraction(self):
-        s = ScaledSize(3, 8)
-        assert s.value == 0.375
-        assert s.as_fraction() == pytest.approx(0.375)
 
 
 class TestItem:
@@ -125,23 +115,6 @@ def test_with_durations_missing_id():
     inst = make([Item(0, 0.0, 1, None)])
     with pytest.raises(UnresolvedDurationError):
         with_durations(inst, {})
-
-
-class TestConcat:
-    def test_lifetimes_disjoint_and_rescaled(self):
-        a = make([Item(0, 0.0, 1, 2.0)], scale=2)
-        b = make([Item(0, 0.0, 2, 1.0)], scale=3)
-        joined = concat([a, b], gap=1.0)
-        assert joined.scale == 6
-        first, second = joined.items
-        assert first.size_num == 3 and second.size_num == 4
-        assert second.arrival >= first.departure + 1.0
-        assert [it.id for it in joined.items] == [0, 1]
-
-    def test_rejects_nonpositive_gap(self):
-        a = make([Item(0, 0.0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            concat([a, a], gap=0.0)
 
 
 class TestValidate:

@@ -240,7 +240,7 @@ class TestVerifyPacking:
             """Fills one bin, then moves the first item out and back in."""
 
             def on_arrival(self, item_id, size_num, time):
-                b = self.engine.first_fit("g", GOOD, size_num) or self.engine.open_bin(GOOD, "g")
+                b = self.engine.first_fit("g", (GOOD,), size_num) or self.engine.open_bin(GOOD, "g")
                 self.engine.place(item_id, b.id)
                 if item_id == 1:
                     self.engine.migrate(0, b.id, "shuffle", "g", time)

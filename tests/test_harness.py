@@ -17,9 +17,12 @@ from dynbin.harness import (
     aggregate,
     applicable_checks,
     build_instance,
+    check_config,
+    check_decomposition,
     check_delay_schedule,
     check_migration_budget,
     check_per_time,
+    check_size_budget,
     checked_run,
     cmd_run,
     cmd_verify,
@@ -141,7 +144,7 @@ def test_migration_budget_is_exact_at_its_bound(alpha, class_key, n_c):
     def run(count):
         ledger = MigrationLedger(8)
         for _ in range(count):
-            ledger.record(LedgerEntry(0.0, 6, 4, 0, 1, class_key, "drain"))
+            ledger.entries.append(LedgerEntry(0.0, 6, 4, 0, 1, class_key, "drain"))
         return SimpleNamespace(ledger=ledger)
 
     check_migration_budget(instance, run(allowed), alpha)
@@ -157,6 +160,31 @@ def test_migration_budget_accepts_compliant_run():
     check_migration_budget(instance, result, Fraction(1, 4))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize(
+    "name, check",
+    [("migration_budget", check_migration_budget), ("size_budget", check_size_budget)],
+)
+def test_a_budget_check_refuses_an_alpha_outside_its_range(name, check, alpha):
+    # 1 / (1 - 2 alpha) is undefined at 1/2 and negative beyond: called
+    # directly, through checked_run or through check_config, a budget
+    # check refuses such an alpha with the same words
+    instance, _ = build_instance(UNIFORM, 1)
+    result = simulate(instance, MultiClassPolicy(Fraction(1, 4)))
+    problem = f"check {name} needs alpha in (0, 1/2), got {alpha}"
+    with pytest.raises(ValueError) as direct:
+        check(instance, result, alpha)
+    # firstfit builds at any alpha, so only the check can refuse it
+    config = ExperimentConfig(
+        algorithm="firstfit", generator=UNIFORM, alpha=str(alpha), checks=[name]
+    )
+    with pytest.raises(ValueError) as through_run:
+        checked_run(config, instance)
+    with pytest.raises(ValueError) as through_config:
+        check_config(config)
+    assert str(direct.value) == str(through_run.value) == str(through_config.value) == problem
+
+
 def test_delay_schedule_check():
     one = Instance(items=(Item(0, 0.0, 1, 25.0),), scale=2)
     result = simulate(one, DelayPolicy(100.0), delay_cost=100.0)
@@ -164,6 +192,25 @@ def test_delay_schedule_check():
     result.departures[0] += 1.0
     with pytest.raises(InvariantViolation):
         check_delay_schedule(one, result, 100.0)
+
+
+def test_delay_schedule_allows_any_count_when_d_over_sqrt_c_is_past_every_float():
+    one = Instance(items=(Item(0, 0.0, 1, 1e300),), scale=2)
+    result = simulate(one, FirstFitPolicy())
+    check_delay_schedule(one, result, 5e-324)
+
+
+def test_a_migration_at_its_own_arrival_fails_the_decomposition():
+    # the small part of item 0 would last no time, which no instance holds
+    one = Instance(items=(Item(0, 0.0, 1, 2.0),), scale=2)
+    ledger = MigrationLedger(2)
+    ledger.entries.append(LedgerEntry(0.0, 0, 1, 0, 1, "Is", "small-to-big"))
+    result = SimpleNamespace(ledger=ledger, departures={0: 2.0}, total_active_time=2.0)
+    with pytest.raises(InvariantViolation) as exc:
+        check_decomposition(one, result, 1.0)
+    assert str(exc.value) == (
+        "decomposition: invalid sub-instance: item 0: duration must be positive"
+    )
 
 
 def test_delay_trial_with_all_checks():
@@ -183,6 +230,15 @@ def test_aggregate_skips_blank_columns():
     agg = aggregate(rows)
     assert agg["alg_cost"]["mean"] == 3.0
     assert "ratio" not in agg
+
+
+@pytest.mark.parametrize("costs", [[math.inf, 1.0], [1.7e308, 1.7e308]])
+def test_aggregate_of_costs_past_the_largest_float(costs):
+    # times near the largest float make a trial's cost infinite, or two
+    # costs sum past it; the mean is then inf and the spread unknown
+    agg = aggregate([{"alg_cost": c} for c in costs])["alg_cost"]
+    assert agg["mean"] == math.inf and math.isnan(agg["std"])
+    assert (agg["min"], agg["max"], agg["n"]) == (min(costs), max(costs), 2)
 
 
 def test_checked_run_rejects_unknown_check():

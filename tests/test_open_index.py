@@ -110,7 +110,7 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
             )
             for label in (BAD, GOOD):
                 for size_num in range(1, SCALE + 1):
-                    assert engine.first_fit(group, label, size_num) is naive_first_fit(
+                    assert engine.first_fit(group, (label,), size_num) is naive_first_fit(
                         registry, SCALE, group, label, size_num
                     )
 
@@ -139,7 +139,7 @@ def test_open_index_matches_registry_after_every_event(name):
         for group, ids in expected.items():
             for label in {registry[i].label for i in ids}:
                 for size_num in (1, 5, 8, 13, 16):
-                    assert engine.first_fit(group, label, size_num) is naive_first_fit(
+                    assert engine.first_fit(group, (label,), size_num) is naive_first_fit(
                         registry, engine.scale, group, label, size_num
                     ), f"t={time} group={group} label={label} size={size_num}"
         events.append(time)

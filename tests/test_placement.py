@@ -39,9 +39,9 @@ class ReferenceMigrator(SingleClassMigrator):
     def place(self, item_id):
         engine = self.engine
         size_num = engine.size_of(item_id)
-        target = engine.first_fit(self.group, BAD, size_num)
+        target = engine.first_fit(self.group, (BAD,), size_num)
         if target is None:
-            target = engine.first_fit(self.group, GOOD, size_num)
+            target = engine.first_fit(self.group, (GOOD,), size_num)
         if target is None:
             target = engine.open_bin(BAD, self.group)
         engine.place(item_id, target.id)
@@ -51,14 +51,14 @@ class ReferenceMigrator(SingleClassMigrator):
 class ReferenceFirstFit(FirstFitPolicy):
     def on_arrival(self, item_id, size_num, time):
         engine = self.engine
-        b = engine.first_fit("ff", GOOD, size_num) or engine.open_bin(GOOD, "ff")
+        b = engine.first_fit("ff", (GOOD,), size_num) or engine.open_bin(GOOD, "ff")
         engine.place(item_id, b.id)
 
 
 class ReferenceDelay(DelayPolicy):
     def on_arrival(self, item_id, size_num, time):
         engine = self.engine
-        b = engine.first_fit("Is", GOOD, size_num) or engine.open_bin(GOOD, "Is")
+        b = engine.first_fit("Is", (GOOD,), size_num) or engine.open_bin(GOOD, "Is")
         engine.place(item_id, b.id)
         self.location[item_id] = "Is"
         engine.schedule_checkpoint(item_id, time + self.sqrt_c)
@@ -68,7 +68,7 @@ class ReferenceDelay(DelayPolicy):
         staged = [(i, engine.begin_migration(i)) for i in sorted(item_ids)]
         for item_id, size_num in staged:
             src_pool = self.location[item_id]
-            dest = engine.first_fit("Ib", GOOD, size_num) or engine.open_bin(GOOD, "Ib")
+            dest = engine.first_fit("Ib", (GOOD,), size_num) or engine.open_bin(GOOD, "Ib")
             rule = "small-to-big" if src_pool == "Is" else "reshuffle"
             engine.complete_migration(item_id, dest.id, rule, src_pool, time)
             self.location[item_id] = "Ib"
