@@ -199,8 +199,9 @@ def check_config(config: ExperimentConfig) -> None:
     policy built to find out is dropped), a migration_budget or
     size_budget check with an alpha outside (0, 1/2) (_check_budget_alpha)
     or for a policy whose checks do not list it, or a delay_schedule or
-    decomposition check without a delay cost. Both a config file and the
-    run/verify options go through it."""
+    decomposition check without a delay cost or for a policy whose checks
+    do not list it. Both a config file and the run/verify options go
+    through it."""
     for name, rule in CONFIG_FIELDS.items():
         problem = _value_problem(name, getattr(config, name), *rule)
         if problem:
@@ -227,8 +228,12 @@ def check_config(config: ExperimentConfig) -> None:
         if name not in algorithms.ALGORITHMS[config.algorithm].checks:
             raise ValueError(f"check {name} does not apply to algorithm {config.algorithm}")
     for name in ("delay_schedule", "decomposition"):
-        if name in config.checks and not config.delay_cost:
+        if name not in config.checks:
+            continue
+        if not config.delay_cost:
             raise ValueError(f"check {name} needs a delay_cost")
+        if name not in algorithms.ALGORITHMS[config.algorithm].checks:
+            raise ValueError(f"check {name} does not apply to algorithm {config.algorithm}")
 
 
 def check_generator(generator) -> None:

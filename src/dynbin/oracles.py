@@ -26,30 +26,76 @@ class TimeBudgetExceeded(RuntimeError):
 
 def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int:
     """First-Fit-Decreasing bin count of a snapshot given as counts of each
-    size numerator and order, those sizes descending. Bin after bin takes as
-    many copies of a size as fit, which is where item-by-item FFD puts them:
-    O(sizes * bins). No bin has room for a size above half a bin, since one
-    at least as large opened each, so each copy opens a bin with no scan."""
-    free: list[int] = []  # residual capacity of each bin, in opening order
+    size numerator and order, those sizes descending: O(sizes * runs).
+
+    The bins that still have room are kept as runs, in opening order: a run
+    is a stretch of neighbouring bins with the same residual room. First
+    fit treats a run as one, which keeps the count exact: the copies of a
+    size that reach it fill its first bin before the next, k = room // size
+    to a bin. If there are enough, every bin of the run takes k; otherwise
+    the c left fill its first c // k bins, put c % k in the next one, and
+    split it into at most three runs. A size above half a bin fits in no
+    open bin, since one at least as large opened each, so its copies open
+    one run of new bins with no scan. A full bin leaves the runs."""
+    room: list[int] = []  # residual room of each run, in opening order
+    width: list[int] = []  # number of bins in each run
+    bins = 0
     for s in order:
         c = counts[s]
-        if 2 * s <= scale and free and max(free) >= s:
-            for i, r in enumerate(free):
-                if r >= s:
-                    fit = r // s
-                    if fit >= c:
-                        free[i] = r - c * s
-                        c = 0
-                        break
-                    free[i] = r - fit * s
-                    c -= fit
+        if 2 * s > scale:
+            bins += c
+            if s < scale:
+                room.append(scale - s)
+                width.append(c)
+            continue
+        i = 0
+        while i < len(room):
+            r = room[i]
+            if r < s:
+                i += 1
+                continue
+            k = r // s
+            m = width[i]
+            if k * m <= c:  # every bin of the run takes k copies
+                c -= k * m
+                r -= k * s
+                if r:
+                    room[i] = r
+                    i += 1
+                else:
+                    del room[i], width[i]
+                if not c:
+                    break
+                continue
+            q, rem = divmod(c, k)  # q bins take k copies, one takes rem
+            split_room: list[int] = []
+            split_width: list[int] = []
+            if q and r > k * s:
+                split_room.append(r - k * s)
+                split_width.append(q)
+            if rem:
+                split_room.append(r - rem * s)
+                split_width.append(1)
+                q += 1
+            if m > q:
+                split_room.append(r)
+                split_width.append(m - q)
+            room[i : i + 1] = split_room
+            width[i : i + 1] = split_width
+            c = 0
+            break
         if c:
             per_bin = scale // s
             full, rest = divmod(c, per_bin)
-            free += [scale - per_bin * s] * full
+            bins += full
+            if full and per_bin * s < scale:
+                room.append(scale - per_bin * s)
+                width.append(full)
             if rest:
-                free.append(scale - rest * s)
-    return len(free)
+                bins += 1
+                room.append(scale - rest * s)
+                width.append(1)
+    return bins
 
 
 def ffd_snapshot(sizes, scale: int) -> int:
@@ -216,8 +262,10 @@ class Snapshot(NamedTuple):
 def snapshots(instance: Instance) -> Iterator[Snapshot]:
     """Sweep the sorted arrival and departure boundaries once, keeping the
     counts of live size numerators, those sizes in order, the item count
-    and the volume, and yield one Snapshot per interval: O(n log n) for the
-    events plus FFD on the ordered counts per interval, which sorts nothing.
+    and the volume, and yield one Snapshot per interval: O(n log n +
+    intervals * sizes * runs), the events plus FFD on the ordered counts per
+    interval, which sorts nothing and walks runs of bins with equal room
+    (_ffd_counts) rather than bins.
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),
     or a live volume of at most 1.5 bins (2 * volume <= 3 * scale). For

@@ -437,6 +437,42 @@ def test_a_delay_check_without_a_delay_cost_is_a_one_line_error(
     assert result.stderr == f"Error: {config}: check {check} needs a delay_cost\n"
 
 
+@pytest.mark.parametrize(
+    "alg, alpha, check",
+    [
+        ("alg2", "1/4", "decomposition"),
+        ("alg2", "1/4", "delay_schedule"),
+        ("firstfit", None, "decomposition"),
+        ("sizecost", "1/4", "delay_schedule"),
+    ],
+)
+def test_a_delay_check_on_a_policy_without_delays_is_a_one_line_error(
+    tmp_path, alg, alpha, check
+):
+    # the decomposition and the delay schedule describe the delay policy's
+    # runs; alg2 with a delay cost used to fail the decomposition check as
+    # an INVARIANT VIOLATION
+    problem = f"check {check} does not apply to algorithm {alg}"
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+           "--window", "10", "-o", path)
+    options = ["--alg", alg, "--delay-c", "1", "--checks", check]
+    if alpha is not None:
+        options += ["--alpha", alpha]
+    result = invoke("run", path, *options)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {problem}\n"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "algorithm": alg, "alpha": alpha, "delay_cost": 1, "trials": 20, "checks": [check],
+        "generator": {"family": "basiclb", "k": 8, "mu": 16},
+    }))
+    result = invoke("run", "--config", config)
+    assert result.exit_code == 1
+    assert result.stderr == f"Error: {config}: {problem}\n"
+
+
 def test_a_delay_check_runs_with_a_delay_cost(tmp_path):
     path = tmp_path / "inst.jsonl"
     invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",

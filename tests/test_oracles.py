@@ -161,8 +161,9 @@ def list_ffd(sizes, scale):
 
 
 def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET):
-    """O(n * intervals): per interval one live_sizes_at scan, one FFD and
-    one opt_snapshot, the way opt_total worked before the sweep."""
+    """O(n * intervals): per interval one live_sizes_at scan, one
+    item-by-item FFD and one opt_snapshot, the way opt_total worked before
+    the sweep."""
     boundaries = sorted(
         {it.arrival for it in instance.items}
         | {it.arrival + it.duration for it in instance.items}
@@ -172,7 +173,7 @@ def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET
     all_exact = True
     for start, end in zip(boundaries, boundaries[1:]):
         sizes = live_sizes_at(instance, start)
-        ffd = ffd_snapshot(sizes, instance.scale)
+        ffd = list_ffd(sizes, instance.scale)
         l1 = -(-sum(sizes) // instance.scale)
         try:
             opt, exact = opt_snapshot(sizes, instance.scale, max_items, time_budget), True
@@ -368,6 +369,40 @@ def test_ffd_is_skipped_up_to_one_and_a_half_bins(monkeypatch):
 def test_count_ffd_matches_item_ffd(case):
     scale, sizes = case
     assert ffd_snapshot(sizes, scale) == list_ffd(sizes, scale)
+
+
+@st.composite
+def runs_of_copies(draw):
+    """A scale up to 256 and up to 80 copies of each of 1-6 distinct sizes,
+    scale and scale // 2 among the sizes drawn most: the multisets that
+    open, split and fill runs of equal bins in FFD on counts."""
+    scale = draw(st.integers(1, 256))
+    size = st.sampled_from([scale, max(1, scale // 2)]) | st.integers(1, scale)
+    sizes = draw(st.lists(size, min_size=1, max_size=6, unique=True))
+    return scale, [s for s in sizes for _ in range(draw(st.integers(1, 80)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs_of_copies())
+@example((256, [256] * 3 + [128] * 80 + [85] * 7 + [3] * 80))
+@example((9, [9] * 5 + [4] * 80 + [1] * 11))
+@example((20, [11] * 6 + [4] * 7 + [2] * 5))  # splits into three runs, then into two
+def test_count_ffd_matches_item_ffd_on_many_copies(case):
+    scale, sizes = case
+    assert ffd_snapshot(sizes, scale) == list_ffd(sizes, scale)
+
+
+def test_opt_total_matches_naive_sweep_at_forty_live_items():
+    # the benchmark's offline shape at a tenth of its length: about 40 live
+    # items and 1,200 intervals
+    instance = gen_uniform(600, 16, (1.0, 2.0), 600 * 1.5 / 40, 7)
+    set_cache()
+    report = opt_total(instance)
+    set_cache()
+    assert report.to_dict() == naive_opt_total(instance, oracles.DEFAULT_MAX_ITEMS).to_dict()
+    set_cache()
+    assert len(report.intervals) > 1000
+    assert max(len(live_sizes_at(instance, iv.start)) for iv in report.intervals) > 40
 
 
 @settings(max_examples=200, deadline=None)
