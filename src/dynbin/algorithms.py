@@ -254,7 +254,8 @@ class DelayPolicy(Policy):
 
     Same-time checkpoint migrations are batched: all movers leave their
     bins first, then re-enter first-fit in item-id order, matching the
-    event order of the decomposed sub-instances.
+    event order of the decomposed sub-instances. The engine's migration
+    count gives the pool an item leaves: small at first, big after.
     """
 
     name = "delay"
@@ -271,29 +272,30 @@ class DelayPolicy(Policy):
         super().bind(engine)
         if engine.delay_cost != self.delay_cost:
             raise SimulationError("engine delay cost does not match the policy")
-        self.location: dict[int, str] = {}
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        engine = self.engine
-        engine.place_first_fit(item_id, "Is", (GOOD,), GOOD)
-        self.location[item_id] = "Is"
-        engine.schedule_checkpoint(item_id, time + self.sqrt_c)
+        self.engine.place_first_fit(item_id, "Is", (GOOD,), GOOD)
+        checkpoint = time + self.sqrt_c
+        if checkpoint == time:  # it would migrate the item at its arrival
+            raise SimulationError(f"t={time}: the first checkpoint, t + sqrt(C), rounds to t")
+        self.engine.schedule_checkpoint(item_id, checkpoint)
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
-        engine, location = self.engine, self.location
-        movers = sorted(item_ids)
-        for item_id in movers:
+        engine = self.engine
+        for item_id in item_ids:
             engine.begin_migration(item_id)
         next_checkpoint = time + self.delay_cost + self.sqrt_c
-        if next_checkpoint == time:  # it would fire at this time again, forever
-            raise SimulationError(f"t={time}: the next checkpoint, t + C + sqrt(C), rounds to t")
-        for item_id in movers:
-            src_pool = location[item_id]
-            rule = "small-to-big" if src_pool == "Is" else "reshuffle"
+        if next_checkpoint - time <= self.delay_cost:  # the departure keeps pace, forever
+            raise SimulationError(
+                f"t={time}: the next checkpoint, t + C + sqrt(C), rounds to at most"
+                " t + C, so the item would never depart"
+            )
+        migrated = engine.migrations_per_item
+        for item_id in item_ids:
+            rule, src_pool = ("reshuffle", "Ib") if item_id in migrated else ("small-to-big", "Is")
             engine.complete_migration_first_fit(
                 item_id, "Ib", (GOOD,), GOOD, rule, src_pool, time
             )
-            location[item_id] = "Ib"
             engine.schedule_checkpoint(item_id, next_checkpoint)
 
 
@@ -334,7 +336,7 @@ def decompose_delay_run(
     for e in result.ledger.entries:
         times_by_item.setdefault(e.item, []).append(e.time)
     for it in instance.items:
-        times = sorted(times_by_item.get(it.id, []))
+        times = times_by_item.get(it.id, [])  # ledger order: ascending
         departure = result.departures[it.id]
         if not times:
             small_items.append(

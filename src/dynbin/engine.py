@@ -6,7 +6,11 @@ durations (non-clairvoyance) -- the only duration information a policy
 receives is the departure event itself.
 
 Event order at equal time: departures, then migration checkpoints, then
-arrivals, then adversary resolution; ties broken by item id.
+arrivals, then adversary resolution; ties broken by item id. Checkpoints
+live only in the heap: one fires unless its item has departed, so never at
+its departure time, and once per (item, time), as the heap pops a repeat
+right after it. A time's checkpoints reach `on_checkpoints` as one batch,
+in ascending id; one scheduled for that time during the call fires anew.
 
 The event queue holds only live items. Arrivals are read in order from
 the instance's items, sorted once by (arrival, id); a heap holds the
@@ -345,7 +349,8 @@ class Policy:
         pass
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
-        pass
+        """The live items with a checkpoint at time, in ascending id, each
+        once however often it was scheduled."""
 
     def additive_at(self, time: float) -> int:
         """The additive term of open bins <= OPT_t / alpha + additive at time."""
@@ -395,7 +400,6 @@ class Engine:
         self.events: list = []  # time, kind name, item, end per event
         self.actions: list = []  # action name, then its ACTION_FIELDS values
         self._open_count = 0
-        self._pending_checkpoints: dict[int, set[float]] = {}
         self._staged: dict[int, int] = {}  # item id -> source bin of a migration
         self._heap: list[tuple[float, int, int]] = []
         self._arrival_placed = False
@@ -546,11 +550,6 @@ class Engine:
         self.complete_migration(item_id, bin_id, rule, class_key, time)
 
     def schedule_checkpoint(self, item_id: int, time: float) -> None:
-        pending = self._pending_checkpoints.get(item_id)
-        if pending is None:
-            self._pending_checkpoints[item_id] = {time}
-        else:
-            pending.add(time)
         heapq.heappush(self._heap, (time, _CHECKPOINT, item_id))
 
     # ------------------------------------------------------------------
@@ -703,7 +702,7 @@ class Engine:
             policy.bind(self)
             events, actions = self.events, self.actions
             live, live_items, bins, closed = self.live, self._live_items, self.bins, self._closed
-            departure_time, pending_checkpoints = self.departure_time, self._pending_checkpoints
+            departure_time = self.departure_time
             if actions:
                 events.extend((None, "SETUP", None, len(actions)))
 
@@ -717,15 +716,12 @@ class Engine:
             while heap or arrivals:
                 if heap and (not arrivals or heap[0] < next_arrival):
                     time, kind, item_id = heappop(heap)
-                    # drop stale rescheduled departures / fired checkpoints
+                    # drop stale rescheduled departures, departed items' checkpoints
                     if kind == _DEPARTURE:
                         if item_id not in live or departure_time[item_id] != time:
                             continue
-                    elif kind == _CHECKPOINT:
-                        pending = pending_checkpoints.get(item_id)
-                        if item_id not in live or pending is None or time not in pending:
-                            continue
-                        pending.discard(time)
+                    elif kind == _CHECKPOINT and item_id not in live:
+                        continue
                 else:
                     it = arrivals.pop()
                     item_id, time, size, duration = it
@@ -759,16 +755,13 @@ class Engine:
                     actions.extend(("depart", item_id, bin_id, live[item_id]))
                     self._detach(item_id, bin_id)
                     del live[item_id], live_items[item_id], departure_time[item_id]
-                    pending_checkpoints.pop(item_id, None)
                     departures[item_id] = time
                     policy.on_departure(item_id, bin_id, time)
                 elif kind == _CHECKPOINT:
-                    batch = [item_id]
+                    batch = [item_id]  # in id order; a repeated (item, time) is skipped
                     while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
                         _, _, other = heappop(heap)
-                        pending = pending_checkpoints.get(other)
-                        if other in live and pending is not None and time in pending:
-                            pending.discard(time)
+                        if other in live and other != batch[-1]:
                             batch.append(other)
                     policy.on_checkpoints(batch, time)
                 else:  # _RESOLVE

@@ -382,10 +382,14 @@ def check_migration_budget(
 def check_size_budget(
     instance: Instance, result: SimulationResult, alpha: Fraction
 ) -> None:
+    """Migrated size at most alpha/(1-2*alpha) = p/(q-2p) times the total
+    size, alpha = p/q, tested in integers on the size numerators."""
     _check_budget_alpha("size_budget", alpha)
-    total_size = sum(it.size_num for it in instance.items) / instance.scale
-    budget = float(alpha / (1 - 2 * alpha)) * total_size
-    if result.ledger.size_sum > budget + 1e-12:
+    p, q = alpha.numerator, alpha.denominator
+    total = sum(it.size_num for it in instance.items)
+    migrated = sum(e.size_num for e in result.ledger.entries)
+    if migrated * (q - 2 * p) > p * total:
+        budget = float(alpha / (1 - 2 * alpha)) * (total / instance.scale)
         raise InvariantViolation(
             "size_budget", f"migrated size {result.ledger.size_sum} > {budget}"
         )

@@ -257,6 +257,19 @@ class TestSizeCost:
         assert counts and all(c == 1 for c in counts)
 
 
+def stop_after_200_events():
+    """An observer that fails a run still going after 200 events."""
+    events = 0
+
+    def observer(engine, time):
+        nonlocal events
+        events += 1
+        if events > 200:
+            raise AssertionError(f"still running at t={time} after 200 events")
+
+    return observer
+
+
 class TestDelay:
     def test_migration_times_and_rescheduling(self):
         one = Instance(items=(Item(0, 0.0, 1, 25.0),), scale=2)
@@ -303,11 +316,27 @@ class TestDelay:
             DelayPolicy(0.5)
 
     def test_a_checkpoint_that_rounds_to_its_own_time_ends_the_run(self):
-        # floats 16 apart at 2^56: t + 1 and t + C + sqrt(C) = t + 2 both
-        # round to t, so the checkpoint would fire at t again, forever
-        one = Instance(items=(Item(0, 2.0**56, 1, 64.0),), scale=2)
-        with pytest.raises(SimulationError, match="rounds to t"):
-            simulate(one, DelayPolicy(1.0), delay_cost=1.0)
+        # floats 16 apart at 2^56: t + sqrt(C) rounds to t, for C = 64 by
+        # rounding half to even, so the item would migrate at its arrival
+        one = Instance(items=(Item(0, 2.0**56, 1, 100.0),), scale=2)
+        for c in (1.0, 64.0):
+            with pytest.raises(SimulationError) as stop:
+                simulate(one, DelayPolicy(c), delay_cost=c, observers=[stop_after_200_events()])
+            assert str(stop.value) == f"t={2.0**56}: the first checkpoint, t + sqrt(C), rounds to t"
+
+    def test_a_checkpoint_that_keeps_pace_with_the_departure_ends_the_run(self):
+        # floats 16 apart past 2^56, C = 64: the first checkpoint, t + 8,
+        # rounds to t + 16, and from there t + C + sqrt(C) = t + 72 rounds to
+        # t + 64, as far as a migration moves the departure
+        t = 2.0**56 + 16
+        one = Instance(items=(Item(0, t, 1, 100.0),), scale=2)
+        with pytest.raises(SimulationError) as stop:
+            simulate(one, DelayPolicy(64.0), delay_cost=64.0,
+                     observers=[stop_after_200_events()])
+        assert str(stop.value) == (
+            f"t={t + 16}: the next checkpoint, t + C + sqrt(C), rounds to at most"
+            " t + C, so the item would never depart"
+        )
 
 
 def test_make_policy_names():

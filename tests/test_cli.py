@@ -484,15 +484,34 @@ def test_a_delay_check_runs_with_a_delay_cost(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_a_run_the_engine_stops_is_a_one_line_error(tmp_path, command):
-    # at 2^56 floats lie 16 apart, so a checkpoint C + sqrt(C) = 2 later
-    # rounds to its own time and the delay policy stops the run
+    # past 2^56 floats lie 16 apart: the checkpoint at 2^56 + 32 is followed
+    # by t + C + sqrt(C) = t + 72, which rounds to t + C, so the delay
+    # policy stops the run rather than migrate the item forever
     path = tmp_path / "inst.jsonl"
-    write_jsonl(Instance(items=(Item(0, 2.0**56, 1, 64.0),), scale=2), path)
-    result = invoke(command, path, "--alg", "delay", "--delay-c", "1")
+    write_jsonl(Instance(items=(Item(0, 2.0**56 + 16, 1, 100.0),), scale=2), path)
+    result = invoke(command, path, "--alg", "delay", "--delay-c", "64")
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.stderr == (
-        f"Error: t={2.0**56}: the next checkpoint, t + C + sqrt(C), rounds to t\n"
+        f"Error: t={2.0**56 + 32}: the next checkpoint, t + C + sqrt(C), rounds to at most"
+        " t + C, so the item would never depart\n"
+    )
+
+
+def test_a_delay_config_past_float_resolution_ends_in_one_error_line(tmp_path):
+    # arrivals up to 1e17, where floats lie 16 apart: the delay policy used
+    # to migrate an item there forever; a subprocess, so a hang times out
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "algorithm": "delay", "delay_cost": 64, "trials": 1, "checks": ["packing"],
+        "generator": {"family": "uniform", "n": 20, "size_grid": 8,
+                      "duration_range": [100.0, 100.0], "arrival_window": 1e17},
+    }))
+    proc = subprocess.run(CLI + ["run", "--config", str(config)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "Error: t=7.298317482601286e+16: the first checkpoint, t + sqrt(C), rounds to t\n"
     )
 
 

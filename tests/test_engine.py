@@ -427,3 +427,40 @@ def test_records_are_flat_lists_of_plain_values(make_policy, delay_cost):
     assert {"open", "place", "depart", "close"} <= kinds
     assert len(result.events) % 4 == 0
     assert result.events[-1] == len(result.actions)
+
+
+class Checkpointer(Policy):
+    """Places every item first fit and schedules the checkpoints `plan`
+    lists for it when it arrives; logs each on_checkpoints call, and
+    schedules each (item, time) in `again` once more from inside it."""
+
+    def __init__(self, plan, again=()):
+        self.plan = plan
+        self.again = set(again)
+        self.calls = []
+
+    def on_arrival(self, item_id, size_num, time):
+        self.engine.place_first_fit(item_id, "g", (GOOD,), GOOD)
+        for t in self.plan.get(item_id, ()):
+            self.engine.schedule_checkpoint(item_id, t)
+
+    def on_checkpoints(self, item_ids, time):
+        self.calls.append((time, list(item_ids)))
+        for item_id in item_ids:
+            if (item_id, time) in self.again:
+                self.again.discard((item_id, time))
+                self.engine.schedule_checkpoint(item_id, time)
+
+
+def test_checkpoints_fire_once_per_item_and_time_in_id_order():
+    # item 0 (0 to 10) has a checkpoint at 2 twice, one at 6 that it
+    # schedules again at 6 when it fires, and one at its departure time;
+    # item 2 (0 to 8) schedules its checkpoint at 3 before item 1 (1 to 4)
+    # does, and item 1 has one more at 5, after it departs
+    policy = Checkpointer({0: [2.0, 6.0, 2.0, 10.0], 1: [5.0, 3.0], 2: [3.0]}, again=[(0, 6.0)])
+    items = [Item(0, 0.0, 1, 10.0), Item(1, 1.0, 1, 3.0), Item(2, 0.0, 1, 8.0)]
+    result = simulate(inst(items), policy)
+    assert policy.calls == [(2.0, [0]), (3.0, [1, 2]), (6.0, [0]), (6.0, [0])]
+    assert [(t, i) for t, kind, i, _ in event_records(result.events) if kind == "CHECKPOINT"] == [
+        (2.0, 0), (3.0, 1), (6.0, 0), (6.0, 0)
+    ]

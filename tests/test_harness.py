@@ -152,6 +152,23 @@ def test_migration_budget_is_exact_at_its_bound(alpha, class_key, n_c):
         check_migration_budget(instance, run(allowed + 1), alpha)
 
 
+def test_size_budget_is_exact_at_its_bound():
+    # alpha = 1/5 allows 1/3 of the total size: 51,845 of 155,535 thirds,
+    # where a float sum and product land an ulp apart
+    alpha = Fraction(1, 5)
+    instance = Instance(items=tuple(Item(i, 0.0, 3, 1.0) for i in range(51845)), scale=3)
+
+    def run(migrated):
+        ledger = MigrationLedger(3)
+        sizes = [3] * (migrated // 3) + ([migrated % 3] if migrated % 3 else [])
+        ledger.entries.extend(LedgerEntry(0.0, 0, s, 0, 1, "shared", "drain") for s in sizes)
+        return SimpleNamespace(ledger=ledger)
+
+    check_size_budget(instance, run(51845), alpha)
+    with pytest.raises(InvariantViolation, match="size_budget"):
+        check_size_budget(instance, run(51846), alpha)
+
+
 def test_migration_budget_accepts_compliant_run():
     items = tuple(Item(i, 0.0, 1, 1.0 if i < 7 else 5.0) for i in range(12))
     instance = Instance(items=items, scale=8)

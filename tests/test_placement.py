@@ -56,6 +56,13 @@ class ReferenceFirstFit(FirstFitPolicy):
 
 
 class ReferenceDelay(DelayPolicy):
+    """The delay rules as separate engine calls, tracking each item's pool
+    in a map of its own rather than from the migration count."""
+
+    def bind(self, engine):
+        super().bind(engine)
+        self.location = {}
+
     def on_arrival(self, item_id, size_num, time):
         engine = self.engine
         b = engine.first_fit("Is", (GOOD,), size_num) or engine.open_bin(GOOD, "Is")
