@@ -1,14 +1,17 @@
 """Byte-identity of CLI outputs.
 
 Each case runs the CLI in-process and hashes what it prints and writes:
-`verify` for every algorithm on three instances, `run --checks --trace`
-on one file, and `run --config` batches with every applicable check.
+`verify` for every algorithm on three instances, `opt` on each instance
+from a cold oracle cache, `run --checks --trace` on one file, and
+`run --config` batches with every applicable check.
 The expected digests were recorded while `verify` still simulated once
 per check and `run` kept its own simulate-and-check code; the shared
 path must reproduce every byte. `verify alg1` on uniform and delaylb
 was re-recorded when the migration budget began to count alg1's single
 class against all items: each ended in `FAIL migration_budget: ... in
-class > 0.0` and exit 1 before, and now passes every check.
+class > 0.0` and exit 1 before, and now passes every check. The `opt`
+digests were recorded before `opt_total` took over the interval sweep
+from a separate snapshot generator.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dynbin import cli
+from dynbin import cli, oracles
 from dynbin.harness import applicable_checks
 
 INSTANCES = {
@@ -45,6 +48,11 @@ BATCHES = {
 }
 
 EXPECTED = {
+    "opt delaylb": "e35a2749b0affa1dd2692e7d4f5c317d39be62b098fc929a728f30ec079d80be",
+    # fig2 defers its durations to the adversary, so opt refuses it
+    "opt fig2": "6b1db06abd7921b4618011750ab5082a941ec4bdcc8439506d98c4d7a8e409b6",
+    "opt uniform": "e91cd4acfbe9ba4d5c5d414d19542f354ef4a124cf71697377009d2780614ed5",
+    "opt uniform --max-items 2": "4b5b456e608c61b766501a50c313a905d76106550c574df8afebdf7d31c15b5d",
     "run --checks --trace": "d9e30bd32db313578c372ae395239a3721f9e36f05e655033fc72e85da7e91e3",
     "run --config alg2": "0bc3eb4ad5eb06ee99681bbc2f035234c38cdad27022b0e8f86d86f17d024166",
     "run --config delay": "f27d3f6e4d1e8c9aad6fcd49b04ad43763fbf0ee190a71d8c075d0edb5a16f9f",
@@ -95,6 +103,14 @@ def run_trace_bytes(tmp_path):
     return f"{result.exit_code}\n{result.stdout}".encode() + trace.read_bytes()
 
 
+def opt_bytes(tmp_path, instance, *options):
+    # a warm cache can make an interval exact that a cold sweep leaves at L1
+    oracles._opt_cache.clear()
+    oracles._most_bnb_items = 0
+    result = invoke(["opt", instance_file(tmp_path, instance), *options])
+    return f"{result.exit_code}\n{result.stdout}{result.stderr}".encode()
+
+
 def run_config_bytes(tmp_path, alg):
     config = {"algorithm": alg, "trials": 3, "base_seed": 4,
               "checks": applicable_checks(alg), **BATCHES[alg]}
@@ -108,6 +124,9 @@ def run_config_bytes(tmp_path, alg):
 CASES = {
     **{f"verify {alg} {instance}": (lambda p, a=alg, i=instance: verify_bytes(p, i, a))
        for instance in INSTANCES for alg in ALG_OPTIONS},
+    **{f"opt {instance}": (lambda p, i=instance: opt_bytes(p, i)) for instance in INSTANCES},
+    # an interval past two items where FFD misses L1 ends inexact
+    "opt uniform --max-items 2": lambda p: opt_bytes(p, "uniform", "--max-items", "2"),
     "run --checks --trace": run_trace_bytes,
     **{f"run --config {alg}": (lambda p, a=alg: run_config_bytes(p, a)) for alg in BATCHES},
 }
