@@ -128,9 +128,11 @@ def validate(instance: Instance) -> list[str]:
             violations.append(f"item {it.id}: size must be positive")
         elif it.size_num > instance.scale:
             violations.append(f"item {it.id}: size exceeds bin capacity")
-        if it.arrival < 0:
+        if it.arrival != it.arrival:
+            violations.append(f"item {it.id}: arrival is NaN")
+        elif it.arrival < 0:
             violations.append(f"item {it.id}: negative arrival")
-        if it.duration is not None and it.duration <= 0:
+        if it.duration is not None and not it.duration > 0:  # NaN too
             violations.append(f"item {it.id}: duration must be positive")
     return violations
 

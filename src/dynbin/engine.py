@@ -16,9 +16,13 @@ The event queue holds only live items. Arrivals are read in order from
 the instance's items, sorted once by (arrival, id); a heap holds the
 departure of each live item (pushed when it arrives, or when the
 adversary resolves its duration), pending checkpoints and the resolve
-event, and the two merge by (time, kind). So the heap stays as small as
-the live set, not 2n entries, and the queue's cost per event does not
-grow with n. When a run ends the engine drops its policy, which refers back
+event, and the two merge by (time, kind). A migration under a delay cost
+pushes nothing: it moves the item's departure time later, and the
+item's entry, popped at the old time, goes back in at the new one.
+Departures only move later, so events pop in the order they would if
+each delay pushed an entry of its own, and the heap holds one departure
+per live item. So the heap stays as small as the live set, not 2n
+entries, and the queue's cost per event does not grow with n. When a run ends the engine drops its policy, which refers back
 to it: no reference cycle outlives the run, and everything it built is
 freed by reference counting as soon as the caller lets go of the result,
 policy and engine, without a pass of the cyclic garbage collector.
@@ -612,8 +616,8 @@ class Engine:
     def _migrated(
         self, item_id: int, size: int, src: int, dst: int, rule: str, class_key: str, time: float
     ) -> None:
-        """Record a completed migration and, under a delay cost, push the
-        item's departure back."""
+        """Record a completed migration and, under a delay cost, move the
+        item's departure time later; its heap entry follows when popped."""
         self.ledger.entries.append(
             LedgerEntry(time, item_id, size, src, dst, class_key, rule)
         )
@@ -629,7 +633,6 @@ class Engine:
                 + self.delay_cost * self.migrations_per_item[item_id]
             )
             self.departure_time[item_id] = new_dep
-            heapq.heappush(self._heap, (new_dep, _DEPARTURE, item_id))
 
     def _detach(self, item_id: int, bin_id: int) -> None:
         b = self.bins[bin_id]
@@ -716,9 +719,12 @@ class Engine:
             while heap or arrivals:
                 if heap and (not arrivals or heap[0] < next_arrival):
                     time, kind, item_id = heappop(heap)
-                    # drop stale rescheduled departures, departed items' checkpoints
+                    # a departure a migration delayed goes back in at its
+                    # new time; drop departed items' checkpoints
                     if kind == _DEPARTURE:
-                        if item_id not in live or departure_time[item_id] != time:
+                        departure = departure_time[item_id]
+                        if departure != time:
+                            heappush(heap, (departure, _DEPARTURE, item_id))
                             continue
                     elif kind == _CHECKPOINT and item_id not in live:
                         continue

@@ -8,13 +8,10 @@ and bad_bin_observer feeds the same reader live."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
@@ -601,6 +598,9 @@ def cmd_run(config: ExperimentConfig) -> dict:
     """Execute all trials and assemble the report."""
     seeds = [config.base_seed + i for i in range(config.trials)]
     if config.jobs > 1:
+        # imported here: the pool's modules cost every other run setup time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(run_trial, [config] * len(seeds), seeds))
     else:
@@ -638,6 +638,9 @@ def aggregate(rows: list[dict]) -> dict:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

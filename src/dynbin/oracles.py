@@ -8,7 +8,7 @@ import time as _time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 from .core import Instance, UnresolvedDurationError, span, vol
 
@@ -237,7 +237,7 @@ class OptReport:
 
 def live_sizes_at(instance: Instance, t: float) -> list[int]:
     """Size numerators of items whose half-open lifetime contains t; the
-    O(n) naive reference for the snapshots the sweep keeps."""
+    O(n) naive reference for the live sizes opt_total's sweep keeps."""
     return [
         it.size_num
         for it in instance.items
@@ -245,27 +245,22 @@ def live_sizes_at(instance: Instance, t: float) -> list[int]:
     ]
 
 
-class Snapshot(NamedTuple):
-    """The live items on [start, end), between two consecutive event
-    boundaries. counts maps each live size numerator to its number of
-    items; it is a copy made only when lower < upper, the one case where
-    the exact solver may need the sizes, and None otherwise."""
+def opt_total(
+    instance: Instance,
+    max_items: int = DEFAULT_MAX_ITEMS,
+    time_budget: float = DEFAULT_TIME_BUDGET,
+) -> OptReport:
+    """Integrate the per-time packing optimum over event intervals.
 
-    start: float
-    end: float
-    counts: dict[int, int] | None
-    items: int  # number of live items
-    lower: int  # L1: ceil(live volume / scale)
-    upper: int  # FFD bin count
+    The optimum may repack arbitrarily at any moment, so it is piecewise
+    constant between arrival/departure events. One sweep walks the sorted
+    boundaries, applying each arriving (+size) and departing (-size) item
+    to the counts of live size numerators, those sizes in ascending order,
+    the item count and the volume: O(n log n + intervals * sizes * runs),
+    the events plus FFD on the ordered counts per interval, which sorts
+    nothing and walks runs of bins with equal room (_ffd_counts) rather
+    than bins.
 
-
-def snapshots(instance: Instance) -> Iterator[Snapshot]:
-    """Sweep the sorted arrival and departure boundaries once, keeping the
-    counts of live size numerators, those sizes in order, the item count
-    and the volume, and yield one Snapshot per interval: O(n log n +
-    intervals * sizes * runs), the events plus FFD on the ordered counts per
-    interval, which sorts nothing and walks runs of bins with equal room
-    (_ffd_counts) rather than bins.
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),
     or a live volume of at most 1.5 bins (2 * volume <= 3 * scale). For
@@ -275,10 +270,16 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
     three need more than 1.5: summing the three pairs counts each load
     twice, 2 * volume > 3 * scale. A volume of at most scale thus packs
     in one bin (none when empty) and one of at most 1.5 bins in two,
-    which is L1 in both cases. The counts are copied only for an
-    interval where L1 < FFD.
-    Raises ValueError on a size outside (0, scale], a negative duration,
-    which would drive a count below zero, or an unresolved one."""
+    which is L1 in both cases.
+
+    Only where L1 < FFD are the sizes built and solved exactly, and only
+    for an interval of at most max_items items or at most as many as the
+    largest snapshot branch and bound has cached; any other interval,
+    like one whose solve gives up, falls back to L1 and is flagged
+    inexact. Raises ValueError on a size outside (0, scale] or a negative
+    duration, which would drive a count below zero, and
+    UnresolvedDurationError on an unresolved one.
+    """
     if instance.has_deferred():
         raise UnresolvedDurationError("unresolved durations")
     scale = instance.scale
@@ -290,78 +291,51 @@ def snapshots(instance: Instance) -> Iterator[Snapshot]:
             raise ValueError(f"item {it.id}: negative duration")
         deltas.setdefault(it.arrival, []).append(it.size_num)
         deltas.setdefault(it.arrival + it.duration, []).append(-it.size_num)
-    boundaries = sorted(
-        {it.arrival for it in instance.items}
-        | {it.arrival + it.duration for it in instance.items}
-    )
+    boundaries = sorted(deltas)
     counts: dict[int, int] = {}
     order: list[int] = []  # the keys of counts, ascending
     volume = items = 0
-    for start, end in zip(boundaries, boundaries[1:]):
-        for d in deltas[start]:
-            s, step = abs(d), 1 if d > 0 else -1
-            c = counts.get(s, 0) + step
-            if c:
-                counts[s] = c
-            else:
-                del counts[s]
-                order.remove(s)
-            if c == 1 and step == 1:  # the first live item of its size
-                insort(order, s)
-            volume += d
-            items += step
-        lower = -(-volume // scale)
-        if items <= 2 or 2 * volume <= 3 * scale:
-            upper = lower
-        else:
-            upper = _ffd_counts(counts, reversed(order), scale)
-        yield Snapshot(
-            start, end, dict(counts) if lower < upper else None, items, lower, upper
-        )
-
-
-def snapshot_opt(
-    snap: Snapshot, scale: int, max_items: int, time_budget: float
-) -> int | None:
-    """Exact OPT_t of a swept snapshot where FFD misses L1 (the one kind
-    whose counts the sweep keeps), ending as opt_snapshot would on its
-    sizes; None, with no sizes built, when it has more than max_items items
-    and more than _most_bnb_items, so the cache cannot hold it."""
-    if snap.items > max_items and snap.items > _most_bnb_items:
-        return None
-    sizes: list[int] = []
-    for s in sorted(snap.counts, reverse=True):
-        sizes += [s] * snap.counts[s]
-    return _solve(tuple(sizes), scale, max_items, time_budget, snap.upper)
-
-
-def opt_total(
-    instance: Instance,
-    max_items: int = DEFAULT_MAX_ITEMS,
-    time_budget: float = DEFAULT_TIME_BUDGET,
-) -> OptReport:
-    """Integrate the per-time packing optimum over event intervals.
-
-    The optimum may repack arbitrarily at any moment, so it is piecewise
-    constant between arrival/departure events. Intervals whose snapshot
-    is too large fall back to bounds and are flagged inexact.
-    """
     intervals: list[OptInterval] = []
     total = 0.0
     upper_total = 0.0
     all_exact = True
-    for snap in snapshots(instance):
-        start, end, _, _, lower, upper = snap
+    for start, end in zip(boundaries, boundaries[1:]):
+        for d in deltas[start]:
+            if d > 0:
+                c = counts.get(d, 0)
+                counts[d] = c + 1
+                if not c:
+                    insort(order, d)
+                items += 1
+            else:
+                c = counts[-d] - 1
+                if c:
+                    counts[-d] = c
+                else:
+                    del counts[-d]
+                    order.remove(-d)
+                items -= 1
+            volume += d
+        lower = -(-volume // scale)
         # FFD == L1 needs no lookup: a cached value is exact, so it equals
         # that bound too
-        exact, opt = True, upper
-        if lower < upper:
-            try:
-                opt = snapshot_opt(snap, instance.scale, max_items, time_budget)
-            except (SnapshotTooLarge, TimeBudgetExceeded):
+        exact = True
+        if items <= 2 or 2 * volume <= 3 * scale:
+            opt = upper = lower
+        else:
+            opt = upper = _ffd_counts(counts, reversed(order), scale)
+            if lower < upper:
                 opt = None
-            if opt is None:
-                exact, opt, all_exact = False, lower, False
+                if items <= max_items or items <= _most_bnb_items:
+                    sizes: list[int] = []
+                    for s in reversed(order):
+                        sizes += [s] * counts[s]
+                    try:
+                        opt = _solve(tuple(sizes), scale, max_items, time_budget, upper)
+                    except (SnapshotTooLarge, TimeBudgetExceeded):
+                        pass
+                if opt is None:
+                    exact, opt, all_exact = False, lower, False
         intervals.append(OptInterval(start, end, exact, opt, lower, upper))
         total += opt * (end - start)
         upper_total += upper * (end - start)
@@ -372,4 +346,3 @@ def opt_total(
         upper_bound=upper_total,
         intervals=intervals,
     )
-

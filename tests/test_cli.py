@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -18,6 +19,17 @@ def run_cli(*args, expect_ok=True):
     if expect_ok and proc.returncode != 0:
         raise AssertionError(f"cli failed: {proc.stderr}\n{proc.stdout}")
     return proc
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with jobs > 1 needs it; a fresh interpreter, since this
+    # one may already have run a pool
+    code = (
+        "import sys, dynbin, dynbin.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_gen_and_run_roundtrip(tmp_path):
@@ -193,6 +205,9 @@ def test_verify_reports_each_check_of_one_run(tmp_path, monkeypatch):
     [
         (Item(0, 0.0, 9, 1.0), "item 0: size exceeds bin capacity"),
         (Item(0, 2.0, 3, -1.0), "item 0: duration must be positive"),
+        # JSON files may hold NaN, which no comparison with a time rejects
+        (Item(0, 2.0, 3, math.nan), "item 0: duration must be positive"),
+        (Item(0, math.nan, 3, 1.0), "item 0: arrival is NaN"),
     ],
 )
 def test_opt_reports_invalid_file(tmp_path, item, problem):

@@ -380,6 +380,18 @@ def test_queue_holds_only_live_departures_through_an_adversary():
     simulate(instance, FirstFitPolicy(), adversary=adversary, observers=[bounded_queue])
 
 
+def test_the_heap_holds_one_departure_per_live_item_under_delays():
+    # more than a thousand migrations each move a departure later, and
+    # the heap still holds at most one departure per live item
+    def watch(engine, time):
+        departures = sum(1 for _, kind, _ in engine._heap if kind == EventKind.DEPARTURE)
+        assert departures <= len(engine.live)
+
+    instance = gen_uniform(300, 16, (1.0, 60.0), 30.0, 1)
+    result = simulate(instance, DelayPolicy(4.0), delay_cost=4.0, observers=[watch])
+    assert sum(result.migrations_per_item.values()) > 1000
+
+
 class Revisit(Policy):
     """Places each item in a bin of its own, and at the second arrival
     makes one call naming the first item's bin, which closed at t=1."""

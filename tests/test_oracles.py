@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -316,21 +315,16 @@ def test_ffd_shortcut_edges():
                     Item(i, float(i), s, float(2 * k - 2 * i)) for i, s in enumerate(sizes)
                 )
                 instance = Instance(items=items, scale=scale)
-                for snap in oracles.snapshots(instance):
-                    live = live_sizes_at(instance, snap.start)
-                    assert (snap.items, snap.lower) == (len(live), -(-sum(live) // scale))
-                    assert snap.upper == list_ffd(live, scale)
-                    # the sizes are kept only where branch and bound may need them
-                    assert snap.counts == (Counter(live) if snap.lower < snap.upper else None)
-                    seen.add(("items", len(live)))
-                    seen.add(("volume", sum(live) - scale))
                 set_cache()
                 report = opt_total(instance)
                 assert report.all_exact
                 for iv in report.intervals:
                     live = live_sizes_at(instance, iv.start)
+                    assert iv.lower == -(-sum(live) // scale)
                     assert iv.upper == list_ffd(live, scale)
                     assert iv.opt == brute_force_opt(live, scale)
+                    seen.add(("items", len(live)))
+                    seen.add(("volume", sum(live) - scale))
     set_cache()
     assert {("items", 2), ("items", 3), ("volume", 0), ("volume", 1)} <= seen
 
@@ -349,15 +343,40 @@ def test_ffd_is_skipped_up_to_one_and_a_half_bins(monkeypatch):
         for k in (3, 4, 5):
             for sizes in itertools.combinations_with_replacement(range(1, scale + 1), k):
                 items = tuple(Item(i, 0.0, s, 1.0) for i, s in enumerate(sizes))
-                (snap,) = oracles.snapshots(Instance(items=items, scale=scale))
+                (iv,) = opt_total(Instance(items=items, scale=scale)).intervals
                 edge = 2 * sum(sizes) - 3 * scale
                 assert len(calls) == (edge > 0)
-                assert snap.upper == ffd_snapshot(sizes, scale)
+                assert iv.lower == -(-sum(sizes) // scale)
+                assert iv.upper == ffd_snapshot(sizes, scale)
+                assert iv.exact and iv.opt == opt_snapshot(sizes, scale)
                 calls.clear()
                 if edge <= 0:
-                    assert snap.lower == snap.upper <= 2
+                    assert iv.lower == iv.upper <= 2
                 seen.add(min(max(edge, -1), 2))
     assert seen == {-1, 0, 1, 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_instances(max_scale=64, max_items=60))
+@example(HAND_MADE)
+def test_sizes_are_built_only_for_intervals_the_solver_can_take(instance):
+    # on an empty cache, branch and bound gets the live sizes of exactly
+    # the intervals where FFD misses L1 and at most max_items items live
+    calls = []
+    solve = oracles._solve
+    set_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            oracles, "_solve", lambda sizes, *args: calls.append(sizes) or solve(sizes, *args)
+        )
+        report = opt_total(instance, 4)
+    set_cache()
+    expected = []
+    for iv in report.intervals:
+        live = live_sizes_at(instance, iv.start)
+        if iv.lower < iv.upper and len(live) <= 4:
+            expected.append(tuple(sorted(live, reverse=True)))
+    assert calls == expected
 
 
 @settings(max_examples=300, deadline=None)
