@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
 
 from . import algorithms, generators, oracles
-from .core import Instance, with_durations
+from .core import Instance, mu as inst_mu, validate, with_durations
 from .engine import InvalidInstance, Policy, Replay, SimulationResult, check_records, simulate
 # unused here, but the benchmark's tracer patches this name in this module
 from .engine import verify_packing  # noqa: F401
@@ -414,27 +414,113 @@ def check_delay_schedule(
             )
 
 
+def _first_fit_cost(instance: Instance) -> float:
+    """FirstFit's total active time on a resolved instance, computed
+    without the engine, so it checks the engine's first fit and is no
+    copy of it.
+
+    One pass over the arrivals and departures sorted by (time, kind, id):
+    departures (kind 0) before arrivals (kind 1) at equal times, ties by
+    id, each departure at arrival + duration, all as the engine orders
+    and computes them. Every item must end after it arrives, which each
+    part of a delay run does. The bins are the leaves of one
+    max-residual segment tree in opening order: an open bin's leaf holds
+    its room, scale - load, and every other leaf -1, so the leftmost leaf
+    with room >= size is the bin FirstFit picks. Each item keeps a
+    one-element list naming its bin's leaf, shared by the bin's items,
+    so when the leaves run out the open bins move to the front of a tree
+    at least twice their number by rewriting one list each. The cost
+    adds open bins * elapsed time at each new event time, as the engine
+    does, so the two sums are the same float."""
+    scale = instance.scale
+    events = []
+    for item_id, arrival, size, duration in instance.items:
+        events.append((arrival, 1, item_id, size))
+        events.append((arrival + duration, 0, item_id, size))
+    if not events:
+        return 0.0
+    events.sort()
+    slots = 8
+    tree = [-1] * (2 * slots)
+    cells: list[list[int] | None] = [None] * slots  # leaf -> its bin's cell
+    next_leaf = 0
+    cell_of: dict[int, list[int]] = {}  # live item -> its bin's cell
+    open_bins = 0
+    total = 0.0
+    prev = events[0][0]
+    for time, kind, item_id, size in events:
+        if time > prev:
+            total += open_bins * (time - prev)
+            prev = time
+        if kind:
+            if tree[1] >= size:
+                i = 1
+                while i < slots:
+                    i <<= 1
+                    if tree[i] < size:
+                        i += 1
+                value = tree[i] - size
+                cell = cells[i - slots]
+            else:
+                if next_leaf == slots:  # move the open bins to a new tree
+                    kept = [c for c in cells if c is not None]
+                    rooms = [tree[slots + c[0]] for c in kept]
+                    slots = 8
+                    while slots < 2 * len(kept):
+                        slots *= 2
+                    tree = [-1] * slots + rooms + [-1] * (slots - len(kept))
+                    for j in range(slots - 1, 0, -1):
+                        left, right = tree[2 * j], tree[2 * j + 1]
+                        tree[j] = left if left > right else right
+                    for leaf, c in enumerate(kept):
+                        c[0] = leaf
+                    cells = kept + [None] * (slots - len(kept))
+                    next_leaf = len(kept)
+                cell = cells[next_leaf] = [next_leaf]
+                next_leaf += 1
+                open_bins += 1
+                value = scale - size
+                i = cell[0] + slots
+            cell_of[item_id] = cell
+        else:
+            cell = cell_of.pop(item_id)
+            i = cell[0] + slots
+            value = tree[i] + size
+            if value == scale:  # the bin is empty: it closes
+                value = -1
+                cells[cell[0]] = None
+                open_bins -= 1
+        # set the leaf and climb while the parent's max changes
+        tree[i] = value
+        while i > 1:
+            sibling = tree[i ^ 1]
+            if sibling > value:
+                value = sibling
+            i >>= 1
+            if tree[i] == value:
+                break
+            tree[i] = value
+    return total
+
+
 def check_decomposition(
     instance: Instance, result: SimulationResult, delay_cost: float
 ) -> None:
     """The delay run's cost must equal FirstFit on the small-parts plus
     FirstFit on the big-parts sub-instances; their duration ratios must
-    satisfy the sub-instance preconditions."""
-    from .core import mu as inst_mu
-
+    satisfy the sub-instance preconditions. FirstFit's cost on each part
+    comes from _first_fit_cost, a sweep that shares no code with the
+    engine, so the identity is checked against code the run did not use."""
     small, big = algorithms.decompose_delay_run(instance, result)
     sqrt_c = math.sqrt(delay_cost)
-    try:
-        ff_small = simulate(small, algorithms.FirstFitPolicy()).total_active_time
-        ff_big = (
-            simulate(big, algorithms.FirstFitPolicy()).total_active_time
-            if big.items
-            else 0.0
-        )
-    except InvalidInstance as exc:  # a part of no length: a migration when it began
-        raise InvariantViolation(
-            "decomposition", f"invalid sub-instance: {'; '.join(exc.problems)}"
-        ) from None
+    for part in (small, big):
+        problems = validate(part)
+        if problems:  # a part of no length: a migration when it began
+            raise InvariantViolation(
+                "decomposition", f"invalid sub-instance: {'; '.join(problems)}"
+            )
+    ff_small = _first_fit_cost(small)
+    ff_big = _first_fit_cost(big)
     total = result.total_active_time
     if abs(total - (ff_small + ff_big)) > 1e-9 * max(1.0, abs(total)):
         raise InvariantViolation(

@@ -4,12 +4,19 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dynbin import core, engine, harness, oracles
+from dynbin import core, engine, generators, harness, oracles
 from dynbin.core import Instance, Item, validate as core_validate
 from dynbin.engine import LedgerEntry, MigrationLedger, SimulationError, simulate
 from dynbin.oracles import opt_total
-from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy, SingleClassPolicy
+from dynbin.algorithms import (
+    DelayPolicy,
+    FirstFitPolicy,
+    MultiClassPolicy,
+    SingleClassPolicy,
+    decompose_delay_run,
+)
 from dynbin.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -230,6 +237,77 @@ def test_a_migration_at_its_own_arrival_fails_the_decomposition():
     )
 
 
+def test_a_cost_off_by_one_fails_the_decomposition():
+    instance = generators.gen_uniform(200, 8, (1.0, 16.0), 20.0, 0)
+    result = simulate(instance, DelayPolicy(16.0), delay_cost=16.0)
+    check_decomposition(instance, result, 16.0)
+    ff_small, ff_big = (
+        simulate(part, FirstFitPolicy()).total_active_time
+        for part in decompose_delay_run(instance, result)
+    )
+    cost = result.total_active_time + 1.0
+    with pytest.raises(InvariantViolation) as exc:
+        check_decomposition(instance, replace(result, total_active_time=cost), 16.0)
+    assert str(exc.value) == (
+        f"decomposition: ALG {cost} != FF(small) {ff_small} + FF(big) {ff_big}"
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_decomposition_check_sees_a_first_fit_fault(monkeypatch, seed):
+    # the check's FirstFit is its own sweep, so a fault in the engine's
+    # first fit, which the delay run used, no longer hides on both sides
+    def last_fit(self, group, labels, size_num):
+        for label in labels:
+            fits = [
+                b for b in self.bins_in(group)
+                if b.label == label and b.load + size_num <= self.scale
+            ]
+            if fits:
+                return fits[-1]
+        return None
+
+    monkeypatch.setattr(engine.Engine, "first_fit", last_fit)
+    instance = generators.gen_uniform(400, 8, (1.0, 40.0), 40.0, seed)
+    result = simulate(instance, DelayPolicy(100), delay_cost=100.0)
+    with pytest.raises(InvariantViolation, match="^decomposition: ALG .* != FF"):
+        check_decomposition(instance, result, 100.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda scale: st.tuples(
+            st.just(scale),
+            st.lists(
+                # (arrival, duration, size) on a grid of halves, so that
+                # arrivals and departures often meet
+                st.tuples(
+                    st.integers(0, 6),
+                    st.integers(1, 12),
+                    st.one_of(st.just(scale), st.integers(1, scale)),
+                ),
+                max_size=120,
+            ),
+        )
+    )
+)
+@example((1, []))
+@example((4, [(0, 8, 4)] * 20 + [(k, 1, 1 + k % 4) for k in range(12)]))
+def test_first_fit_cost_is_the_engines_exactly(case):
+    # against the engine's FirstFit, which scans up to 8 open bins and
+    # then keeps trees; the sweep's one tree regrows past 8 open bins
+    scale, rows = case
+    instance = Instance(
+        items=tuple(Item(i, a / 2, size, d / 2) for i, (a, d, size) in enumerate(rows)),
+        scale=scale,
+    )
+    expected = simulate(instance, FirstFitPolicy()).total_active_time
+    assert harness._first_fit_cost(instance) == expected
+    if not rows:
+        assert expected == 0.0
+
+
 def test_delay_trial_with_all_checks():
     cfg = ExperimentConfig(
         algorithm="delay",
@@ -269,8 +347,9 @@ def test_checked_run_rejects_unknown_check():
     "alg, options, generator, runs",
     [
         ("alg2", {"alpha": "1/4"}, UNIFORM, 1),
-        # the decomposition check simulates FirstFit on two sub-instances
-        ("delay", {"delay_cost": 16.0}, dict(UNIFORM, duration_range=[1.0, 16.0]), 3),
+        # the decomposition check computes FirstFit on its two parts with
+        # its own sweep, not the engine
+        ("delay", {"delay_cost": 16.0}, dict(UNIFORM, duration_range=[1.0, 16.0]), 1),
     ],
 )
 def test_verify_simulates_once(monkeypatch, alg, options, generator, runs):
