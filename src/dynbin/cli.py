@@ -13,7 +13,7 @@ from .core import read_jsonl, validate, write_jsonl
 from .engine import SimulationError
 # unused here, but the benchmark's tracer patches both names in this module
 from .engine import simulate, verify_packing  # noqa: F401
-from .harness import ExperimentConfig, InvariantViolation, UnknownCheck
+from .harness import ExperimentConfig, InvariantViolation
 
 
 def _read_instance(path):
@@ -95,7 +95,7 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
 @click.option("--alpha", type=str, default=None, help="Fraction, e.g. 1/4")
 @click.option("--f", type=str, default=None, help="Fraction, e.g. 1/2")
 @click.option("--delay-c", type=float, default=None)
-@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default="id")
+@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default=None)
 @click.option("--checks", type=str, default="",
               help="Comma-separated invariant checks to enforce on the run, "
               f"from: {', '.join(harness.CHECKS)}.")
@@ -107,36 +107,41 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
 def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
         trace, csv_path, output):
     """Simulate a policy on one instance, or a config-driven experiment."""
-    if config is None and (instance_path is None or alg is None):
+    if config is not None:
+        given = {"INSTANCE_PATH": instance_path, "--alg": alg, "--alpha": alpha, "--f": f,
+                 "--delay-c": delay_c, "--mig-order": mig_order,
+                 "--checks": checks or None, "--trace": trace}
+        extra = [name for name, value in given.items() if value is not None]
+        if extra:
+            raise click.UsageError(f"--config takes no {', '.join(extra)}")
+    elif instance_path is None or alg is None:
         raise click.UsageError("need an instance file and --alg (or --config)")
+    elif csv_path is not None:
+        raise click.UsageError("--csv needs --config")
     try:
         if config is not None:
             report = harness.cmd_run(_read_config(config))
+            text = json.dumps(report, sort_keys=True, indent=2)
+            if csv_path:
+                with open(csv_path, "w") as fh:
+                    fh.write(harness.rows_to_csv(report["trials"]))
         else:
             instance = _read_instance(instance_path)
             cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
-                               delay_cost=delay_c, mig_order=mig_order,
+                               delay_cost=delay_c, mig_order=mig_order or "id",
                                checks=[c for c in checks.split(",") if c])
             checked = harness.checked_run(cfg, instance, _adversary_for(instance))
             if checked.violation is not None:
                 raise checked.violation
-    except UnknownCheck as exc:
-        raise click.UsageError(str(exc))
+            text = checked.result.to_json()
+            if trace:
+                with open(trace, "w") as fh:
+                    json.dump(checked.result.trace, fh, sort_keys=True, indent=2)
     except InvariantViolation as exc:
         click.echo(f"INVARIANT VIOLATION {exc}", err=True)
         sys.exit(1)
     except SimulationError as exc:
         raise click.ClickException(str(exc))
-    if config is not None:
-        text = json.dumps(report, sort_keys=True, indent=2)
-        if csv_path:
-            with open(csv_path, "w") as fh:
-                fh.write(harness.rows_to_csv(report["trials"]))
-    else:
-        text = checked.result.to_json()
-        if trace:
-            with open(trace, "w") as fh:
-                json.dump(checked.result.trace, fh, sort_keys=True, indent=2)
     if output:
         with open(output, "w") as fh:
             fh.write(text + "\n")
@@ -147,8 +152,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True))
 @click.option("--max-items", type=int, default=oracles.DEFAULT_MAX_ITEMS)
-@click.option("--time-budget", type=float, default=oracles.DEFAULT_TIME_BUDGET)
-def opt(instance_path, max_items, time_budget):
+def opt(instance_path, max_items):
     """Integrate the offline per-time packing optimum over an instance."""
     instance = _read_instance(instance_path)
     problems = validate(instance)
@@ -159,7 +163,7 @@ def opt(instance_path, max_items, time_budget):
         raise click.UsageError(
             "instance has deferred durations; resolve them before computing the optimum"
         )
-    report = oracles.opt_total(instance, max_items, time_budget)
+    report = oracles.opt_total(instance, max_items)
     click.echo(json.dumps(report.to_dict(), sort_keys=True))
     if not report.all_exact:
         click.echo("warning: some intervals fell back to bounds", err=True)

@@ -156,9 +156,16 @@ def write_jsonl(instance: Instance, path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _record(path, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
-    """One JSON object holding every key, else a ValueError naming the
-    file and line."""
+# each key a header or an item record must hold: what its value must be
+_INTEGER = ("an integer", lambda v: type(v) is int)  # not true or false
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_ITEM_KEYS = {"id": _INTEGER, "arrival": _NUMBER, "size_num": _INTEGER,
+              "duration": ("a number or null", lambda v: type(v) in (int, float, type(None)))}
+
+
+def _record(path, lineno: int, line: str, keys: dict) -> dict:
+    """One JSON object holding every key, each value of its type, else a
+    ValueError naming the file and line."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -168,28 +175,24 @@ def _record(path, lineno: int, line: str, keys: tuple[str, ...]) -> dict:
     missing = [k for k in keys if k not in rec]
     if missing:
         raise ValueError(f"{path}:{lineno}: missing {', '.join(missing)}")
+    for key, (expected, typed) in keys.items():
+        if not typed(rec[key]):
+            raise ValueError(f"{path}:{lineno}: {key}: expected {expected}, got {rec[key]!r}")
     return rec
 
 
 def read_jsonl(path) -> Instance:
-    """Read write_jsonl's format. A malformed header or record raises a
-    ValueError naming the path and line."""
+    """Read write_jsonl's format. A malformed header or record, or a value
+    of the wrong type, raises a ValueError naming the path and line."""
     with open(path) as fh:
-        header = _record(path, 1, fh.readline(), ("scale",))
+        header = _record(path, 1, fh.readline(), {"scale": _INTEGER})
         items = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rec = _record(path, lineno, line, ("id", "arrival", "size_num", "duration"))
-            items.append(
-                Item(
-                    id=rec["id"],
-                    arrival=rec["arrival"],
-                    size_num=rec["size_num"],
-                    duration=rec["duration"],
-                )
-            )
+            rec = _record(path, lineno, line, _ITEM_KEYS)
+            items.append(Item(**{key: rec[key] for key in _ITEM_KEYS}))
     return Instance(
         items=tuple(items),
         scale=header["scale"],

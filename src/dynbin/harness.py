@@ -63,7 +63,6 @@ class ExperimentConfig:
     checks: list[str] = field(default_factory=list)
     compute_opt: bool = True
     oracle_max_items: int = oracles.DEFAULT_MAX_ITEMS
-    oracle_time_budget: float = oracles.DEFAULT_TIME_BUDGET
     jobs: int = 1
 
     def to_dict(self) -> dict:
@@ -150,7 +149,6 @@ CONFIG_FIELDS = {
     "base_seed": ("an integer", _integer, None),
     "jobs": ("an integer", _integer, _at_least(1)),
     "oracle_max_items": ("an integer", _integer, _at_least(0)),
-    "oracle_time_budget": ("a number", _number, _POSITIVE),
     "delay_cost": ("a number or null", lambda v: v is None or _number(v), _at_least(0)),
     "compute_opt": ("true or false", lambda v: type(v) is bool, None),
     "checks": ("a list of strings",
@@ -192,17 +190,18 @@ def _check_budget_alpha(name: str, alpha: Fraction) -> None:
 
 def check_config(config: ExperimentConfig) -> None:
     """Raise a ValueError naming a field of the wrong type or out of range
-    (CONFIG_FIELDS), a bad alpha or f, a policy they cannot build (the
-    policy built to find out is dropped), a migration_budget or
-    size_budget check with an alpha outside (0, 1/2) (_check_budget_alpha)
-    or for a policy whose checks do not list it, or a delay_schedule or
-    decomposition check without a delay cost or for a policy whose checks
-    do not list it. Both a config file and the run/verify options go
-    through it."""
+    (CONFIG_FIELDS), a check not in CHECKS (UnknownCheck), a bad alpha or
+    f, a policy they cannot build (the policy built to find out is
+    dropped), a migration_budget or size_budget check with an alpha
+    outside (0, 1/2) (_check_budget_alpha) or for a policy whose checks do
+    not list it, or a delay_schedule or decomposition check without a
+    delay cost or for a policy whose checks do not list it. Both a config
+    file and the run/verify options go through it."""
     for name, rule in CONFIG_FIELDS.items():
         problem = _value_problem(name, getattr(config, name), *rule)
         if problem:
             raise ValueError(problem)
+    _check_names(config.checks)
     for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
         try:
             parse()
@@ -554,6 +553,15 @@ class UnknownCheck(ValueError):
     """A requested check name that is not in CHECKS."""
 
 
+def _check_names(checks: list[str]) -> None:
+    """Raise UnknownCheck naming every check that is not in CHECKS."""
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise UnknownCheck(
+            f"unknown check {', '.join(unknown)}; choose from {', '.join(CHECKS)}"
+        )
+
+
 @dataclass
 class CheckedRun:
     """One simulation and the outcome of each requested check on it:
@@ -579,11 +587,7 @@ def checked_run(
     without an alpha. An instance that fails validation raises
     InvariantViolation("validate", ...), from the one validation the
     engine makes."""
-    unknown = [c for c in config.checks if c not in CHECKS]
-    if unknown:
-        raise UnknownCheck(
-            f"unknown check {', '.join(unknown)}; choose from {', '.join(CHECKS)}"
-        )
+    _check_names(config.checks)
     policy = build_policy(config)
     try:
         # through the module global, which the benchmark patches to digest each run
@@ -621,9 +625,7 @@ def checked_run(
     if alpha is not None:
         if "per_time" in run.outcomes:
             # through the module attribute, which the benchmark captures to count intervals
-            run.opt = oracles.opt_total(
-                resolved, config.oracle_max_items, config.oracle_time_budget
-            )
+            run.opt = oracles.opt_total(resolved, config.oracle_max_items)
             run.max_pertime_ratio = check(
                 "per_time", check_per_time, run.opt, result, alpha, policy.additive_at
             )
@@ -667,9 +669,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     if config.compute_opt:
         report = run.opt
         if report is None:
-            report = oracles.opt_total(
-                run.instance, config.oracle_max_items, config.oracle_time_budget
-            )
+            report = oracles.opt_total(run.instance, config.oracle_max_items)
         row["opt_lb"] = report.lower_bound
         row["opt_exact"] = report.all_exact
         row["opt_ub"] = report.upper_bound

@@ -4,7 +4,6 @@ upper bounds for the randomized lower-bound instances."""
 
 from __future__ import annotations
 
-import time as _time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
@@ -13,7 +12,8 @@ from typing import Iterable
 from .core import Instance, UnresolvedDurationError, span, vol
 
 DEFAULT_MAX_ITEMS = 24
-DEFAULT_TIME_BUDGET = 2.0
+# the most search nodes one branch and bound may visit
+NODE_BUDGET = 1_000_000
 
 
 class SnapshotTooLarge(ValueError):
@@ -107,62 +107,54 @@ def ffd_snapshot(sizes, scale: int) -> int:
 
 
 _opt_cache: dict[tuple[tuple[int, ...], int], int] = {}
-_most_bnb_items = 0  # the largest snapshot branch and bound has cached
 
 
 def opt_snapshot(
     sizes,
     scale: int,
     max_items: int = DEFAULT_MAX_ITEMS,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> int:
     """Exact minimum number of unit-capacity bins for a static multiset.
 
     FFD seeds the upper bound; when it meets the ceil(total/scale) lower
     bound the answer is immediate regardless of snapshot size. Otherwise
     a branch-and-bound over descending sizes (duplicate-load and
-    symmetric-bin pruning) runs within the item and time limits.
+    symmetric-bin pruning) runs on at most max_items items and within
+    NODE_BUDGET nodes; a size outside (0, scale] raises ValueError.
     """
     sizes = tuple(sorted(sizes, reverse=True))
     if not sizes:
         return 0
-    return _solve(sizes, scale, max_items, time_budget)
+    return _solve(sizes, scale, max_items, ffd_snapshot(sizes, scale))
 
 
 def _solve(
     sizes: tuple[int, ...],
     scale: int,
     max_items: int,
-    time_budget: float,
-    upper: int | None = None,
+    upper: int,
 ) -> int:
-    """How every exact snapshot solve ends: the cache, then the FFD == L1
-    fast path, then SnapshotTooLarge, then branch and bound, which may
-    raise TimeBudgetExceeded. sizes is non-empty and descending; upper is
-    its FFD count when the caller has it, else FFD runs here through the
-    module's ffd_snapshot, which also rejects sizes outside (0, scale]."""
-    global _most_bnb_items
-    key = (sizes, scale)
-    cached = _opt_cache.get(key)
-    if cached is not None:
-        return cached
-    if upper is None:
-        upper = ffd_snapshot(sizes, scale)
+    """How every exact snapshot solve ends: the FFD == L1 fast path, then
+    SnapshotTooLarge past max_items, then the cache of branch-and-bound
+    answers, then branch and bound, which raises TimeBudgetExceeded past
+    NODE_BUDGET nodes. So a cache hit returns what the search would.
+    sizes is non-empty and descending, and upper is its FFD count."""
     if upper == -(-sum(sizes) // scale):
-        _opt_cache[key] = upper
         return upper
     if len(sizes) > max_items:
         raise SnapshotTooLarge(
             f"snapshot too large for exact oracle ({len(sizes)} > {max_items})"
         )
+    key = (sizes, scale)
+    cached = _opt_cache.get(key)
+    if cached is not None:
+        return cached
 
-    deadline = _time.perf_counter() + time_budget
     suffix = [0] * (len(sizes) + 1)
     for i in range(len(sizes) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i]
 
-    best = _descend(0, sizes, suffix, scale, [], upper, deadline)
-    _most_bnb_items = max(_most_bnb_items, len(sizes))
+    best = _descend(0, sizes, suffix, scale, [], upper, [NODE_BUDGET])
     _opt_cache[key] = best
     return best
 
@@ -174,17 +166,18 @@ def _descend(
     scale: int,
     bins: list[int],
     best: int,
-    deadline: float,
+    nodes_left: list[int],
 ) -> int:
     """One branch-and-bound node of _solve: bins holds the loads of the
-    bins that pack sizes[:i], suffix[i] the sum of sizes[i:], and best
-    the fewest bins found so far, which it returns improved. A function
-    of its arguments, not a closure over _solve, so a solve leaves no
-    reference cycle behind."""
+    bins that pack sizes[:i], suffix[i] the sum of sizes[i:], best the
+    fewest bins found so far, which it returns improved, and nodes_left[0]
+    the nodes the search may still visit. A function of its arguments, not
+    a closure over _solve, so a solve leaves no reference cycle behind."""
     if i == len(sizes):
         return min(best, len(bins))
-    if _time.perf_counter() > deadline:
-        raise TimeBudgetExceeded("snapshot solve exceeded its time budget")
+    nodes_left[0] -= 1
+    if nodes_left[0] < 0:
+        raise TimeBudgetExceeded(f"snapshot solve ran past {NODE_BUDGET} nodes")
     free = len(bins) * scale - (suffix[0] - suffix[i])
     bound = len(bins) + max(0, -(-(suffix[i] - free) // scale))
     if bound >= best:
@@ -195,11 +188,11 @@ def _descend(
         if load + s <= scale and load not in seen:
             seen.add(load)
             bins[j] = load + s
-            best = _descend(i + 1, sizes, suffix, scale, bins, best, deadline)
+            best = _descend(i + 1, sizes, suffix, scale, bins, best, nodes_left)
             bins[j] = load
     if len(bins) + 1 < best:
         bins.append(s)
-        best = _descend(i + 1, sizes, suffix, scale, bins, best, deadline)
+        best = _descend(i + 1, sizes, suffix, scale, bins, best, nodes_left)
         bins.pop()
     return best
 
@@ -248,7 +241,6 @@ def live_sizes_at(instance: Instance, t: float) -> list[int]:
 def opt_total(
     instance: Instance,
     max_items: int = DEFAULT_MAX_ITEMS,
-    time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> OptReport:
     """Integrate the per-time packing optimum over event intervals.
 
@@ -273,12 +265,13 @@ def opt_total(
     which is L1 in both cases.
 
     Only where L1 < FFD are the sizes built and solved exactly, and only
-    for an interval of at most max_items items or at most as many as the
-    largest snapshot branch and bound has cached; any other interval,
-    like one whose solve gives up, falls back to L1 and is flagged
-    inexact. Raises ValueError on a size outside (0, scale] or a negative
-    duration, which would drive a count below zero, and
-    UnresolvedDurationError on an unresolved one.
+    for an interval of at most max_items items; any other interval, like
+    one whose search runs past NODE_BUDGET nodes, falls back to L1 and is
+    flagged inexact. The report is a function of the instance and
+    max_items alone: what earlier calls cached changes no interval.
+    Raises ValueError on a size outside (0, scale] or a negative duration,
+    which would drive a count below zero, and UnresolvedDurationError on
+    an unresolved one.
     """
     if instance.has_deferred():
         raise UnresolvedDurationError("unresolved durations")
@@ -317,8 +310,6 @@ def opt_total(
                 items -= 1
             volume += d
         lower = -(-volume // scale)
-        # FFD == L1 needs no lookup: a cached value is exact, so it equals
-        # that bound too
         exact = True
         if items <= 2 or 2 * volume <= 3 * scale:
             opt = upper = lower
@@ -326,13 +317,13 @@ def opt_total(
             opt = upper = _ffd_counts(counts, reversed(order), scale)
             if lower < upper:
                 opt = None
-                if items <= max_items or items <= _most_bnb_items:
+                if items <= max_items:
                     sizes: list[int] = []
                     for s in reversed(order):
                         sizes += [s] * counts[s]
                     try:
-                        opt = _solve(tuple(sizes), scale, max_items, time_budget, upper)
-                    except (SnapshotTooLarge, TimeBudgetExceeded):
+                        opt = _solve(tuple(sizes), scale, max_items, upper)
+                    except TimeBudgetExceeded:
                         pass
                 if opt is None:
                     exact, opt, all_exact = False, lower, False

@@ -160,18 +160,44 @@ def test_run_applies_every_check(tmp_path):
 
 
 def test_run_rejects_unknown_check(tmp_path):
-    path = fragmenting_file(tmp_path)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "algorithm": "firstfit", "checks": ["packng"],
-        "generator": {"family": "fig2", "k": 3, "mu": 5},
-    }))
-    for args in (["run", path, "--alg", "firstfit", "--checks", "packng"],
-                 ["run", "--config", cfg_path]):
-        result = invoke(*args)
-        assert result.exit_code == 2
-        assert "Error: unknown check packng" in result.stderr
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+    # the config file case is in test_malformed_config_is_a_one_line_error
+    result = invoke("run", fragmenting_file(tmp_path), "--alg", "firstfit",
+                    "--checks", "packng")
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        f"Error: unknown check packng; choose from {', '.join(harness.CHECKS)}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        (["INSTANCE"], "--config takes no INSTANCE_PATH"),
+        (["--alg", "alg2", "--alpha", "1/4", "--trace", "TRACE"],
+         "--config takes no --alg, --alpha, --trace"),
+        (["--f", "1/2", "--delay-c", "4", "--mig-order", "size-desc", "--checks", "packing"],
+         "--config takes no --f, --delay-c, --mig-order, --checks"),
+        (["INSTANCE", "--alg", "firstfit", "--csv", "CSV"], "--csv needs --config"),
+    ],
+)
+def test_run_refuses_options_of_the_other_mode(tmp_path, args, problem):
+    # a config run reads no instance file, policy option or trace path,
+    # and a run on one file writes no CSV, so each is a usage error
+    # rather than an option the run drops
+    instance = fragmenting_file(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"algorithm": "firstfit",
+                                  "generator": {"family": "fig2", "k": 3, "mu": 5}}))
+    paths = {"INSTANCE": instance, "TRACE": tmp_path / "trace.json",
+             "CSV": tmp_path / "rows.csv"}
+    args = [paths.get(a, a) for a in args]
+    if "--csv" not in args:
+        args = ["--config", config, *args]
+    result = invoke("run", *args)
+    assert result.exit_code == 2
+    assert f"Error: {problem}\n" in result.stderr
+    assert not (tmp_path / "trace.json").exists() and not (tmp_path / "rows.csv").exists()
 
 
 def test_run_reports_invalid_file(tmp_path):
@@ -237,6 +263,17 @@ def test_verify_certifies_snapshots_too_large_for_the_exact_oracle(tmp_path):
         (['{"scale": 8}', '{"id": 0, "arrival": 0.0, "duration": 1.0}'],
          "2: missing size_num"),
         (['{"scale": 8}', "not json"], "2: not JSON: Expecting value"),
+        (['{"scale": "16"}'], "1: scale: expected an integer, got '16'"),
+        (['{"scale": 16.5}'], "1: scale: expected an integer, got 16.5"),
+        (['{"scale": true}'], "1: scale: expected an integer, got True"),
+        (['{"scale": 8}', '{"id": 0, "arrival": 0.0, "size_num": 3.5, "duration": 1.0}'],
+         "2: size_num: expected an integer, got 3.5"),
+        (['{"scale": 8}', '{"id": false, "arrival": 0.0, "size_num": 3, "duration": 1.0}'],
+         "2: id: expected an integer, got False"),
+        (['{"scale": 8}', '{"id": 0, "arrival": "0", "size_num": 3, "duration": 1.0}'],
+         "2: arrival: expected a number, got '0'"),
+        (['{"scale": 8}', '{"id": 0, "arrival": 0, "size_num": 3, "duration": [1]}'],
+         "2: duration: expected a number or null, got [1]"),
     ],
 )
 @pytest.mark.parametrize(
@@ -287,6 +324,13 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
          ": base_seed: expected an integer, got 'a'"),
         ('{"algorithm": "firstfit", "jobs": 0, "generator": {"family": "fig2", "k": 3, "mu": 5}}',
          ": jobs must be >= 1"),
+        # refused before any trial, so with no trials too
+        ('{"algorithm": "firstfit", "trials": 0, "checks": ["packing", "bogus"], '
+         '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         f": unknown check bogus; choose from {', '.join(harness.CHECKS)}"),
+        ('{"algorithm": "firstfit", "oracle_time_budget": 2.0, '
+         '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": unknown key oracle_time_budget"),
     ],
 )
 def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
@@ -306,6 +350,7 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("oracle_max_items", -1),
         ("oracle_max_items", 2.5),
         ("oracle_max_items", True),
+        # no longer a config field: any value is one "unknown key" line
         ("oracle_time_budget", 0),
         ("oracle_time_budget", "x"),
         ("oracle_time_budget", True),

@@ -46,7 +46,6 @@ CONFIG_VALUES = {
     "checks": CHECK_NAMES,
     "compute_opt": st.booleans(),
     "oracle_max_items": st.integers(0, 8),
-    "oracle_time_budget": st.sampled_from([0.5, 5.0]),
     "jobs": st.just(1),
 }
 GENERATOR_VALUES = {

@@ -159,7 +159,7 @@ def list_ffd(sizes, scale):
     return len(bins)
 
 
-def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET):
+def naive_opt_total(instance, max_items):
     """O(n * intervals): per interval one live_sizes_at scan, one
     item-by-item FFD and one opt_snapshot, the way opt_total worked before
     the sweep."""
@@ -175,7 +175,7 @@ def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET
         ffd = list_ffd(sizes, instance.scale)
         l1 = -(-sum(sizes) // instance.scale)
         try:
-            opt, exact = opt_snapshot(sizes, instance.scale, max_items, time_budget), True
+            opt, exact = opt_snapshot(sizes, instance.scale, max_items), True
         except (SnapshotTooLarge, TimeBudgetExceeded):
             opt, exact, all_exact = l1, False, False
         intervals.append(OptInterval(start, end, exact, opt, l1, ffd))
@@ -190,7 +190,7 @@ def naive_opt_total(instance, max_items, time_budget=oracles.DEFAULT_TIME_BUDGET
     )
 
 
-def naive_check_per_time(instance, result, alpha, additive_at, max_items, time_budget):
+def naive_check_per_time(instance, result, alpha, additive_at, max_items):
     """One live_sizes_at scan and one opt_snapshot per segment; a snapshot
     the exact oracle gives up on is judged by its L1 bound, and raises
     SnapshotTooLarge only if that bound does not certify the segment."""
@@ -198,7 +198,7 @@ def naive_check_per_time(instance, result, alpha, additive_at, max_items, time_b
     for seg in result.segments:
         sizes = live_sizes_at(instance, seg.start)
         try:
-            opt_t = opt_snapshot(sizes, instance.scale, max_items, time_budget)
+            opt_t = opt_snapshot(sizes, instance.scale, max_items)
             exact = True
         except (SnapshotTooLarge, TimeBudgetExceeded):
             opt_t = -(-sum(sizes) // instance.scale)
@@ -220,13 +220,9 @@ def naive_check_per_time(instance, result, alpha, additive_at, max_items, time_b
     return max_ratio
 
 
-def set_cache(contents=None):
-    """Empty the oracle cache, or fill it with contents, and set the
-    oracle's record of the largest snapshot branch and bound has cached
-    to the largest snapshot in it, so a test starts from what it loads."""
+def clear_cache():
+    """Empty the oracle cache, so a test starts from a cold one."""
     oracles._opt_cache.clear()
-    oracles._opt_cache.update(contents or {})
-    oracles._most_bnb_items = max((len(sizes) for sizes, _ in oracles._opt_cache), default=0)
 
 
 @st.composite
@@ -247,7 +243,7 @@ def grid_instances(draw, min_duration=0, max_scale=16, max_items=24):
 
 
 # two busy stretches with a gap, a departure on an arrival, a zero-length
-# lifetime, and a nine-item interval where FFD (4) misses L1 (3)
+# lifetime, and an eight-item interval where FFD (4) misses L1 (3)
 HAND_MADE = Instance(
     items=tuple(
         Item(i, a, s, d)
@@ -269,37 +265,46 @@ HAND_MADE = Instance(
 @example(Instance(items=(), scale=3), False)
 @example(HAND_MADE, True)
 def test_opt_total_matches_naive_sweep(instance, warm):
-    # warm: first fill the cache at a larger max_items, so intervals too
-    # large for max_items=4 can still end as exact cache hits
-    if warm:
-        set_cache()
-        opt_total(instance, 24)
-    cache = dict(oracles._opt_cache) if warm else {}
-    set_cache(cache)
+    # the naive sweep runs from a cold cache; warm: the sweep runs after
+    # one at max_items=24 has cached snapshots of more than 4 items, which
+    # must change no interval
+    clear_cache()
     expected = naive_opt_total(instance, 4).to_dict()
-    set_cache(cache)
+    clear_cache()
+    if warm:
+        opt_total(instance, 24)
     assert opt_total(instance, 4).to_dict() == expected
+    clear_cache()
 
 
-def test_warm_cache_makes_a_large_interval_exact():
-    set_cache()
-    cold = opt_total(HAND_MADE, 4)
-    assert not cold.intervals[0].exact and cold.intervals[0].opt == 3
+def test_a_cached_snapshot_past_max_items_stays_inexact():
+    # a sweep at max_items=24 solves HAND_MADE's first interval; a sweep at
+    # max_items=4 still leaves it at L1
+    clear_cache()
     opt_total(HAND_MADE, 24)
-    warm = opt_total(HAND_MADE, 4)
-    assert warm.intervals[0].exact and warm.intervals[0].opt == 3
-    assert warm.intervals[0].upper == 4
-    set_cache()
-
-
-def test_opt_snapshot_fills_the_cache_the_sweep_reads():
-    # the first interval of HAND_MADE, solved on its own by branch and
-    # bound, is exact in a sweep whose max_items it exceeds
-    set_cache()
-    assert opt_snapshot([5, 5, 4, 4, 3, 3, 3, 3], 10, max_items=24) == 3
+    assert (5, 5, 4, 4, 3, 3, 3, 3) in {sizes for sizes, _ in oracles._opt_cache}
     report = opt_total(HAND_MADE, 4)
-    assert report.intervals[0].exact and report.intervals[0].opt == 3
-    set_cache()
+    assert not report.intervals[0].exact and report.intervals[0].opt == 3
+    assert report.intervals[0].upper == 4
+    clear_cache()
+
+
+def test_a_search_past_the_node_budget_leaves_its_interval_at_l1(monkeypatch):
+    # the eight-item first interval of HAND_MADE needs more than two nodes
+    monkeypatch.setattr(oracles, "NODE_BUDGET", 2)
+    clear_cache()
+    sizes = [5, 5, 4, 4, 3, 3, 3, 3]
+    with pytest.raises(TimeBudgetExceeded):
+        opt_snapshot(sizes, 10)
+    first = opt_total(HAND_MADE)
+    assert not first.all_exact
+    assert not first.intervals[0].exact and first.intervals[0].opt == 3
+    assert first.intervals[0].upper == 4
+    assert opt_total(HAND_MADE).to_dict() == first.to_dict()
+    assert oracles._opt_cache == {}
+    monkeypatch.undo()
+    assert opt_snapshot(sizes, 10) == 3
+    clear_cache()
 
 
 def test_ffd_shortcut_edges():
@@ -315,7 +320,7 @@ def test_ffd_shortcut_edges():
                     Item(i, float(i), s, float(2 * k - 2 * i)) for i, s in enumerate(sizes)
                 )
                 instance = Instance(items=items, scale=scale)
-                set_cache()
+                clear_cache()
                 report = opt_total(instance)
                 assert report.all_exact
                 for iv in report.intervals:
@@ -325,7 +330,7 @@ def test_ffd_shortcut_edges():
                     assert iv.opt == brute_force_opt(live, scale)
                     seen.add(("items", len(live)))
                     seen.add(("volume", sum(live) - scale))
-    set_cache()
+    clear_cache()
     assert {("items", 2), ("items", 3), ("volume", 0), ("volume", 1)} <= seen
 
 
@@ -364,13 +369,13 @@ def test_sizes_are_built_only_for_intervals_the_solver_can_take(instance):
     # the intervals where FFD misses L1 and at most max_items items live
     calls = []
     solve = oracles._solve
-    set_cache()
+    clear_cache()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
             oracles, "_solve", lambda sizes, *args: calls.append(sizes) or solve(sizes, *args)
         )
         report = opt_total(instance, 4)
-    set_cache()
+    clear_cache()
     expected = []
     for iv in report.intervals:
         live = live_sizes_at(instance, iv.start)
@@ -415,11 +420,11 @@ def test_opt_total_matches_naive_sweep_at_forty_live_items():
     # the benchmark's offline shape at a tenth of its length: about 40 live
     # items and 1,200 intervals
     instance = gen_uniform(600, 16, (1.0, 2.0), 600 * 1.5 / 40, 7)
-    set_cache()
+    clear_cache()
     report = opt_total(instance)
-    set_cache()
+    clear_cache()
     assert report.to_dict() == naive_opt_total(instance, oracles.DEFAULT_MAX_ITEMS).to_dict()
-    set_cache()
+    clear_cache()
     assert len(report.intervals) > 1000
     assert max(len(live_sizes_at(instance, iv.start)) for iv in report.intervals) > 40
 
@@ -440,16 +445,16 @@ def test_check_per_time_matches_per_segment_scan(instance, alg, alpha, additive)
     )
 
     def outcome(check):
-        set_cache()
+        clear_cache()
         try:
             return check()
         except (InvariantViolation, SnapshotTooLarge) as exc:
             return type(exc), str(exc)
 
     assert outcome(
-        lambda: check_per_time(opt_total(instance, 4, 2.0), result, alpha, lambda t: additive)
+        lambda: check_per_time(opt_total(instance, 4), result, alpha, lambda t: additive)
     ) == outcome(
-        lambda: naive_check_per_time(instance, result, alpha, lambda t: additive, 4, 2.0)
+        lambda: naive_check_per_time(instance, result, alpha, lambda t: additive, 4)
     )
 
 
@@ -464,11 +469,11 @@ def test_check_per_time_outside_the_boundaries_sees_no_items():
         return SimpleNamespace(times=times, open_counts=open_counts, segments=segments)
 
     result = hand_made([1] * 6)
-    report = opt_total(instance, 4, 2.0)
+    report = opt_total(instance, 4)
     checks = (
         lambda additive: check_per_time(report, result, Fraction(1), lambda t: additive),
         lambda additive: naive_check_per_time(
-            instance, result, Fraction(1), lambda t: additive, 4, 2.0
+            instance, result, Fraction(1), lambda t: additive, 4
         ),
     )
     assert checks[0](1) == 1.0
