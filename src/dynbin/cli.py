@@ -151,8 +151,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
 
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True))
-@click.option("--max-items", type=int, default=oracles.DEFAULT_MAX_ITEMS)
-def opt(instance_path, max_items):
+def opt(instance_path):
     """Integrate the offline per-time packing optimum over an instance."""
     instance = _read_instance(instance_path)
     problems = validate(instance)
@@ -163,7 +162,7 @@ def opt(instance_path, max_items):
         raise click.UsageError(
             "instance has deferred durations; resolve them before computing the optimum"
         )
-    report = oracles.opt_total(instance, max_items)
+    report = oracles.opt_total(instance)
     click.echo(json.dumps(report.to_dict(), sort_keys=True))
     if not report.all_exact:
         click.echo("warning: some intervals fell back to bounds", err=True)

@@ -161,22 +161,33 @@ _INTEGER = ("an integer", lambda v: type(v) is int)  # not true or false
 _NUMBER = ("a number", lambda v: type(v) in (int, float))
 _ITEM_KEYS = {"id": _INTEGER, "arrival": _NUMBER, "size_num": _INTEGER,
               "duration": ("a number or null", lambda v: type(v) in (int, float, type(None)))}
+# the header's keys, all but scale optional; the one adversary a file can
+# name is generators.LongestPerBinResolver's header
+_HEADER_KEYS = {
+    "scale": _INTEGER,
+    "seed": ("an integer or null", lambda v: v is None or type(v) is int),
+    "rng": ("a string or null", lambda v: v is None or type(v) is str),
+    "adversary": ('{"name": "longest-per-bin", "mu": a number, "long_count": an integer}',
+                  lambda v: type(v) is dict and v.get("name") == "longest-per-bin"
+                  and _NUMBER[1](v.get("mu")) and _INTEGER[1](v.get("long_count"))),
+}
 
 
-def _record(path, lineno: int, line: str, keys: dict) -> dict:
-    """One JSON object holding every key, each value of its type, else a
-    ValueError naming the file and line."""
+def _record(path, lineno: int, line: str, keys: dict, optional: tuple = ()) -> dict:
+    """One JSON object holding every key of keys not named in optional,
+    each value present of its type, else a ValueError naming the file and
+    line."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
     if not isinstance(rec, dict):
         raise ValueError(f"{path}:{lineno}: expected a JSON object")
-    missing = [k for k in keys if k not in rec]
+    missing = [k for k in keys if k not in rec and k not in optional]
     if missing:
         raise ValueError(f"{path}:{lineno}: missing {', '.join(missing)}")
     for key, (expected, typed) in keys.items():
-        if not typed(rec[key]):
+        if key in rec and not typed(rec[key]):
             raise ValueError(f"{path}:{lineno}: {key}: expected {expected}, got {rec[key]!r}")
     return rec
 
@@ -185,7 +196,7 @@ def read_jsonl(path) -> Instance:
     """Read write_jsonl's format. A malformed header or record, or a value
     of the wrong type, raises a ValueError naming the path and line."""
     with open(path) as fh:
-        header = _record(path, 1, fh.readline(), {"scale": _INTEGER})
+        header = _record(path, 1, fh.readline(), _HEADER_KEYS, ("seed", "rng", "adversary"))
         items = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -679,7 +679,7 @@ class Engine:
                         f"adversary left item {item_id} unresolved"
                     )
                 d = float(assignment[item_id])
-                if d <= 0:
+                if not d > 0:  # NaN too: a NaN departure would never leave the queue
                     raise SimulationError("adversary assigned nonpositive duration")
                 items[item_id] = it._replace(duration=d)
                 self.resolved[item_id] = d

@@ -43,8 +43,6 @@ class LongestPerBinResolver:
 
 
 def resolver_from_header(header: dict) -> LongestPerBinResolver:
-    if header.get("name") != "longest-per-bin":
-        raise ValueError(f"unknown adversary {header.get('name')!r}")
     return LongestPerBinResolver(header["mu"], header["long_count"])
 
 

@@ -62,7 +62,6 @@ class ExperimentConfig:
     base_seed: int = 0
     checks: list[str] = field(default_factory=list)
     compute_opt: bool = True
-    oracle_max_items: int = oracles.DEFAULT_MAX_ITEMS
     jobs: int = 1
 
     def to_dict(self) -> dict:
@@ -148,7 +147,6 @@ CONFIG_FIELDS = {
     "trials": ("an integer", _integer, _at_least(0)),
     "base_seed": ("an integer", _integer, None),
     "jobs": ("an integer", _integer, _at_least(1)),
-    "oracle_max_items": ("an integer", _integer, _at_least(0)),
     "delay_cost": ("a number or null", lambda v: v is None or _number(v), _at_least(0)),
     "compute_opt": ("true or false", lambda v: type(v) is bool, None),
     "checks": ("a list of strings",
@@ -190,13 +188,13 @@ def _check_budget_alpha(name: str, alpha: Fraction) -> None:
 
 def check_config(config: ExperimentConfig) -> None:
     """Raise a ValueError naming a field of the wrong type or out of range
-    (CONFIG_FIELDS), a check not in CHECKS (UnknownCheck), a bad alpha or
-    f, a policy they cannot build (the policy built to find out is
-    dropped), a migration_budget or size_budget check with an alpha
-    outside (0, 1/2) (_check_budget_alpha) or for a policy whose checks do
-    not list it, or a delay_schedule or decomposition check without a
-    delay cost or for a policy whose checks do not list it. Both a config
-    file and the run/verify options go through it."""
+    (CONFIG_FIELDS), a check not in CHECKS (UnknownCheck), a bad alpha or f, a
+    policy they cannot build (the policy built to find out is dropped), a
+    per_time check without an alpha, a migration_budget or size_budget check
+    with an alpha outside (0, 1/2) (_check_budget_alpha) or for a policy whose
+    checks do not list it, or a delay_schedule or decomposition check without
+    a delay cost or for a policy whose checks do not list it. A config file
+    and the run/verify options meet it."""
     for name, rule in CONFIG_FIELDS.items():
         problem = _value_problem(name, getattr(config, name), *rule)
         if problem:
@@ -216,6 +214,8 @@ def check_config(config: ExperimentConfig) -> None:
             f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
         ) from None
     alpha = config.alpha_fraction()
+    if "per_time" in config.checks and alpha is None:
+        raise ValueError("check per_time needs an alpha")
     for name in ("migration_budget", "size_budget"):
         if name not in config.checks:
             continue
@@ -584,7 +584,8 @@ def checked_run(
 ) -> CheckedRun:
     """Simulate config's policy on the instance once and run every check
     in config.checks on that run. The alpha-bounded checks pass vacuously
-    without an alpha. An instance that fails validation raises
+    without an alpha, which only a caller that skips check_config can ask
+    for. An instance that fails validation raises
     InvariantViolation("validate", ...), from the one validation the
     engine makes."""
     _check_names(config.checks)
@@ -625,7 +626,7 @@ def checked_run(
     if alpha is not None:
         if "per_time" in run.outcomes:
             # through the module attribute, which the benchmark captures to count intervals
-            run.opt = oracles.opt_total(resolved, config.oracle_max_items)
+            run.opt = oracles.opt_total(resolved)
             run.max_pertime_ratio = check(
                 "per_time", check_per_time, run.opt, result, alpha, policy.additive_at
             )
@@ -669,7 +670,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     if config.compute_opt:
         report = run.opt
         if report is None:
-            report = oracles.opt_total(run.instance, config.oracle_max_items)
+            report = oracles.opt_total(run.instance)
         row["opt_lb"] = report.lower_bound
         row["opt_exact"] = report.all_exact
         row["opt_ub"] = report.upper_bound

@@ -11,8 +11,8 @@ from typing import Iterable
 
 from .core import Instance, UnresolvedDurationError, span, vol
 
-DEFAULT_MAX_ITEMS = 24
-# the most search nodes one branch and bound may visit
+# the most live items, and the most search nodes, one branch and bound may take
+MAX_ITEMS = 24
 NODE_BUDGET = 1_000_000
 
 
@@ -109,42 +109,34 @@ def ffd_snapshot(sizes, scale: int) -> int:
 _opt_cache: dict[tuple[tuple[int, ...], int], int] = {}
 
 
-def opt_snapshot(
-    sizes,
-    scale: int,
-    max_items: int = DEFAULT_MAX_ITEMS,
-) -> int:
+def opt_snapshot(sizes, scale: int) -> int:
     """Exact minimum number of unit-capacity bins for a static multiset.
 
     FFD seeds the upper bound; when it meets the ceil(total/scale) lower
     bound the answer is immediate regardless of snapshot size. Otherwise
-    a branch-and-bound over descending sizes (duplicate-load and
-    symmetric-bin pruning) runs on at most max_items items and within
-    NODE_BUDGET nodes; a size outside (0, scale] raises ValueError.
+    a snapshot of more than MAX_ITEMS items raises SnapshotTooLarge, and
+    one of at most MAX_ITEMS goes to branch and bound (_solve); a size
+    outside (0, scale] raises ValueError.
     """
     sizes = tuple(sorted(sizes, reverse=True))
     if not sizes:
         return 0
-    return _solve(sizes, scale, max_items, ffd_snapshot(sizes, scale))
-
-
-def _solve(
-    sizes: tuple[int, ...],
-    scale: int,
-    max_items: int,
-    upper: int,
-) -> int:
-    """How every exact snapshot solve ends: the FFD == L1 fast path, then
-    SnapshotTooLarge past max_items, then the cache of branch-and-bound
-    answers, then branch and bound, which raises TimeBudgetExceeded past
-    NODE_BUDGET nodes. So a cache hit returns what the search would.
-    sizes is non-empty and descending, and upper is its FFD count."""
+    upper = ffd_snapshot(sizes, scale)
     if upper == -(-sum(sizes) // scale):
         return upper
-    if len(sizes) > max_items:
+    if len(sizes) > MAX_ITEMS:
         raise SnapshotTooLarge(
-            f"snapshot too large for exact oracle ({len(sizes)} > {max_items})"
+            f"snapshot too large for exact oracle ({len(sizes)} > {MAX_ITEMS})"
         )
+    return _solve(sizes, scale, upper)
+
+
+def _solve(sizes: tuple[int, ...], scale: int, upper: int) -> int:
+    """The optimum of a snapshot that FFD leaves above L1: the cache of
+    branch-and-bound answers, else branch and bound (duplicate-load and
+    symmetric-bin pruning), which raises TimeBudgetExceeded past
+    NODE_BUDGET nodes. So a cache hit returns what the search would.
+    sizes is non-empty and descending, and upper is its FFD count."""
     key = (sizes, scale)
     cached = _opt_cache.get(key)
     if cached is not None:
@@ -238,10 +230,7 @@ def live_sizes_at(instance: Instance, t: float) -> list[int]:
     ]
 
 
-def opt_total(
-    instance: Instance,
-    max_items: int = DEFAULT_MAX_ITEMS,
-) -> OptReport:
+def opt_total(instance: Instance) -> OptReport:
     """Integrate the per-time packing optimum over event intervals.
 
     The optimum may repack arbitrarily at any moment, so it is piecewise
@@ -265,10 +254,10 @@ def opt_total(
     which is L1 in both cases.
 
     Only where L1 < FFD are the sizes built and solved exactly, and only
-    for an interval of at most max_items items; any other interval, like
+    for an interval of at most MAX_ITEMS items; any other interval, like
     one whose search runs past NODE_BUDGET nodes, falls back to L1 and is
-    flagged inexact. The report is a function of the instance and
-    max_items alone: what earlier calls cached changes no interval.
+    flagged inexact. The report is a function of the instance alone: what
+    earlier calls cached changes no interval.
     Raises ValueError on a size outside (0, scale] or a negative duration,
     which would drive a count below zero, and UnresolvedDurationError on
     an unresolved one.
@@ -317,12 +306,12 @@ def opt_total(
             opt = upper = _ffd_counts(counts, reversed(order), scale)
             if lower < upper:
                 opt = None
-                if items <= max_items:
+                if items <= MAX_ITEMS:
                     sizes: list[int] = []
                     for s in reversed(order):
                         sizes += [s] * counts[s]
                     try:
-                        opt = _solve(tuple(sizes), scale, max_items, upper)
+                        opt = _solve(tuple(sizes), scale, upper)
                     except TimeBudgetExceeded:
                         pass
                 if opt is None:

@@ -95,7 +95,7 @@ def multiclass_sweep():
             stats["runs"] += 1
             try:
                 check_per_time(
-                    opt_total(instance, 24), result, alpha,
+                    opt_total(instance), result, alpha,
                     lambda t: 2 * policy.phases_at(t),
                 )
             except InvariantViolation:
@@ -192,7 +192,7 @@ def test_criterion_5_size_cost_variant():
             runs += 1
             try:
                 check_size_budget(instance, result, alpha)
-                check_per_time(opt_total(instance, 24), result, alpha, lambda t: 1)
+                check_per_time(opt_total(instance), result, alpha, lambda t: 1)
             except InvariantViolation:
                 violations += 1
     report(

@@ -255,6 +255,10 @@ def test_verify_certifies_snapshots_too_large_for_the_exact_oracle(tmp_path):
     assert "PASS per_time" in result.stdout.splitlines()
 
 
+DEFERRED = '{"id": 0, "arrival": 0.0, "size_num": 3, "duration": null}'
+ADVERSARY = '{"name": "longest-per-bin", "mu": a number, "long_count": an integer}'
+
+
 @pytest.mark.parametrize(
     "lines, problem",
     [
@@ -274,6 +278,17 @@ def test_verify_certifies_snapshots_too_large_for_the_exact_oracle(tmp_path):
          "2: arrival: expected a number, got '0'"),
         (['{"scale": 8}', '{"id": 0, "arrival": 0, "size_num": 3, "duration": [1]}'],
          "2: duration: expected a number or null, got [1]"),
+        # the header's optional keys
+        (['{"scale": 8, "adversary": 5}', DEFERRED],
+         f"1: adversary: expected {ADVERSARY}, got 5"),
+        (['{"scale": 8, "adversary": {"kind": "x"}}', DEFERRED],
+         f"1: adversary: expected {ADVERSARY}, got {{'kind': 'x'}}"),
+        (['{"scale": 8, "adversary": {"name": "longest-per-bin", "mu": "big", "long_count": 1}}',
+          DEFERRED],
+         f"1: adversary: expected {ADVERSARY}, "
+         "got {'name': 'longest-per-bin', 'mu': 'big', 'long_count': 1}"),
+        (['{"scale": 8, "seed": "x"}', '{"id": 0, "arrival": 0.0, "size_num": 3, "duration": 1.0}'],
+         "1: seed: expected an integer or null, got 'x'"),
     ],
 )
 @pytest.mark.parametrize(
@@ -331,6 +346,9 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
         ('{"algorithm": "firstfit", "oracle_time_budget": 2.0, '
          '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
          ": unknown key oracle_time_budget"),
+        ('{"algorithm": "firstfit", "oracle_max_items": 24, '
+         '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
+         ": unknown key oracle_max_items"),
     ],
 )
 def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
@@ -346,11 +364,11 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
 @pytest.mark.parametrize(
     "name, value",
     [
+        # no longer config fields: any value is one "unknown key" line
         ("oracle_max_items", "x"),
         ("oracle_max_items", -1),
         ("oracle_max_items", 2.5),
         ("oracle_max_items", True),
-        # no longer a config field: any value is one "unknown key" line
         ("oracle_time_budget", 0),
         ("oracle_time_budget", "x"),
         ("oracle_time_budget", True),
@@ -495,6 +513,33 @@ def test_a_delay_check_without_a_delay_cost_is_a_one_line_error(
     result = invoke("run", "--config", config)
     assert result.exit_code == 1
     assert result.stderr == f"Error: {config}: check {check} needs a delay_cost\n"
+
+
+@pytest.mark.parametrize("form", ["options", "config"])
+@pytest.mark.parametrize("alg, delay_c", [("firstfit", None), ("delay", 4.0)])
+def test_per_time_without_an_alpha_is_a_one_line_error(tmp_path, alg, delay_c, form):
+    # the bound is open bins <= OPT_t / alpha: without an alpha there is
+    # nothing to check
+    if form == "options":
+        path = tmp_path / "inst.jsonl"
+        invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16",
+               "--window", "10", "-o", path)
+        options = ["--alg", alg, "--checks", "per_time"]
+        if delay_c is not None:
+            options += ["--delay-c", delay_c]
+        result = invoke("run", path, *options)
+        prefix = ""
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algorithm": alg, "delay_cost": delay_c, "checks": ["per_time"],
+            "generator": {"family": "fig2", "k": 3, "mu": 5},
+        }))
+        result = invoke("run", "--config", path)
+        prefix = f"{path}: "
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {prefix}check per_time needs an alpha\n"
 
 
 @pytest.mark.parametrize(

@@ -11,13 +11,17 @@ was re-recorded when the migration budget began to count alg1's single
 class against all items: each ended in `FAIL migration_budget: ... in
 class > 0.0` and exit 1 before, and now passes every check. The `opt`
 digests were recorded before `opt_total` took over the interval sweep
-from a separate snapshot generator. The four `run --config` digests were
-re-recorded when the config lost its `oracle_time_budget` field: each
-report differs from the one before by that one line.
+from a separate snapshot generator; the case at `MAX_ITEMS` 2 was
+recorded with a `--max-items 2` option, and now sets the module constant
+in-process. The four `run --config` digests were re-recorded when the
+config lost its `oracle_time_budget` field, and again when it lost its
+`oracle_max_items` field: each time every report differs from the one
+before by that one line, and every CSV is unchanged.
 """
 
 import hashlib
 import json
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
@@ -54,12 +58,12 @@ EXPECTED = {
     # fig2 defers its durations to the adversary, so opt refuses it
     "opt fig2": "6b1db06abd7921b4618011750ab5082a941ec4bdcc8439506d98c4d7a8e409b6",
     "opt uniform": "e91cd4acfbe9ba4d5c5d414d19542f354ef4a124cf71697377009d2780614ed5",
-    "opt uniform --max-items 2": "4b5b456e608c61b766501a50c313a905d76106550c574df8afebdf7d31c15b5d",
+    "opt uniform at MAX_ITEMS 2": "4b5b456e608c61b766501a50c313a905d76106550c574df8afebdf7d31c15b5d",
     "run --checks --trace": "d9e30bd32db313578c372ae395239a3721f9e36f05e655033fc72e85da7e91e3",
-    "run --config alg2": "8c1c9c60001ce19c2cd6230cc0d8ace85cdc142c1b1d7cedf24a4609db56bd40",
-    "run --config delay": "3085e0028ebe6a190031e542008d2cf58914efd16098c0da96e9d1b5e29c43b9",
-    "run --config firstfit": "57d198897e7cd70e512a70026d8ffca57f6ff7f40f281c7fd1e7614b8b72d82b",
-    "run --config sizecost": "17aee9ac05c8fa360711f78c19c942ab1b412d0d7634db9cd413f7d14abb31ea",
+    "run --config alg2": "aa284deb2d5fba1146cc3c3abcbe01ea8e8bf99b84a07ed9a2c037c151d9ad42",
+    "run --config delay": "68168ead170f9fa44e1d2b40d167e2680d68803d79d1ba6638aa5fbef095aef5",
+    "run --config firstfit": "3fd9cd720777d27eb75bf5da02380a3f4bbf54dc827fc32b3df6432c2aa67109",
+    "run --config sizecost": "a8772dfaa2afc1b3b3a12c673d566564aef4a3183ffa29bfa59091d42adddff5",
     "verify alg1 delaylb": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg1 fig2": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg1 uniform": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
@@ -105,11 +109,13 @@ def run_trace_bytes(tmp_path):
     return f"{result.exit_code}\n{result.stdout}".encode() + trace.read_bytes()
 
 
-def opt_bytes(tmp_path, instance, *options):
+def opt_bytes(tmp_path, instance, max_items=oracles.MAX_ITEMS):
     # from a cold cache, as the digests were recorded; a warm one gives
     # the same bytes, since the cache changes no result
+    path = instance_file(tmp_path, instance)
     oracles._opt_cache.clear()
-    result = invoke(["opt", instance_file(tmp_path, instance), *options])
+    with patch.object(oracles, "MAX_ITEMS", max_items):
+        result = invoke(["opt", path])
     return f"{result.exit_code}\n{result.stdout}{result.stderr}".encode()
 
 
@@ -128,7 +134,7 @@ CASES = {
        for instance in INSTANCES for alg in ALG_OPTIONS},
     **{f"opt {instance}": (lambda p, i=instance: opt_bytes(p, i)) for instance in INSTANCES},
     # an interval past two items where FFD misses L1 ends inexact
-    "opt uniform --max-items 2": lambda p: opt_bytes(p, "uniform", "--max-items", "2"),
+    "opt uniform at MAX_ITEMS 2": lambda p: opt_bytes(p, "uniform", 2),
     "run --checks --trace": run_trace_bytes,
     **{f"run --config {alg}": (lambda p, a=alg: run_config_bytes(p, a)) for alg in BATCHES},
 }

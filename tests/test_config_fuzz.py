@@ -45,7 +45,6 @@ CONFIG_VALUES = {
     "base_seed": SMALL_INTS,
     "checks": CHECK_NAMES,
     "compute_opt": st.booleans(),
-    "oracle_max_items": st.integers(0, 8),
     "jobs": st.just(1),
 }
 GENERATOR_VALUES = {

@@ -20,7 +20,7 @@ from dynbin.engine import (
     verify_packing,
 )
 from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy
-from dynbin.generators import gen_fig2, gen_uniform
+from dynbin.generators import LongestPerBinResolver, gen_fig2, gen_uniform
 
 
 def inst(items, scale=4):
@@ -110,6 +110,14 @@ class TestAdversary:
         instance, _ = gen_fig2(2, 3.0)
         with pytest.raises(SimulationError):
             simulate(instance, FirstFitPolicy())
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan")])
+    def test_nonpositive_resolved_duration_rejected(self, mu):
+        # NaN fails every comparison, and a NaN departure never leaves the queue
+        instance, _ = gen_fig2(2, 3.0)
+        resolver = LongestPerBinResolver(mu, 1)
+        with pytest.raises(SimulationError, match="nonpositive duration"):
+            simulate(instance, FirstFitPolicy(), adversary=resolver)
 
 
 class TestEngineGuards:

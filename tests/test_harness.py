@@ -126,7 +126,7 @@ def test_per_time_check_flags_violation():
 
     result = simulate(instance, FirstFitPolicy())
     with pytest.raises(InvariantViolation):
-        check_per_time(opt_total(instance, 24), result, Fraction(9, 10), lambda t: 0)
+        check_per_time(opt_total(instance), result, Fraction(9, 10), lambda t: 0)
 
 
 def test_migration_budget_counts_alg1_class_against_all_items():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,13 +74,13 @@ class TestOptSnapshot:
 
     def test_large_snapshot_fast_path(self):
         # equal sizes: lower and upper bounds meet, so size is no obstacle
-        assert opt_snapshot([1] * 500, 10, max_items=24) == 50
+        assert opt_snapshot([1] * 500, 10) == 50
 
     def test_large_hard_snapshot_rejected(self):
         rng = random.Random(0)
         sizes = [rng.randint(3, 7) for _ in range(60)]
         try:
-            opt_snapshot(sizes, 13, max_items=24)
+            opt_snapshot(sizes, 13)
         except SnapshotTooLarge:
             pass  # only raised when the bounds do not already meet
 
@@ -159,7 +160,7 @@ def list_ffd(sizes, scale):
     return len(bins)
 
 
-def naive_opt_total(instance, max_items):
+def naive_opt_total(instance):
     """O(n * intervals): per interval one live_sizes_at scan, one
     item-by-item FFD and one opt_snapshot, the way opt_total worked before
     the sweep."""
@@ -175,7 +176,7 @@ def naive_opt_total(instance, max_items):
         ffd = list_ffd(sizes, instance.scale)
         l1 = -(-sum(sizes) // instance.scale)
         try:
-            opt, exact = opt_snapshot(sizes, instance.scale, max_items), True
+            opt, exact = opt_snapshot(sizes, instance.scale), True
         except (SnapshotTooLarge, TimeBudgetExceeded):
             opt, exact, all_exact = l1, False, False
         intervals.append(OptInterval(start, end, exact, opt, l1, ffd))
@@ -190,7 +191,7 @@ def naive_opt_total(instance, max_items):
     )
 
 
-def naive_check_per_time(instance, result, alpha, additive_at, max_items):
+def naive_check_per_time(instance, result, alpha, additive_at):
     """One live_sizes_at scan and one opt_snapshot per segment; a snapshot
     the exact oracle gives up on is judged by its L1 bound, and raises
     SnapshotTooLarge only if that bound does not certify the segment."""
@@ -198,7 +199,7 @@ def naive_check_per_time(instance, result, alpha, additive_at, max_items):
     for seg in result.segments:
         sizes = live_sizes_at(instance, seg.start)
         try:
-            opt_t = opt_snapshot(sizes, instance.scale, max_items)
+            opt_t = opt_snapshot(sizes, instance.scale)
             exact = True
         except (SnapshotTooLarge, TimeBudgetExceeded):
             opt_t = -(-sum(sizes) // instance.scale)
@@ -234,7 +235,7 @@ def grid_instances(draw, min_duration=0, max_scale=16, max_items=24):
     rows = draw(
         st.lists(
             st.tuples(st.integers(0, 10), st.integers(min_duration, 4), st.integers(1, scale)),
-            min_size=8,  # enough overlap that some snapshots exceed max_items=4
+            min_size=8,  # enough overlap that some snapshots exceed MAX_ITEMS 4
             max_size=max_items,
         )
     )
@@ -258,32 +259,35 @@ HAND_MADE = Instance(
 
 
 # up to 60 items on scales up to 64: intervals hold several copies of a
-# size, sizes above half a bin, and far more than max_items=4 live items
+# size, sizes above half a bin, and far more than MAX_ITEMS 4 live items
 @settings(max_examples=300, deadline=None)
 @given(grid_instances(max_scale=64, max_items=60), st.booleans())
 @example(HAND_MADE, False)
 @example(Instance(items=(), scale=3), False)
 @example(HAND_MADE, True)
 def test_opt_total_matches_naive_sweep(instance, warm):
-    # the naive sweep runs from a cold cache; warm: the sweep runs after
-    # one at max_items=24 has cached snapshots of more than 4 items, which
-    # must change no interval
+    # both sweeps at MAX_ITEMS 4, the naive one from a cold cache; warm:
+    # the fast sweep runs after one at MAX_ITEMS 24 has cached snapshots of
+    # more than 4 items, which must change no interval
     clear_cache()
-    expected = naive_opt_total(instance, 4).to_dict()
+    with patch.object(oracles, "MAX_ITEMS", 4):
+        expected = naive_opt_total(instance).to_dict()
     clear_cache()
     if warm:
-        opt_total(instance, 24)
-    assert opt_total(instance, 4).to_dict() == expected
+        opt_total(instance)
+    with patch.object(oracles, "MAX_ITEMS", 4):
+        assert opt_total(instance).to_dict() == expected
     clear_cache()
 
 
-def test_a_cached_snapshot_past_max_items_stays_inexact():
-    # a sweep at max_items=24 solves HAND_MADE's first interval; a sweep at
-    # max_items=4 still leaves it at L1
+def test_a_cached_snapshot_past_max_items_stays_inexact(monkeypatch):
+    # a sweep at MAX_ITEMS 24 solves HAND_MADE's first interval; a sweep at
+    # MAX_ITEMS 4 still leaves it at L1
     clear_cache()
-    opt_total(HAND_MADE, 24)
+    opt_total(HAND_MADE)
     assert (5, 5, 4, 4, 3, 3, 3, 3) in {sizes for sizes, _ in oracles._opt_cache}
-    report = opt_total(HAND_MADE, 4)
+    monkeypatch.setattr(oracles, "MAX_ITEMS", 4)
+    report = opt_total(HAND_MADE)
     assert not report.intervals[0].exact and report.intervals[0].opt == 3
     assert report.intervals[0].upper == 4
     clear_cache()
@@ -366,15 +370,16 @@ def test_ffd_is_skipped_up_to_one_and_a_half_bins(monkeypatch):
 @example(HAND_MADE)
 def test_sizes_are_built_only_for_intervals_the_solver_can_take(instance):
     # on an empty cache, branch and bound gets the live sizes of exactly
-    # the intervals where FFD misses L1 and at most max_items items live
+    # the intervals where FFD misses L1 and at most MAX_ITEMS items live
     calls = []
     solve = oracles._solve
     clear_cache()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "MAX_ITEMS", 4)
+        mp.setattr(
             oracles, "_solve", lambda sizes, *args: calls.append(sizes) or solve(sizes, *args)
         )
-        report = opt_total(instance, 4)
+        report = opt_total(instance)
     clear_cache()
     expected = []
     for iv in report.intervals:
@@ -423,7 +428,7 @@ def test_opt_total_matches_naive_sweep_at_forty_live_items():
     clear_cache()
     report = opt_total(instance)
     clear_cache()
-    assert report.to_dict() == naive_opt_total(instance, oracles.DEFAULT_MAX_ITEMS).to_dict()
+    assert report.to_dict() == naive_opt_total(instance).to_dict()
     clear_cache()
     assert len(report.intervals) > 1000
     assert max(len(live_sizes_at(instance, iv.start)) for iv in report.intervals) > 40
@@ -451,11 +456,10 @@ def test_check_per_time_matches_per_segment_scan(instance, alg, alpha, additive)
         except (InvariantViolation, SnapshotTooLarge) as exc:
             return type(exc), str(exc)
 
-    assert outcome(
-        lambda: check_per_time(opt_total(instance, 4), result, alpha, lambda t: additive)
-    ) == outcome(
-        lambda: naive_check_per_time(instance, result, alpha, lambda t: additive, 4)
-    )
+    with patch.object(oracles, "MAX_ITEMS", 4):
+        assert outcome(
+            lambda: check_per_time(opt_total(instance), result, alpha, lambda t: additive)
+        ) == outcome(lambda: naive_check_per_time(instance, result, alpha, lambda t: additive))
 
 
 def test_check_per_time_outside_the_boundaries_sees_no_items():
@@ -469,12 +473,10 @@ def test_check_per_time_outside_the_boundaries_sees_no_items():
         return SimpleNamespace(times=times, open_counts=open_counts, segments=segments)
 
     result = hand_made([1] * 6)
-    report = opt_total(instance, 4)
+    report = opt_total(instance)
     checks = (
         lambda additive: check_per_time(report, result, Fraction(1), lambda t: additive),
-        lambda additive: naive_check_per_time(
-            instance, result, Fraction(1), lambda t: additive, 4
-        ),
+        lambda additive: naive_check_per_time(instance, result, Fraction(1), lambda t: additive),
     )
     assert checks[0](1) == 1.0
     for check in checks:
