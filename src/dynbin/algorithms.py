@@ -329,6 +329,8 @@ def decompose_delay_run(
     The small part covers [arrival, first migration) (the whole lifetime
     if never migrated); each big part covers one stretch between
     consecutive migrations, the last ending at the delayed departure.
+    harness.check_decomposition builds the same parts' events without
+    these sub-instances; the tests hold the two to each other.
     """
     small_items: list[Item] = []
     big_items: list[Item] = []

@@ -9,6 +9,7 @@ item's lifetime is the half-open interval [arrival, arrival + duration).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -117,24 +118,41 @@ def with_durations(instance: Instance, durations: dict[int, float]) -> Instance:
 def validate(instance: Instance) -> list[str]:
     """Check structural invariants; returns all violations (empty = ok)."""
     violations = []
-    if instance.scale < 1:
+    scale, inf = instance.scale, math.inf
+    if scale < 1:
         violations.append("scale must be a positive integer")
     seen: set[int] = set()
-    for it in instance.items:
-        if it.id in seen:
-            violations.append(f"duplicate id {it.id}")
-        seen.add(it.id)
-        if it.size_num <= 0:
-            violations.append(f"item {it.id}: size must be positive")
-        elif it.size_num > instance.scale:
-            violations.append(f"item {it.id}: size exceeds bin capacity")
-        if it.arrival != it.arrival:
-            violations.append(f"item {it.id}: arrival is NaN")
-        elif it.arrival < 0:
-            violations.append(f"item {it.id}: negative arrival")
-        if it.duration is not None and not it.duration > 0:  # NaN too
-            violations.append(f"item {it.id}: duration must be positive")
+    for item_id, arrival, size, duration in instance.items:
+        if item_id in seen:
+            violations.append(f"duplicate id {item_id}")
+        seen.add(item_id)
+        if size <= 0:
+            violations.append(f"item {item_id}: size must be positive")
+        elif size > scale:
+            violations.append(f"item {item_id}: size exceeds bin capacity")
+        # one test when both times are fine; a NaN fails it too
+        if not (0 <= arrival < inf and (duration is None or 0 < duration < inf)):
+            violations += time_problems(item_id, arrival, duration)
     return violations
+
+
+def time_problems(label: int, arrival: float, duration: float | None) -> list[str]:
+    """validate's findings on one item's arrival and duration, the item
+    named by label; a finite arrival >= 0 and a finite duration > 0 (or
+    None, deferred) pass."""
+    problems = []
+    if arrival != arrival:
+        problems.append(f"item {label}: arrival is NaN")
+    elif arrival < 0:
+        problems.append(f"item {label}: negative arrival")
+    elif arrival == math.inf:
+        problems.append(f"item {label}: arrival must be finite")
+    if duration is not None:
+        if not duration > 0:  # NaN too
+            problems.append(f"item {label}: duration must be positive")
+        elif duration == math.inf:
+            problems.append(f"item {label}: duration must be finite")
+    return problems
 
 
 def write_jsonl(instance: Instance, path) -> None:
@@ -158,9 +176,12 @@ def write_jsonl(instance: Instance, path) -> None:
 
 # each key a header or an item record must hold: what its value must be
 _INTEGER = ("an integer", lambda v: type(v) is int)  # not true or false
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
+# Python's json module reads Infinity and NaN beyond the standard: an
+# infinite time or mu is refused here, and a NaN time reaches validate,
+# which names it
+_NUMBER = ("a number", lambda v: type(v) in (int, float) and v not in (math.inf, -math.inf))
 _ITEM_KEYS = {"id": _INTEGER, "arrival": _NUMBER, "size_num": _INTEGER,
-              "duration": ("a number or null", lambda v: type(v) in (int, float, type(None)))}
+              "duration": ("a number or null", lambda v: v is None or _NUMBER[1](v))}
 # the header's keys, all but scale optional; the one adversary a file can
 # name is generators.LongestPerBinResolver's header
 _HEADER_KEYS = {

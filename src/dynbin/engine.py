@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
@@ -681,6 +682,8 @@ class Engine:
                 d = float(assignment[item_id])
                 if not d > 0:  # NaN too: a NaN departure would never leave the queue
                     raise SimulationError("adversary assigned nonpositive duration")
+                if d == math.inf:
+                    raise SimulationError("adversary assigned infinite duration")
                 items[item_id] = it._replace(duration=d)
                 self.resolved[item_id] = d
                 self.departure_time[item_id] = departure = it.arrival + d

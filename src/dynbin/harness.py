@@ -4,7 +4,10 @@ checked_run, which run_trial, cmd_verify and `dynbin run` share; the CLI
 in cli.py only parses options and prints. The packing, bad_bins and
 junk_load checks read the engine's records through engine.Replay, their
 one reader: checked_run takes all three from one replay of the stored run,
-and bad_bin_observer feeds the same reader live."""
+and bad_bin_observer feeds the same reader live. The decomposition check
+reads the run's items, ledger and departures directly: it builds each
+part's FirstFit events with no sub-instance in between and sweeps them
+without the engine."""
 
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ import statistics
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from itertools import islice
 
 from . import algorithms, generators, oracles
-from .core import Instance, mu as inst_mu, validate, with_durations
+from .core import Instance, time_problems, validate, with_durations
 from .engine import InvalidInstance, Policy, Replay, SimulationResult, check_records, simulate
 # unused here, but the benchmark's tracer patches this name in this module
 from .engine import verify_packing  # noqa: F401
@@ -398,30 +402,31 @@ def check_delay_schedule(
     exactly arrival + duration + C * migrations. An integer count exceeds
     floor(x) exactly when it exceeds x, which holds for x = inf too."""
     sqrt_c = math.sqrt(delay_cost)
-    for it in instance.items:
-        migs = result.migrations_per_item.get(it.id, 0)
-        if migs > it.duration / sqrt_c + 1e-12:
+    migrations, departures = result.migrations_per_item, result.departures
+    for item_id, arrival, _, duration in instance.items:
+        migs = migrations.get(item_id, 0)
+        if migs > duration / sqrt_c + 1e-12:
             raise InvariantViolation(
                 "delay_schedule",
-                f"item {it.id}: {migs} migrations > floor({it.duration}/{sqrt_c})",
+                f"item {item_id}: {migs} migrations > floor({duration}/{sqrt_c})",
             )
-        expected = it.arrival + it.duration + delay_cost * migs
-        if result.departures[it.id] != expected:
+        expected = arrival + duration + delay_cost * migs
+        if departures[item_id] != expected:
             raise InvariantViolation(
                 "delay_schedule",
-                f"item {it.id}: departed {result.departures[it.id]}, expected {expected}",
+                f"item {item_id}: departed {departures[item_id]}, expected {expected}",
             )
 
 
-def _first_fit_cost(instance: Instance) -> float:
-    """FirstFit's total active time on a resolved instance, computed
-    without the engine, so it checks the engine's first fit and is no
-    copy of it.
+def _first_fit_cost(events: list, scale: int) -> float:
+    """FirstFit's total active time on a resolved instance given as its
+    (time, kind, id, size) events, an arrival (kind 1) and a departure
+    (kind 0, at arrival + duration) per item. It is computed without the
+    engine, so it checks the engine's first fit and is no copy of it.
 
-    One pass over the arrivals and departures sorted by (time, kind, id):
-    departures (kind 0) before arrivals (kind 1) at equal times, ties by
-    id, each departure at arrival + duration, all as the engine orders
-    and computes them. Every item must end after it arrives, which each
+    One pass over the events, sorted in place by (time, kind, id):
+    departures before arrivals at equal times, ties by id, as the engine
+    orders them. Every item must end after it arrives, which each
     part of a delay run does. The bins are the leaves of one
     max-residual segment tree in opening order: an open bin's leaf holds
     its room, scale - load, and every other leaf -1, so the leftmost leaf
@@ -431,11 +436,6 @@ def _first_fit_cost(instance: Instance) -> float:
     at least twice their number by rewriting one list each. The cost
     adds open bins * elapsed time at each new event time, as the engine
     does, so the two sums are the same float."""
-    scale = instance.scale
-    events = []
-    for item_id, arrival, size, duration in instance.items:
-        events.append((arrival, 1, item_id, size))
-        events.append((arrival + duration, 0, item_id, size))
     if not events:
         return 0.0
     events.sort()
@@ -507,28 +507,86 @@ def check_decomposition(
 ) -> None:
     """The delay run's cost must equal FirstFit on the small-parts plus
     FirstFit on the big-parts sub-instances; their duration ratios must
-    satisfy the sub-instance preconditions. FirstFit's cost on each part
-    comes from _first_fit_cost, a sweep that shares no code with the
-    engine, so the identity is checked against code the run did not use."""
-    small, big = algorithms.decompose_delay_run(instance, result)
-    sqrt_c = math.sqrt(delay_cost)
-    for part in (small, big):
-        problems = validate(part)
-        if problems:  # a part of no length: a migration when it began
-            raise InvariantViolation(
-                "decomposition", f"invalid sub-instance: {'; '.join(problems)}"
-            )
-    ff_small = _first_fit_cost(small)
-    ff_big = _first_fit_cost(big)
+    satisfy the sub-instance preconditions. An item's small part covers
+    [arrival, first migration), its whole delayed lifetime if it never
+    migrated; each big part covers one stretch between consecutive
+    migrations, the last ending at the departure. The parts are numbered
+    in item order, as algorithms.decompose_delay_run numbers them.
+
+    No sub-instance is built. One pass per part reads the items, the
+    ledger's migration times and the departures, and emits the part's
+    (time, kind, id, size) events, each ending at start + (end - start)
+    as an Item of that duration would. It applies validate's time rules
+    to each part (the sizes and scale are the instance's, which the run
+    validated) and keeps the shortest and longest duration for the mu
+    tests. FirstFit's cost on the part comes from _first_fit_cost, a
+    sweep that shares no code with the engine, so the identity is checked
+    against code the run did not use; the next part is built after it."""
+    scale, departures, inf = instance.scale, result.departures, math.inf
+    times_of: dict[int, list[float]] = {}  # migrated item -> its migration times
+    for e in result.ledger.entries:  # ledger order: ascending
+        times_of.setdefault(e.item, []).append(e.time)
+
+    # the small parts, one per item (both loops are written out: one shared
+    # generator of (start, end, size) made the check about 7% slower)
+    events: list = []
+    add = events.append
+    problems: list[str] = []
+    shortest, longest = inf, 0.0
+    for part, (item_id, start, size, _) in enumerate(instance.items):
+        times = times_of.get(item_id)
+        duration = (times[0] if times else departures[item_id]) - start
+        if not (0 <= start < inf and 0 < duration < inf):  # NaN fails it too
+            problems += time_problems(part, start, duration)
+        if duration < shortest:
+            shortest = duration
+        if duration > longest:
+            longest = duration
+        add((start, 1, part, size))
+        add((start + duration, 0, part, size))
+    if problems:  # a part of no length: a migration when it began
+        raise InvariantViolation("decomposition", f"invalid sub-instance: {'; '.join(problems)}")
+    ff_small = _first_fit_cost(events, scale)
+    mu_small = longest / shortest if events else None
+
+    # the big parts, from each migration to the next or to the departure
+    events = []
+    add = events.append
+    shortest, longest = inf, 0.0
+    part = 0
+    for item_id, _, size, _ in instance.items:
+        times = times_of.get(item_id)
+        if times is None:
+            continue
+        times.append(departures[item_id])
+        start = times[0]
+        for end in islice(times, 1, None):
+            duration = end - start
+            if not (0 <= start < inf and 0 < duration < inf):
+                problems += time_problems(part, start, duration)
+            if duration < shortest:
+                shortest = duration
+            if duration > longest:
+                longest = duration
+            add((start, 1, part, size))
+            add((start + duration, 0, part, size))
+            part += 1
+            start = end
+    if problems:
+        raise InvariantViolation("decomposition", f"invalid sub-instance: {'; '.join(problems)}")
+    ff_big = _first_fit_cost(events, scale)
+    mu_big = longest / shortest if events else None
+
     total = result.total_active_time
     if abs(total - (ff_small + ff_big)) > 1e-9 * max(1.0, abs(total)):
         raise InvariantViolation(
             "decomposition",
             f"ALG {total} != FF(small) {ff_small} + FF(big) {ff_big}",
         )
-    if small.items and inst_mu(small) > sqrt_c + 1e-9:
+    sqrt_c = math.sqrt(delay_cost)
+    if mu_small is not None and mu_small > sqrt_c + 1e-9:
         raise InvariantViolation("decomposition", "mu of small parts exceeds sqrt(C)")
-    if big.items and inst_mu(big) > 2 + 1e-9:
+    if mu_big is not None and mu_big > 2 + 1e-9:
         raise InvariantViolation("decomposition", "mu of big parts exceeds 2")
 
 

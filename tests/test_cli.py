@@ -289,6 +289,15 @@ ADVERSARY = '{"name": "longest-per-bin", "mu": a number, "long_count": an intege
          "got {'name': 'longest-per-bin', 'mu': 'big', 'long_count': 1}"),
         (['{"scale": 8, "seed": "x"}', '{"id": 0, "arrival": 0.0, "size_num": 3, "duration": 1.0}'],
          "1: seed: expected an integer or null, got 'x'"),
+        # Python's json module reads Infinity, which no time or mu may be
+        (['{"scale": 8}', '{"id": 0, "arrival": 0.0, "size_num": 3, "duration": Infinity}'],
+         "2: duration: expected a number or null, got inf"),
+        (['{"scale": 8}', '{"id": 0, "arrival": -Infinity, "size_num": 3, "duration": 1.0}'],
+         "2: arrival: expected a number, got -inf"),
+        (['{"scale": 8, "adversary": {"name": "longest-per-bin", "mu": Infinity, "long_count": 1}}',
+          DEFERRED],
+         f"1: adversary: expected {ADVERSARY}, "
+         "got {'name': 'longest-per-bin', 'mu': inf, 'long_count': 1}"),
     ],
 )
 @pytest.mark.parametrize(

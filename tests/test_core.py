@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +137,24 @@ class TestValidate:
         msgs = validate(bad)
         assert any("negative arrival" in v for v in msgs)
         assert any("duration must be positive" in v for v in msgs)
+
+    @pytest.mark.parametrize(
+        "item, problems",
+        [
+            (Item(4, 0.0, 1, math.inf), ["item 4: duration must be finite"]),
+            (Item(4, math.inf, 1, 1.0), ["item 4: arrival must be finite"]),
+            (Item(4, math.inf, 1, math.inf),
+             ["item 4: arrival must be finite", "item 4: duration must be finite"]),
+            (Item(4, -math.inf, 1, -math.inf),
+             ["item 4: negative arrival", "item 4: duration must be positive"]),
+            (Item(4, math.nan, 1, math.nan),
+             ["item 4: arrival is NaN", "item 4: duration must be positive"]),
+            (Item(4, math.inf, 1, None), ["item 4: arrival must be finite"]),
+        ],
+    )
+    def test_times_must_be_finite(self, item, problems):
+        # each item's findings in order: arrival, then duration
+        assert validate(make([Item(0, 0.0, 1, 1.0), item])) == problems
 
 
 def test_jsonl_roundtrip(tmp_path):

@@ -119,6 +119,13 @@ class TestAdversary:
         with pytest.raises(SimulationError, match="nonpositive duration"):
             simulate(instance, FirstFitPolicy(), adversary=resolver)
 
+    def test_infinite_resolved_duration_rejected(self):
+        # validate refuses an infinite duration; an adversary may not assign one
+        instance, _ = gen_fig2(2, 3.0)
+        resolver = LongestPerBinResolver(float("inf"), 1)
+        with pytest.raises(SimulationError, match="^adversary assigned infinite duration$"):
+            simulate(instance, FirstFitPolicy(), adversary=resolver)
+
 
 class TestEngineGuards:
     def test_capacity_violation(self):

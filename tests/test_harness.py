@@ -1,7 +1,9 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -274,6 +276,16 @@ def test_the_decomposition_check_sees_a_first_fit_fault(monkeypatch, seed):
         check_decomposition(instance, result, 100.0)
 
 
+def ff_events(instance):
+    """An instance's (time, kind, id, size) events as _first_fit_cost reads
+    them: an arrival (kind 1) and a departure (kind 0) per item."""
+    events = []
+    for item_id, arrival, size, duration in instance.items:
+        events.append((arrival, 1, item_id, size))
+        events.append((arrival + duration, 0, item_id, size))
+    return events
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 8).flatmap(
@@ -303,9 +315,130 @@ def test_first_fit_cost_is_the_engines_exactly(case):
         scale=scale,
     )
     expected = simulate(instance, FirstFitPolicy()).total_active_time
-    assert harness._first_fit_cost(instance) == expected
+    assert harness._first_fit_cost(ff_events(instance), scale) == expected
     if not rows:
         assert expected == 0.0
+
+
+def grid_instance(scale, rows):
+    """Items (arrival, duration, size), times given in halves: arrivals,
+    checkpoints and departures of a delay run at C = 1, 4 or 9 then meet.
+    Durations of at least 1 keep the small parts' mu within sqrt(C)."""
+    return Instance(
+        items=tuple(Item(i, a / 2, size, d / 2) for i, (a, d, size) in enumerate(rows)),
+        scale=scale,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1.0, 4.0, 9.0]),
+    st.integers(1, 8).flatmap(
+        lambda scale: st.tuples(
+            st.just(scale),
+            st.lists(
+                st.tuples(st.integers(0, 8), st.integers(2, 24), st.integers(1, scale)),
+                max_size=40,
+            ),
+        )
+    ),
+)
+# two items through one checkpoint batch, after a third that arrived first
+@example(4.0, (2, [(1, 20, 1), (1, 20, 1), (0, 3, 2)]))
+def test_the_decomposition_check_sweeps_the_parts_events(delay_cost, case):
+    # the check's events per part equal those of decompose_delay_run's
+    # sub-instances, numbering and end times included, and so do the costs;
+    # arrivals come in any order, ids in item order (the engine breaks
+    # equal-time ties by id, the parts by their number)
+    scale, rows = case
+    instance = grid_instance(scale, rows)
+    result = simulate(instance, DelayPolicy(delay_cost), delay_cost=delay_cost)
+    swept, costs = [], []
+
+    def recording(events, scale):
+        swept.append(list(events))  # before the sweep sorts them
+        costs.append(first_fit_cost(events, scale))
+        return costs[-1]
+
+    first_fit_cost = harness._first_fit_cost
+    with patch.object(harness, "_first_fit_cost", recording):
+        check_decomposition(instance, result, delay_cost)
+    parts = decompose_delay_run(instance, result)
+    assert swept == [ff_events(part) for part in parts]
+    assert costs == [first_fit_cost(ff_events(part), scale) for part in parts]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shifting_a_big_part_by_one_grid_step_fails_the_decomposition(seed):
+    # the last big part to end closes the big pool's last bin: ending it
+    # one step later costs FF(big) one step more, and nothing else moves
+    rng = random.Random(seed)
+    rows = [(rng.randrange(40), rng.randrange(2, 40), rng.randrange(1, 5)) for _ in range(60)]
+    instance = grid_instance(4, rows)
+    result = simulate(instance, DelayPolicy(4.0), delay_cost=4.0)
+    check_decomposition(instance, result, 4.0)
+    last = max(result.migrations_per_item, key=result.departures.__getitem__)
+    result.departures[last] += 0.5
+    with pytest.raises(InvariantViolation, match="^decomposition: ALG .* != FF"):
+        check_decomposition(instance, result, 4.0)
+
+
+def hand_run(migrations, departures):
+    """A run of size-1 items at scale 2 as check_decomposition reads it:
+    each item's migrations in the order given, its departure, and as the
+    cost the last departure, one bin open from time 0 (the items'
+    lifetimes overlap from 0 on)."""
+    ledger = MigrationLedger(2)
+    for item_id, times in migrations.items():
+        for time in times:
+            ledger.entries.append(LedgerEntry(time, item_id, 1, 0, 1, "Is", "small-to-big"))
+    return SimpleNamespace(
+        ledger=ledger, departures=departures, total_active_time=max(departures.values())
+    )
+
+
+@pytest.mark.parametrize(
+    "migrations",
+    [
+        {3: [1.0]},  # at item 3's arrival: its small part lasts no time
+        {3: [2.0], 7: [3.0, 3.0]},  # two at one time: a big part lasts no time
+        {3: [math.nan]},
+        {7: [3.0, math.nan]},
+        {3: [2.0], 7: [3.0, -1.0]},
+        {3: [-1.0]},
+        {7: [3.0, math.inf]},
+    ],
+)
+def test_a_broken_ledger_fails_the_decomposition_as_validate_would(migrations):
+    # the same message as validate on decompose_delay_run's parts, the
+    # small parts first, numbered in item order
+    instance = Instance(
+        items=(Item(5, 0.0, 1, 10.0), Item(3, 1.0, 1, 4.0), Item(7, 2.0, 1, 6.0)), scale=2
+    )
+    result = hand_run(migrations, {5: 10.0, 3: 9.0, 7: 16.0})
+    problems = next(p for p in map(core_validate, decompose_delay_run(instance, result)) if p)
+    with pytest.raises(InvariantViolation) as exc:
+        check_decomposition(instance, result, 4.0)
+    assert str(exc.value) == f"decomposition: invalid sub-instance: {'; '.join(problems)}"
+
+
+@pytest.mark.parametrize(
+    "items, migrations, departures, bound",
+    [
+        # small parts of 1 and 20 at sqrt(C) = 2
+        ((Item(0, 0.0, 1, 1.0), Item(1, 0.0, 1, 30.0)), {1: [20.0]}, {0: 1.0, 1: 34.0},
+         "mu of small parts exceeds sqrt(C)"),
+        # big parts of 1 and 48
+        ((Item(0, 0.0, 1, 30.0),), {0: [1.0, 2.0]}, {0: 50.0}, "mu of big parts exceeds 2"),
+    ],
+)
+def test_a_duration_ratio_past_its_bound_fails_the_decomposition(
+    items, migrations, departures, bound
+):
+    result = hand_run(migrations, departures)
+    with pytest.raises(InvariantViolation) as exc:
+        check_decomposition(Instance(items=items, scale=2), result, 4.0)
+    assert str(exc.value) == f"decomposition: {bound}"
 
 
 def test_delay_trial_with_all_checks():
