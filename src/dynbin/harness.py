@@ -511,17 +511,21 @@ def check_decomposition(
     [arrival, first migration), its whole delayed lifetime if it never
     migrated; each big part covers one stretch between consecutive
     migrations, the last ending at the departure. The parts are numbered
-    in item order, as algorithms.decompose_delay_run numbers them.
+    in item order, as algorithms.decompose_delay_run numbers them, and a
+    message names a part by its number.
 
     No sub-instance is built. One pass per part reads the items, the
     ledger's migration times and the departures, and emits the part's
     (time, kind, id, size) events, each ending at start + (end - start)
-    as an Item of that duration would. It applies validate's time rules
-    to each part (the sizes and scale are the instance's, which the run
-    validated) and keeps the shortest and longest duration for the mu
-    tests. FirstFit's cost on the part comes from _first_fit_cost, a
-    sweep that shares no code with the engine, so the identity is checked
-    against code the run did not use; the next part is built after it."""
+    as an Item of that duration would. An event carries its item's id,
+    not its part's number, so equal-time ties break by id, as the engine
+    breaks them whatever order the items are listed in. It applies
+    validate's time rules to each part (the sizes and scale are the
+    instance's, which the run validated) and keeps the shortest and
+    longest duration for the mu tests. FirstFit's cost on the part comes
+    from _first_fit_cost, a sweep that shares no code with the engine, so
+    the identity is checked against code the run did not use; the next
+    part is built after it."""
     scale, departures, inf = instance.scale, result.departures, math.inf
     times_of: dict[int, list[float]] = {}  # migrated item -> its migration times
     for e in result.ledger.entries:  # ledger order: ascending
@@ -542,8 +546,8 @@ def check_decomposition(
             shortest = duration
         if duration > longest:
             longest = duration
-        add((start, 1, part, size))
-        add((start + duration, 0, part, size))
+        add((start, 1, item_id, size))
+        add((start + duration, 0, item_id, size))
     if problems:  # a part of no length: a migration when it began
         raise InvariantViolation("decomposition", f"invalid sub-instance: {'; '.join(problems)}")
     ff_small = _first_fit_cost(events, scale)
@@ -568,8 +572,8 @@ def check_decomposition(
                 shortest = duration
             if duration > longest:
                 longest = duration
-            add((start, 1, part, size))
-            add((start + duration, 0, part, size))
+            add((start, 1, item_id, size))
+            add((start + duration, 0, item_id, size))
             part += 1
             start = end
     if problems:

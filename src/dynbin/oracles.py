@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import Instance, UnresolvedDurationError, span, vol
+from .core import Instance, UnresolvedDurationError, vol
 
 # the most live items, and the most search nodes, one branch and bound may take
 MAX_ITEMS = 24
@@ -33,13 +33,16 @@ def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int
     fit treats a run as one, which keeps the count exact: the copies of a
     size that reach it fill its first bin before the next, k = room // size
     to a bin. If there are enough, every bin of the run takes k; otherwise
-    the c left fill its first c // k bins, put c % k in the next one, and
-    split it into at most three runs. A size above half a bin fits in no
-    open bin, since one at least as large opened each, so its copies open
-    one run of new bins with no scan. A full bin leaves the runs."""
+    the c left fill its first q = c // k bins and put c % k in the next
+    one. That run is split in place: its first piece takes its slot and at
+    most two more are inserted after it, and bins filled to the brim leave
+    the run, or shrink its width, with no new list. A size above half a
+    bin fits in no open bin, since one at least as large opened each, so
+    its copies open one run of new bins with no scan. A full bin leaves
+    the runs."""
     room: list[int] = []  # residual room of each run, in opening order
     width: list[int] = []  # number of bins in each run
-    bins = 0
+    runs = bins = 0  # runs == len(room)
     for s in order:
         c = counts[s]
         if 2 * s > scale:
@@ -47,42 +50,54 @@ def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int
             if s < scale:
                 room.append(scale - s)
                 width.append(c)
+                runs += 1
             continue
         i = 0
-        while i < len(room):
+        while i < runs:
             r = room[i]
             if r < s:
                 i += 1
                 continue
             k = r // s
             m = width[i]
-            if k * m <= c:  # every bin of the run takes k copies
-                c -= k * m
+            km = k * m
+            if km <= c:  # every bin of the run takes k copies
+                c -= km
                 r -= k * s
                 if r:
                     room[i] = r
                     i += 1
                 else:
                     del room[i], width[i]
+                    runs -= 1
                 if not c:
                     break
                 continue
-            q, rem = divmod(c, k)  # q bins take k copies, one takes rem
-            split_room: list[int] = []
-            split_width: list[int] = []
-            if q and r > k * s:
-                split_room.append(r - k * s)
-                split_width.append(q)
-            if rem:
-                split_room.append(r - rem * s)
-                split_width.append(1)
-                q += 1
-            if m > q:
-                split_room.append(r)
-                split_width.append(m - q)
-            room[i : i + 1] = split_room
-            width[i : i + 1] = split_width
+            # q < m bins take k copies, the next one rem, and the rest none
+            q, rem = divmod(c, k)
             c = 0
+            if q and r > k * s:
+                room[i] = r - k * s
+                width[i] = q
+                if rem:
+                    i += 1
+                    room.insert(i, r - rem * s)
+                    width.insert(i, 1)
+                    runs += 1
+                    q += 1
+                if m > q:
+                    room.insert(i + 1, r)
+                    width.insert(i + 1, m - q)
+                    runs += 1
+            elif rem:  # the q bins filled to the brim leave
+                room[i] = r - rem * s
+                width[i] = 1
+                if m > q + 1:
+                    room.insert(i + 1, r)
+                    width.insert(i + 1, m - q - 1)
+                    runs += 1
+            else:  # the q bins filled to the brim leave, the rest stay
+                width[i] = m - q
             break
         if c:
             per_bin = scale // s
@@ -91,10 +106,12 @@ def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int
             if full and per_bin * s < scale:
                 room.append(scale - per_bin * s)
                 width.append(full)
+                runs += 1
             if rest:
                 bins += 1
                 room.append(scale - rest * s)
                 width.append(1)
+                runs += 1
     return bins
 
 
@@ -242,6 +259,15 @@ def opt_total(instance: Instance) -> OptReport:
     nothing and walks runs of bins with equal room (_ffd_counts) rather
     than bins.
 
+    The sweep also measures the span of the lower bound max(vol, span):
+    a stretch starts at the boundary where the live count rises from
+    zero and ends where it returns to zero, or at the last boundary, and
+    end - start is summed per stretch in time order. Those are the terms
+    core.span sums, in its order, so the bound is the same float, with no
+    sort of the lifetimes. vol stays core.vol: its sum() of floats is
+    compensated from Python 3.12 on, which no loop here would match bit
+    for bit.
+
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),
     or a live volume of at most 1.5 bins (2 * volume <= 3 * scale). For
@@ -280,8 +306,12 @@ def opt_total(instance: Instance) -> OptReport:
     intervals: list[OptInterval] = []
     total = 0.0
     upper_total = 0.0
+    spanned = 0.0  # the measure of the stretches ended so far
+    stretch_start = 0.0  # where the current stretch of live items began
     all_exact = True
     for start, end in zip(boundaries, boundaries[1:]):
+        if not items:
+            stretch_start = start
         for d in deltas[start]:
             if d > 0:
                 c = counts.get(d, 0)
@@ -298,6 +328,8 @@ def opt_total(instance: Instance) -> OptReport:
                     order.remove(-d)
                 items -= 1
             volume += d
+        if not items:  # the stretch ends here: 0.0 if only empty lifetimes lie here
+            spanned += start - stretch_start
         lower = -(-volume // scale)
         exact = True
         if items <= 2 or 2 * volume <= 3 * scale:
@@ -319,10 +351,12 @@ def opt_total(instance: Instance) -> OptReport:
         intervals.append(OptInterval(start, end, exact, opt, lower, upper))
         total += opt * (end - start)
         upper_total += upper * (end - start)
+    if items:  # every item has left by the last boundary
+        spanned += boundaries[-1] - stretch_start
     return OptReport(
         opt_total=total,
         all_exact=all_exact,
-        lower_bound=max(vol(instance), span(instance)) if instance.items else 0.0,
+        lower_bound=max(vol(instance), spanned) if instance.items else 0.0,
         upper_bound=upper_total,
         intervals=intervals,
     )

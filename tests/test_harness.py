@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -342,16 +343,24 @@ def grid_instance(scale, rows):
             ),
         )
     ),
+    st.booleans(),
 )
 # two items through one checkpoint batch, after a third that arrived first
-@example(4.0, (2, [(1, 20, 1), (1, 20, 1), (0, 3, 2)]))
-def test_the_decomposition_check_sweeps_the_parts_events(delay_cost, case):
+@example(4.0, (2, [(1, 20, 1), (1, 20, 1), (0, 3, 2)]), False)
+# the same, listed against id order
+@example(4.0, (2, [(1, 20, 1), (1, 20, 1), (0, 3, 2)]), True)
+def test_the_decomposition_check_sweeps_the_parts_events(delay_cost, case, reverse_ids):
     # the check's events per part equal those of decompose_delay_run's
-    # sub-instances, numbering and end times included, and so do the costs;
-    # arrivals come in any order, ids in item order (the engine breaks
-    # equal-time ties by id, the parts by their number)
+    # sub-instances, each part's number mapped to its item's id, end times
+    # included, and so do the costs; arrivals come in any order, ids in
+    # item order or against it (the engine breaks equal-time ties by id)
     scale, rows = case
     instance = grid_instance(scale, rows)
+    if reverse_ids:
+        instance = Instance(
+            items=tuple(it._replace(id=len(rows) - 1 - it.id) for it in instance.items),
+            scale=scale,
+        )
     result = simulate(instance, DelayPolicy(delay_cost), delay_cost=delay_cost)
     swept, costs = [], []
 
@@ -363,9 +372,42 @@ def test_the_decomposition_check_sweeps_the_parts_events(delay_cost, case):
     first_fit_cost = harness._first_fit_cost
     with patch.object(harness, "_first_fit_cost", recording):
         check_decomposition(instance, result, delay_cost)
-    parts = decompose_delay_run(instance, result)
-    assert swept == [ff_events(part) for part in parts]
-    assert costs == [first_fit_cost(ff_events(part), scale) for part in parts]
+    expected = part_events(instance, result)
+    assert swept == expected
+    assert costs == [first_fit_cost(events, scale) for events in expected]
+
+
+def part_events(instance, result):
+    """decompose_delay_run's small and big parts as (time, kind, id, size)
+    events, each part's number mapped to its item's id: the small parts
+    are one per item and the big parts one per migration, both in item
+    order."""
+    migrations = Counter(e.item for e in result.ledger.entries)
+    ids_of_parts = (
+        [it.id for it in instance.items],
+        [it.id for it in instance.items for _ in range(migrations[it.id])],
+    )
+    return [
+        [(time, kind, ids[part], size) for time, kind, part, size in ff_events(sub)]
+        for sub, ids in zip(decompose_delay_run(instance, result), ids_of_parts)
+    ]
+
+
+def test_equal_time_items_listed_against_id_order_pass_the_decomposition(tmp_path):
+    # four items at t = 0 listed as ids 0, 2, 1, 3: the engine packs them by
+    # id into two bins, and so must the check's FirstFit on the small parts
+    path = tmp_path / "ties.jsonl"
+    path.write_text(
+        '{"scale": 4}\n'
+        + "".join(
+            f'{{"id": {i}, "arrival": 0.0, "size_num": {s}, "duration": 1.0}}\n'
+            for i, s in ((0, 1), (2, 1), (1, 3), (3, 3))
+        )
+    )
+    instance = core.read_jsonl(path)
+    result = simulate(instance, DelayPolicy(1.0), delay_cost=1.0)
+    assert result.total_active_time == 2.0
+    check_decomposition(instance, result, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -416,9 +416,108 @@ def runs_of_copies(draw):
 @example((256, [256] * 3 + [128] * 80 + [85] * 7 + [3] * 80))
 @example((9, [9] * 5 + [4] * 80 + [1] * 11))
 @example((20, [11] * 6 + [4] * 7 + [2] * 5))  # splits into three runs, then into two
+# one example per way a run splits in place, with k = room // size copies
+# to a bin and c copies left for the run: q = c // k bins take k copies.
+# The sizes after the split fill its pieces, so a piece of the wrong room
+# or width changes the count
+# q = 2 keep room 2, one bin takes 1, 2 stay untouched
+@example((30, [16] * 5 + [4] * 7 + [3] * 13 + [2] * 15))
+# q = 2 filled to the brim leave, one bin takes 1
+@example((20, [12] * 5 + [4] * 5 + [3] * 6))
+# q = 2 filled to the brim leave, none takes fewer
+@example((20, [12] * 5 + [4] * 4 + [2] * 4 + [1] * 21))
+# q = 0: the run's first bin takes all 3
+@example((20, [11] * 3 + [2] * 3 + [1] * 21))
 def test_count_ffd_matches_item_ffd_on_many_copies(case):
     scale, sizes = case
     assert ffd_snapshot(sizes, scale) == list_ffd(sizes, scale)
+
+
+@st.composite
+def divisible_instances(draw):
+    """Sizes 1, 2, 4, ... over a power-of-two scale up to 256, and 40-60
+    items, all of them live on [3, 5): items arrive at 0-3 and stay 5-12."""
+    exponent = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(5, 12), st.integers(0, exponent)),
+            min_size=40,
+            max_size=60,
+        )
+    )
+    items = tuple(Item(i, float(a), 1 << e, float(d)) for i, (a, d, e) in enumerate(rows))
+    return Instance(items=items, scale=1 << exponent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(divisible_instances())
+def test_ffd_is_exact_on_divisible_sizes(instance):
+    # when every size divides every larger one and the bin, FFD fills every
+    # bin but the last (Coffman, Garey and Johnson 1987): FFD on counts
+    # must meet L1 on every interval, however many items are live
+    calls = []
+    ffd_counts = oracles._ffd_counts
+    with patch.object(
+        oracles, "_ffd_counts", lambda *args: calls.append(1) or ffd_counts(*args)
+    ):
+        report = opt_total(instance)
+    assert report.all_exact
+    assert all(iv.lower == iv.upper == iv.opt for iv in report.intervals)
+    live = max(len(live_sizes_at(instance, iv.start)) for iv in report.intervals)
+    assert live == len(instance.items) >= 40
+    volume = sum(it.size_num for it in instance.items)
+    assert bool(calls) == (2 * volume > 3 * instance.scale)
+
+
+# a span-dominated instance at scale 64: abutting lifetimes, three items
+# ending where a fourth begins, gaps between stretches, and zero-duration
+# items in a gap, at a stretch's start and at its end
+SPARSE = Instance(
+    items=tuple(
+        Item(i, a, s, d)
+        for i, (a, s, d) in enumerate(
+            [(0.0, 1, 1.0), (1.0, 2, 0.5), (1.5, 1, 1.5), (2.0, 1, 1.0), (2.5, 2, 0.5),
+             (3.0, 1, 0.7), (5.0, 1, 0.0), (6.1, 2, 0.0), (6.1, 1, 0.3), (6.4, 1, 0.0),
+             (9.0, 2, 0.1), (9.0, 1, 0.2)]
+        )
+    ),
+    scale=64,
+)
+
+
+# tiny sizes (at most 2 of 64) and sparse arrivals on a grid of tenths, so
+# the span sets the lower bound: up to 12 items hold the volume below
+# 12 * 2 / 64 of the span. Zero durations, abutting lifetimes and shared
+# boundaries come from the grid
+sparse_instances = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 8), st.integers(1, 2)), max_size=12
+).map(
+    lambda rows: Instance(
+        items=tuple(Item(i, a / 10, s, d / 10) for i, (a, d, s) in enumerate(rows)),
+        scale=64,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_instances)
+@example(SPARSE)
+@example(Instance(items=(Item(0, 0.5, 1, 0.0),), scale=64))
+@example(Instance(items=(), scale=64))
+def test_the_sweeps_span_is_core_span_exactly(instance):
+    report = opt_total(instance)
+    if not instance.items:
+        assert report.lower_bound == 0.0
+        return
+    assert report.lower_bound == max(vol(instance), span(instance))
+    if span(instance):
+        assert report.lower_bound == span(instance) > vol(instance)
+
+
+def test_the_sweeps_span_of_sparse():
+    # stretches [0, 3.7), [6.1, 6.4) and [9.0, 9.2); 5.0 holds only an
+    # empty lifetime
+    assert opt_total(SPARSE).lower_bound == pytest.approx(3.7 + 0.3 + 0.2)
 
 
 def test_opt_total_matches_naive_sweep_at_forty_live_items():
