@@ -11,6 +11,7 @@ the one registry of names, which make_policy, the harness and the CLI read."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .core import Instance, Item
@@ -39,10 +40,14 @@ MIG_ORDERS = ("id", "size-desc")
 
 
 def check_params(alpha: Fraction, mig_order: str, f: Fraction = Fraction(1)) -> None:
-    """Raise a ValueError unless alpha, f and mig_order are in range."""
-    if not 0 < alpha < Fraction(1, 2):
+    """Raise a ValueError unless 0 < alpha < 1/2, alpha < f <= 1 and
+    mig_order is one of MIG_ORDERS. alpha and f are Fractions, each parsed
+    once by its caller; the ranges are tested on their integer numerators
+    and (positive) denominators, so no Fraction is built."""
+    p, q = alpha.numerator, alpha.denominator
+    if not 0 < 2 * p < q:
         raise ValueError("alpha must lie in (0, 1/2)")
-    if not alpha < f <= 1:
+    if not (p * f.denominator < f.numerator * q and f.numerator <= f.denominator):
         raise ValueError("f must lie in (alpha, 1]")
     if mig_order not in MIG_ORDERS:
         raise ValueError(f"unknown migration order {mig_order!r}")
@@ -61,19 +66,21 @@ class SingleClassMigrator:
     """Arrival/departure rules of the bounded-migration single-class
     algorithm, bound to one bin group, which also keys its migrations.
     Reused per size class by the complete algorithm and (with f = 1 -
-    alpha) by the size-cost one, which pass checked parameters.
+    alpha) by the size-cost one, which pass checked parameters; f comes
+    as the integers (numerator, denominator) of the promotion threshold.
 
     Both thresholds are turned into integers once: a Bad bin turns Good
-    when load * f.denominator >= f.numerator * scale, and a Good bin is
-    drained when load * alpha.denominator < alpha.numerator * scale."""
+    when load * f_den >= f_num * scale, and a Good bin is drained when
+    load * alpha.denominator < alpha.numerator * scale."""
 
     def __init__(
-        self, engine: Engine, group: str, alpha: Fraction, f: Fraction, mig_order: str
+        self, engine: Engine, group: str, alpha: Fraction, f: tuple[int, int], mig_order: str
     ):
         self.engine = engine
         self.group = group
         self.mig_order = mig_order
-        self._good_at = (f.numerator * engine.scale, f.denominator)
+        f_num, f_den = f
+        self._good_at = (f_num * engine.scale, f_den)
         self._drain_below = (alpha.numerator * engine.scale, alpha.denominator)
 
     def _relabel(self, b) -> None:
@@ -131,7 +138,7 @@ class SingleClassPolicy(Policy):
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
         self.migrator = SingleClassMigrator(
-            engine, "class", self.alpha, self.f, self.mig_order
+            engine, "class", self.alpha, (self.f.numerator, self.f.denominator), self.mig_order
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
@@ -168,7 +175,7 @@ class MultiClassPolicy(Policy):
         self.junk_bins: list[int] = [self.junk.id]
 
     def _start_class(self, c: int) -> None:
-        f_c = Fraction(1, 2) if c == 0 else Fraction(2**c - 1, 2**c)  # 1 - 2^-c
+        f_c = (2**c - 1, 2**c) if c else (1, 2)  # 1 - 2^-c, and 1/2 for class 0
         migrator = SingleClassMigrator(
             self.engine, f"class:{c}", self.alpha, f_c, self.mig_order
         )
@@ -184,11 +191,12 @@ class MultiClassPolicy(Policy):
         self.junk_bins.append(self.junk.id)
 
     def phases_at(self, time: float) -> int:
-        count = 1
-        for start, phase in self.phase_history:
-            if start <= time:
-                count = phase
-        return count
+        """The phases begun by time: the last phase_history entry that
+        starts at or before it, found by bisection. Starts never decrease,
+        and a burst that doubles more than once begins several phases at
+        one time, all of which (time, inf) sorts after."""
+        begun = bisect_right(self.phase_history, (time, math.inf))
+        return self.phase_history[begun - 1][1] if begun else 1
 
     def additive_at(self, time: float) -> int:
         return 2 * self.phases_at(time)
@@ -228,11 +236,12 @@ class SizeCostPolicy(Policy):
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
+        p, q = self.alpha.numerator, self.alpha.denominator
         self.migrator = SingleClassMigrator(
-            engine, "shared", self.alpha, 1 - self.alpha, self.mig_order
+            engine, "shared", self.alpha, (q - p, q), self.mig_order
         )
-        # size >= alpha, in integers: size_num * den >= num * scale
-        self._dedicated_at = (self.alpha.numerator * engine.scale, self.alpha.denominator)
+        # size >= alpha, in integers: size_num * q >= p * scale
+        self._dedicated_at = (p * engine.scale, q)
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         threshold, den = self._dedicated_at

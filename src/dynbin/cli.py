@@ -80,6 +80,7 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
     if missing:
         raise click.UsageError(f"{family} requires: {', '.join(missing)}")
     try:
+        harness.check_generator(params)
         instance, _ = harness.build_instance(params, seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
@@ -140,7 +141,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
     except InvariantViolation as exc:
         click.echo(f"INVARIANT VIOLATION {exc}", err=True)
         sys.exit(1)
-    except SimulationError as exc:
+    except (SimulationError, oracles.SnapshotTooLarge) as exc:
         raise click.ClickException(str(exc))
     if output:
         with open(output, "w") as fh:
@@ -190,7 +191,7 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
                        delay_cost=delay_c, mig_order=mig_order)
     try:
         results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
-    except SimulationError as exc:
+    except (SimulationError, oracles.SnapshotTooLarge) as exc:
         raise click.ClickException(str(exc))
     failed = False
     for check, ok, detail in results:

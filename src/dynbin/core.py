@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 
@@ -48,16 +48,20 @@ class Instance:
     seed: int | None = None
     adversary: dict | None = None  # header naming the duration resolver
     rng: str | None = None  # identifier of the generator algorithm
+    # whether some item's duration is deferred, found once when built
+    _deferred: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        items = tuple(self.items)
+        object.__setattr__(self, "items", items)
+        # the field, not the `deferred` property: one call less per item
+        object.__setattr__(self, "_deferred", any(it.duration is None for it in items))
 
     def __len__(self) -> int:
         return len(self.items)
 
     def has_deferred(self) -> bool:
-        # the field, not the `deferred` property: one call less per item
-        return any(it.duration is None for it in self.items)
+        return self._deferred
 
 
 def _require_resolved(instance: Instance) -> None:

@@ -107,7 +107,15 @@ def gen_uniform(
     seed: int,
 ) -> Instance:
     """n items with uniform numerators on a power-of-two size grid,
-    uniform durations, and uniform arrivals in [0, arrival_window)."""
+    uniform durations, and uniform arrivals in [0, arrival_window).
+
+    Each item draws, in this order, from one Random(seed): its arrival,
+    rng.uniform(0.0, arrival_window) (no draw when the window is 0, and
+    every arrival is 0.0); its size numerator, rng.randint(1, size_grid);
+    and its duration, rng.uniform(dmin, dmax). The loop makes the same
+    calls on the bound methods those draws reduce to: uniform(a, b) is
+    a + (b - a) * random() and randint(a, b) is randrange(a, b + 1), so
+    the items are bit-identical to the draws written out."""
     if size_grid < 1 or size_grid & (size_grid - 1):
         raise ValueError("size_grid must be a power of two")
     dmin, dmax = duration_range
@@ -116,14 +124,11 @@ def gen_uniform(
     if arrival_window < 0:
         raise ValueError("arrival window must be nonnegative")
     rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
+    top, width = size_grid + 1, dmax - dmin
     items = []
+    add = items.append
     for i in range(n):
-        items.append(
-            Item(
-                id=i,
-                arrival=rng.uniform(0.0, arrival_window) if arrival_window else 0.0,
-                size_num=rng.randint(1, size_grid),
-                duration=rng.uniform(dmin, dmax),
-            )
-        )
+        arrival = arrival_window * draw() if arrival_window else 0.0
+        add(Item(i, arrival, randrange(1, top), dmin + width * draw()))
     return Instance(items=tuple(items), scale=size_grid, seed=seed, rng=RNG_ID)

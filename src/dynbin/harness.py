@@ -75,9 +75,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes, else a ValueError naming
         what is wrong with it: a key, a value check_config rejects, a
-        generator key of the wrong type or out of range, or a generator
-        whose builder rejects it, found by drawing the first trial's
-        instance. So a batch fails before its first trial."""
+        generator key of the wrong type or out of range (check_generator),
+        or a generator whose builder rejects it, found by drawing the
+        first trial's instance. So a batch fails before its first trial,
+        and its trials build their instances without checking the keys
+        again."""
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object")
         known = {f.name: f for f in fields(cls)}
@@ -92,6 +94,7 @@ class ExperimentConfig:
             raise ValueError(f"missing {', '.join(missing)}")
         config = cls(**data)
         check_config(config)
+        check_generator(config.generator)
         build_instance(config.generator, config.base_seed)
         return config
 
@@ -185,8 +188,9 @@ def _value_problem(name: str, value, expected: str, typed, bound) -> str | None:
 def _check_budget_alpha(name: str, alpha: Fraction) -> None:
     """Raise a ValueError unless alpha lies in (0, 1/2): outside it the
     budget of the migration_budget or size_budget check, which scales
-    with 1 / (1 - 2 alpha), bounds nothing."""
-    if not 0 < alpha < Fraction(1, 2):
+    with 1 / (1 - 2 alpha), bounds nothing. Tested in integers, as
+    0 < 2 * numerator < denominator."""
+    if not 0 < 2 * alpha.numerator < alpha.denominator:
         raise ValueError(f"check {name} needs alpha in (0, 1/2), got {alpha}")
 
 
@@ -204,20 +208,21 @@ def check_config(config: ExperimentConfig) -> None:
         if problem:
             raise ValueError(problem)
     _check_names(config.checks)
+    parsed = []
     for name, parse in (("alpha", config.alpha_fraction), ("f", config.f_fraction)):
         try:
-            parse()
+            parsed.append(parse())
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"{name}: {exc}") from None
+    alpha, f = parsed
     try:
-        build_policy(config)
+        build_policy(config, alpha, f)
     except ValueError as exc:
         raise ValueError(f"algorithm {config.algorithm}: {exc}") from None
     except TypeError as exc:  # a parameter it needs is missing or not a number
         raise ValueError(
             f"algorithm {config.algorithm}: bad or missing alpha, f or delay_cost ({exc})"
         ) from None
-    alpha = config.alpha_fraction()
     if "per_time" in config.checks and alpha is None:
         raise ValueError("check per_time needs an alpha")
     for name in ("migration_budget", "size_budget"):
@@ -256,17 +261,21 @@ def check_generator(generator) -> None:
 
 
 def build_instance(generator: dict, seed: int):
-    """Instantiate a generator family; returns (instance, adversary|None)."""
-    check_generator(generator)
+    """Instantiate a generator family; returns (instance, adversary|None).
+    The generator's keys must have passed check_generator, which
+    ExperimentConfig.from_dict and `dynbin gen` call once, not once per
+    trial."""
     keys, build = GENERATORS[generator["family"]]
     return build(seed, *(generator[key] for key in keys))
 
 
-def build_policy(config: ExperimentConfig):
+def build_policy(config: ExperimentConfig, alpha: Fraction | None, f: Fraction | None):
+    """config's policy, given its alpha and f parsed (alpha_fraction,
+    f_fraction) once by the caller."""
     return algorithms.make_policy(
         config.algorithm,
-        alpha=config.alpha_fraction(),
-        f=config.f_fraction(),
+        alpha=alpha,
+        f=f,
         delay_cost=config.delay_cost,
         mig_order=config.mig_order,
     )
@@ -341,7 +350,9 @@ def check_per_time(
                 start,
             )
         if opt_t > 0:
-            max_ratio = max(max_ratio, open_bins / opt_t)
+            ratio = open_bins / opt_t
+            if ratio > max_ratio:
+                max_ratio = ratio
     return max_ratio
 
 
@@ -351,16 +362,17 @@ def check_migration_budget(
     """Unit-cost budget: total and per-class migrations bounded by
     4*alpha/(1-2*alpha) times the (class) item count, tested in integers
     as count * den > num * items with factor = num/den. The classes are
-    counted only when some class migrated, once per distinct size."""
+    counted only when some class migrated, once per distinct size. A
+    message's budget is num * items / den, an int division that rounds
+    correctly, as float(factor * items) does."""
     _check_budget_alpha("migration_budget", alpha)
-    # 4 alpha / (1 - 2 alpha) with alpha = p/q, built as one Fraction
-    factor = Fraction(4 * alpha.numerator, alpha.denominator - 2 * alpha.numerator)
-    num, den = factor.numerator, factor.denominator
+    # 4 alpha / (1 - 2 alpha) = 4p / (q - 2p) with alpha = p/q, and q - 2p > 0
+    num, den = 4 * alpha.numerator, alpha.denominator - 2 * alpha.numerator
     n = len(instance.items)
     if result.ledger.unit_count * den > num * n:
         raise InvariantViolation(
             "migration_budget",
-            f"{result.ledger.unit_count} migrations > {float(factor * n)}",
+            f"{result.ledger.unit_count} migrations > {num * n / den}",
         )
     per_class = result.ledger.per_class()
     if not per_class:
@@ -375,7 +387,7 @@ def check_migration_budget(
         if count * den > num * n_c:
             raise InvariantViolation(
                 "migration_budget",
-                f"{count} migrations in {class_key} > {float(factor * n_c)}",
+                f"{count} migrations in {class_key} > {num * n_c / den}",
             )
 
 
@@ -651,7 +663,8 @@ def checked_run(
     InvariantViolation("validate", ...), from the one validation the
     engine makes."""
     _check_names(config.checks)
-    policy = build_policy(config)
+    alpha = config.alpha_fraction()
+    policy = build_policy(config, alpha, config.f_fraction())
     try:
         # through the module global, which the benchmark patches to digest each run
         result = simulate(
@@ -684,7 +697,6 @@ def checked_run(
             for name in ("bad_bins", "junk_load"):
                 if name in run.outcomes:
                     run.outcomes[name] = violation
-    alpha = config.alpha_fraction()
     if alpha is not None:
         if "per_time" in run.outcomes:
             # through the module attribute, which the benchmark captures to count intervals

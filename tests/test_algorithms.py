@@ -185,6 +185,25 @@ class TestMultiClass:
         assert policy.phases_at(1.0) == 2
         assert policy.phases_at(99.0) == policy.phase
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]), max_size=8),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 1.75, 2.5, 4.0, 9.0]), min_size=1),
+    )
+    def test_phases_at_matches_a_linear_scan(self, starts, times):
+        # a burst doubles the guess more than once at one time, so several
+        # phases may begin at one start
+        policy = MultiClassPolicy(Fraction(1, 4))
+        policy.phase_history = [(0.0, 1)] + [
+            (start, phase) for phase, start in enumerate(sorted(starts), start=2)
+        ]
+        for time in times:
+            count = 1
+            for start, phase in policy.phase_history:
+                if start <= time:
+                    count = phase
+            assert policy.phases_at(time) == count
+
     @pytest.mark.parametrize("c, good_at", [(0, 32), (1, 32), (2, 48), (3, 56)])
     def test_class_bad_bin_turns_good_exactly_at_f_c(self, c, good_at):
         # f_0 = 1/2 and f_c = 1 - 2^-c, times scale 64. Real class-0 items

@@ -6,7 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from dynbin import cli, harness
+from dynbin import cli, harness, oracles
 from dynbin.core import Instance, Item, write_jsonl
 
 CLI = [sys.executable, "-m", "dynbin"]
@@ -626,6 +626,32 @@ def test_a_delay_config_past_float_resolution_ends_in_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == (
         "Error: t=7.298317482601286e+16: the first checkpoint, t + sqrt(C), rounds to t\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_inconclusive_per_time_check_is_a_one_line_error(tmp_path, monkeypatch, command):
+    # every interval comes back inexact with an L1 bound of 0, so the first
+    # segment with more open bins than its additive term cannot be
+    # certified: 30 items at t=0 open 24 bins over 6 phases begun
+    original = oracles.opt_total
+
+    def inexact(instance):
+        report = original(instance)
+        for interval in report.intervals:
+            interval.exact, interval.opt = False, 0
+        return report
+
+    monkeypatch.setattr(oracles, "opt_total", inexact)
+    path = tmp_path / "inst.jsonl"
+    invoke("gen", "--family", "uniform", "--n", "30", "--size-grid", "16", "-o", path)
+    checks = ("--checks", "per_time") if command == "run" else ()
+    result = invoke(command, path, "--alg", "alg2", "--alpha", "1/4", *checks)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        "Error: OPT_t at t=0.0 is not exact and 24 open bins > 12.0 allowed"
+        " by its lower bound 0\n"
     )
 
 

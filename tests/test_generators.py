@@ -1,9 +1,10 @@
 import math
+import random
 import statistics
 
 import pytest
 
-from dynbin.core import validate
+from dynbin.core import Item, validate
 from dynbin.engine import simulate
 from dynbin.algorithms import FirstFitPolicy
 from dynbin.generators import (
@@ -47,6 +48,39 @@ class TestFig2:
             gen_fig2(1, 10.0)
         with pytest.raises(ValueError):
             gen_fig2(4, 1.0)
+
+
+def reference_uniform(n, size_grid, duration_range, arrival_window, seed):
+    """gen_uniform's items drawn through the public Random calls, in
+    their documented order: arrival, size, duration."""
+    rng = random.Random(seed)
+    dmin, dmax = duration_range
+    items = []
+    for i in range(n):
+        arrival = rng.uniform(0.0, arrival_window) if arrival_window else 0.0
+        size_num = rng.randint(1, size_grid)
+        items.append(Item(i, arrival, size_num, rng.uniform(dmin, dmax)))
+    return tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "n, size_grid, duration_range, arrival_window",
+    [
+        (60, 16, (1.0, 2.0), 20.0),
+        (60, 16, (1.0, 2.0), 0.0),
+        # ints, as a JSON config gives them
+        (60, 8, [1, 40], 40),
+        (60, 16, [2, 5], 0),
+        (60, 1, (3.0, 3.0), 7.5),
+        (60, 16, [3, 3], 12),
+    ],
+)
+def test_uniform_draws_match_the_public_calls(n, size_grid, duration_range, arrival_window, seed):
+    instance = gen_uniform(n, size_grid, duration_range, arrival_window, seed)
+    expected = reference_uniform(n, size_grid, duration_range, arrival_window, seed)
+    # repr: the same float bits, and no int where the reference has a float
+    assert repr(instance.items) == repr(expected)
 
 
 class TestRandomFamilies:

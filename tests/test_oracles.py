@@ -561,6 +561,27 @@ def test_check_per_time_matches_per_segment_scan(instance, alg, alpha, additive)
         ) == outcome(lambda: naive_check_per_time(instance, result, alpha, lambda t: additive))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_check_per_time_on_bursts_matches_per_segment_scan(seed):
+    # two bursts of equal arrivals, 4 at t=0 and 20 at t=3, after the first
+    # have left: each doubles alg2's guess more than once at its time, so
+    # phase_history repeats its start times
+    rng = random.Random(seed)
+    items = tuple(
+        Item(i, 0.0 if i < 4 else 3.0, rng.randint(1, 16), rng.uniform(1.0, 2.0))
+        for i in range(24)
+    )
+    instance = Instance(items=items, scale=16)
+    policy = make_policy("alg2", alpha=Fraction(1, 4))
+    result = simulate(instance, policy)
+    assert [start for start, _ in policy.phase_history] == [0.0] * 3 + [3.0] * 3
+    clear_cache()
+    ratio = check_per_time(opt_total(instance), result, Fraction(1, 4), policy.additive_at)
+    clear_cache()
+    assert ratio > 0
+    assert ratio == naive_check_per_time(instance, result, Fraction(1, 4), policy.additive_at)
+
+
 def test_check_per_time_outside_the_boundaries_sees_no_items():
     # hand-made segments: before the first arrival, on it, inside an
     # interval, and after the last departure
