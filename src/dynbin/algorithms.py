@@ -36,21 +36,16 @@ def size_class(num: int, scale: int) -> int:
     return (scale // num).bit_length() - 1
 
 
-MIG_ORDERS = ("id", "size-desc")
-
-
-def check_params(alpha: Fraction, mig_order: str, f: Fraction = Fraction(1)) -> None:
-    """Raise a ValueError unless 0 < alpha < 1/2, alpha < f <= 1 and
-    mig_order is one of MIG_ORDERS. alpha and f are Fractions, each parsed
-    once by its caller; the ranges are tested on their integer numerators
-    and (positive) denominators, so no Fraction is built."""
+def check_params(alpha: Fraction, f: Fraction = Fraction(1)) -> None:
+    """Raise a ValueError unless 0 < alpha < 1/2 and alpha < f <= 1.
+    alpha and f are Fractions, each parsed once by its caller; the ranges
+    are tested on their integer numerators and (positive) denominators, so
+    no Fraction is built."""
     p, q = alpha.numerator, alpha.denominator
     if not 0 < 2 * p < q:
         raise ValueError("alpha must lie in (0, 1/2)")
     if not (p * f.denominator < f.numerator * q and f.numerator <= f.denominator):
         raise ValueError("f must lie in (alpha, 1]")
-    if mig_order not in MIG_ORDERS:
-        raise ValueError(f"unknown migration order {mig_order!r}")
 
 
 class FirstFitPolicy(Policy):
@@ -74,11 +69,10 @@ class SingleClassMigrator:
     load * alpha.denominator < alpha.numerator * scale."""
 
     def __init__(
-        self, engine: Engine, group: str, alpha: Fraction, f: tuple[int, int], mig_order: str
+        self, engine: Engine, group: str, alpha: Fraction, f: tuple[int, int]
     ):
         self.engine = engine
         self.group = group
-        self.mig_order = mig_order
         f_num, f_den = f
         self._good_at = (f_num * engine.scale, f_den)
         self._drain_below = (alpha.numerator * engine.scale, alpha.denominator)
@@ -100,10 +94,8 @@ class SingleClassMigrator:
         threshold, den = self._drain_below
         if b.load * den >= threshold:
             return
-        # drain: migrate every resident first-fit over Bad, Good, then new bins
+        # drain: migrate every resident in id order, first-fit over Bad, Good, then new bins
         residents = sorted(b.items)
-        if self.mig_order == "size-desc":
-            residents.sort(key=lambda i: (-engine.size_of(i), i))
         others = [t for t in engine.bins_in(self.group) if t.id != bin_id]
         targets = [t for t in others if t.label == BAD] + [
             t for t in others if t.label == GOOD
@@ -112,7 +104,7 @@ class SingleClassMigrator:
             size = engine.size_of(item_id)
             dest = None
             for t in targets:
-                if not t.closed and t.load + size <= engine.scale:
+                if t.load + size <= engine.scale:
                     dest = t
                     break
             if dest is None:
@@ -126,19 +118,18 @@ class SingleClassPolicy(Policy):
     """Bounded-migration algorithm for a single size class."""
 
     name = "alg1"
-    params = ("alpha", "f", "mig_order")
+    params = ("alpha", "f")
     checks = ("packing", "bad_bins", "junk_load", "per_time", "migration_budget")
 
-    def __init__(self, alpha: Fraction, f: Fraction, mig_order: str = "id"):
+    def __init__(self, alpha: Fraction, f: Fraction):
         self.alpha = Fraction(alpha)
         self.f = Fraction(f)
-        self.mig_order = mig_order
-        check_params(self.alpha, mig_order, self.f)
+        check_params(self.alpha, self.f)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
         self.migrator = SingleClassMigrator(
-            engine, "class", self.alpha, (self.f.numerator, self.f.denominator), self.mig_order
+            engine, "class", self.alpha, (self.f.numerator, self.f.denominator)
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
@@ -155,13 +146,12 @@ class MultiClassPolicy(Policy):
     per-time bound adds two bins per phase begun."""
 
     name = "alg2"
-    params = ("alpha", "mig_order")
+    params = ("alpha",)
     checks = SingleClassPolicy.checks
 
-    def __init__(self, alpha: Fraction, mig_order: str = "id"):
+    def __init__(self, alpha: Fraction):
         self.alpha = Fraction(alpha)
-        self.mig_order = mig_order
-        check_params(self.alpha, mig_order)
+        check_params(self.alpha)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
@@ -177,7 +167,7 @@ class MultiClassPolicy(Policy):
     def _start_class(self, c: int) -> None:
         f_c = (2**c - 1, 2**c) if c else (1, 2)  # 1 - 2^-c, and 1/2 for class 0
         migrator = SingleClassMigrator(
-            self.engine, f"class:{c}", self.alpha, f_c, self.mig_order
+            self.engine, f"class:{c}", self.alpha, f_c
         )
         self.classes[c] = self.by_group[migrator.group] = migrator
 
@@ -226,19 +216,18 @@ class SizeCostPolicy(Policy):
     rest run the single-class rules with promotion threshold 1 - alpha."""
 
     name = "sizecost"
-    params = ("alpha", "mig_order")
+    params = ("alpha",)
     checks = ("packing", "bad_bins", "per_time", "size_budget")
 
-    def __init__(self, alpha: Fraction, mig_order: str = "id"):
+    def __init__(self, alpha: Fraction):
         self.alpha = Fraction(alpha)
-        self.mig_order = mig_order
-        check_params(self.alpha, mig_order)
+        check_params(self.alpha)
 
     def bind(self, engine: Engine) -> None:
         super().bind(engine)
         p, q = self.alpha.numerator, self.alpha.denominator
         self.migrator = SingleClassMigrator(
-            engine, "shared", self.alpha, (q - p, q), self.mig_order
+            engine, "shared", self.alpha, (q - p, q)
         )
         # size >= alpha, in integers: size_num * q >= p * scale
         self._dedicated_at = (p * engine.scale, q)
@@ -319,13 +308,12 @@ def make_policy(
     alpha: Fraction | None = None,
     f: Fraction | None = None,
     delay_cost: float | None = None,
-    mig_order: str = "id",
 ) -> Policy:
     """The policy ALGORITHMS names, built from the parameters its class takes."""
     cls = ALGORITHMS.get(name)
     if cls is None:
         raise ValueError(f"unknown algorithm {name!r}")
-    values = {"alpha": alpha, "f": f, "delay_cost": delay_cost, "mig_order": mig_order}
+    values = {"alpha": alpha, "f": f, "delay_cost": delay_cost}
     return cls(*(values[p] for p in cls.params))
 
 

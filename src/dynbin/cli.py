@@ -24,13 +24,19 @@ def _read_instance(path):
         raise click.ClickException(str(exc))
 
 
-def _read_config(path):
-    """The experiment config at path; a malformed one is a one-line error."""
+def _read_json(path):
+    """The JSON value in the file at path; a file that is not JSON is a
+    one-line error."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"{path}:{exc.lineno}: not JSON: {exc.msg}")
+
+
+def _read_config(path):
+    """The experiment config at path; a malformed one is a one-line error."""
+    data = _read_json(path)
     try:
         return ExperimentConfig.from_dict(data)
     except ValueError as exc:
@@ -96,7 +102,6 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
 @click.option("--alpha", type=str, default=None, help="Fraction, e.g. 1/4")
 @click.option("--f", type=str, default=None, help="Fraction, e.g. 1/2")
 @click.option("--delay-c", type=float, default=None)
-@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default=None)
 @click.option("--checks", type=str, default="",
               help="Comma-separated invariant checks to enforce on the run, "
               f"from: {', '.join(harness.CHECKS)}.")
@@ -105,12 +110,12 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Write the JSON report here instead of stdout.")
-def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
+def run(instance_path, config, alg, alpha, f, delay_c, checks,
         trace, csv_path, output):
     """Simulate a policy on one instance, or a config-driven experiment."""
     if config is not None:
         given = {"INSTANCE_PATH": instance_path, "--alg": alg, "--alpha": alpha, "--f": f,
-                 "--delay-c": delay_c, "--mig-order": mig_order,
+                 "--delay-c": delay_c,
                  "--checks": checks or None, "--trace": trace}
         extra = [name for name, value in given.items() if value is not None]
         if extra:
@@ -129,7 +134,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, mig_order, checks,
         else:
             instance = _read_instance(instance_path)
             cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
-                               delay_cost=delay_c, mig_order=mig_order or "id",
+                               delay_cost=delay_c,
                                checks=[c for c in checks.split(",") if c])
             checked = harness.checked_run(cfg, instance, _adversary_for(instance))
             if checked.violation is not None:
@@ -175,8 +180,7 @@ def opt(instance_path):
 @click.option("--alpha", type=str, default=None)
 @click.option("--f", type=str, default=None)
 @click.option("--delay-c", type=float, default=None)
-@click.option("--mig-order", type=click.Choice(algorithms.MIG_ORDERS), default="id")
-def verify(instance_path, alg, alpha, f, delay_c, mig_order):
+def verify(instance_path, alg, alpha, f, delay_c):
     """Run every invariant check applicable to an algorithm on one instance.
 
     Prints one line per check; exits nonzero if any check fails.
@@ -188,7 +192,7 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
             click.echo(f"FAIL validate: {p}")
         sys.exit(1)
     cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
-                       delay_cost=delay_c, mig_order=mig_order)
+                       delay_cost=delay_c)
     try:
         results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
     except (SimulationError, oracles.SnapshotTooLarge) as exc:
@@ -209,9 +213,10 @@ def verify(instance_path, alg, alpha, f, delay_c, mig_order):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def report(report_path, fmt, output):
     """Render a JSON run report's trial rows as CSV or Markdown."""
-    with open(report_path) as fh:
-        data = json.load(fh)
-    rows = data["trials"] if isinstance(data, dict) else data
+    data = _read_json(report_path)
+    rows = data.get("trials") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise click.ClickException(f"{report_path}: expected a run report")
     text = harness.rows_to_csv(rows) if fmt == "csv" else harness.rows_to_markdown(rows)
     if output:
         with open(output, "w") as fh:

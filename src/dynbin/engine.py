@@ -358,7 +358,9 @@ class Policy:
         once however often it was scheduled."""
 
     def additive_at(self, time: float) -> int:
-        """The additive term of open bins <= OPT_t / alpha + additive at time."""
+        """The additive term of open bins <= OPT_t / alpha + additive at
+        time; nonnegative, which check_per_time relies on to skip the call
+        where open bins <= OPT_t / alpha already holds."""
         return 1
 
 
@@ -708,6 +710,7 @@ class Engine:
             policy.bind(self)
             events, actions = self.events, self.actions
             live, live_items, bins, closed = self.live, self._live_items, self.bins, self._closed
+            staged = self._staged
             departure_time = self.departure_time
             if actions:
                 events.extend((None, "SETUP", None, len(actions)))
@@ -775,6 +778,11 @@ class Engine:
                     policy.on_checkpoints(batch, time)
                 else:  # _RESOLVE
                     self._resolve(time)
+                if staged:
+                    raise SimulationError(
+                        f"t={time}: the migration of item {next(iter(staged))}"
+                        " was begun and not completed in the same event"
+                    )
 
                 events.extend((time, EVENT_NAMES[kind], item_id, len(actions)))
                 for obs in self.observers:

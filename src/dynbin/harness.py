@@ -61,7 +61,6 @@ class ExperimentConfig:
     alpha: str | None = None
     f: str | None = None
     delay_cost: float | None = None
-    mig_order: str = "id"
     trials: int = 1
     base_seed: int = 0
     checks: list[str] = field(default_factory=list)
@@ -150,7 +149,6 @@ _POSITIVE = ("> 0", lambda v: v > 0)
 # each config field: what its value must be, and the range a non-null one must lie in
 CONFIG_FIELDS = {
     "algorithm": ("a string", lambda v: type(v) is str, None),
-    "mig_order": ("a string", lambda v: type(v) is str, None),
     "trials": ("an integer", _integer, _at_least(0)),
     "base_seed": ("an integer", _integer, None),
     "jobs": ("an integer", _integer, _at_least(1)),
@@ -216,7 +214,7 @@ def check_config(config: ExperimentConfig) -> None:
             raise ValueError(f"{name}: {exc}") from None
     alpha, f = parsed
     try:
-        build_policy(config, alpha, f)
+        algorithms.make_policy(config.algorithm, alpha, f, config.delay_cost)
     except ValueError as exc:
         raise ValueError(f"algorithm {config.algorithm}: {exc}") from None
     except TypeError as exc:  # a parameter it needs is missing or not a number
@@ -269,18 +267,6 @@ def build_instance(generator: dict, seed: int):
     return build(seed, *(generator[key] for key in keys))
 
 
-def build_policy(config: ExperimentConfig, alpha: Fraction | None, f: Fraction | None):
-    """config's policy, given its alpha and f parsed (alpha_fraction,
-    f_fraction) once by the caller."""
-    return algorithms.make_policy(
-        config.algorithm,
-        alpha=alpha,
-        f=f,
-        delay_cost=config.delay_cost,
-        mig_order=config.mig_order,
-    )
-
-
 # ----------------------------------------------------------------------
 # invariant checks
 
@@ -320,10 +306,13 @@ def check_per_time(
     nothing is live before the first boundary or after the last.
 
     With alpha = num/den the bound is tested in integers, open * num >
-    opt * den + additive * num. An interval the oracle could not solve
-    exactly carries its L1 bound, and since OPT_t >= L1 a segment that
-    meets the bound with L1 is certified, with open/L1 as an upper bound
-    on its ratio. One that does not raises SnapshotTooLarge."""
+    opt * den + additive * num. The additive term is nonnegative, so a
+    segment with open * num <= opt * den meets the bound without it, and
+    additive_at is called only where open * num > opt * den. An interval
+    the oracle could not solve exactly carries its L1 bound, and since
+    OPT_t >= L1 a segment that meets the bound with L1 is certified, with
+    open/L1 as an upper bound on its ratio. One that does not raises
+    SnapshotTooLarge."""
     num, den = alpha.numerator, alpha.denominator
     intervals = report.intervals
     i, n = 0, len(intervals)
@@ -336,19 +325,20 @@ def check_per_time(
             opt_t, exact = 0, True
         else:
             opt_t, exact = intervals[i].opt, intervals[i].exact
-        additive = additive_at(start)
-        if open_bins * num > opt_t * den + additive * num:
-            allowed = Fraction(opt_t) / alpha + additive
-            if not exact:
-                raise oracles.SnapshotTooLarge(
-                    f"OPT_t at t={start} is not exact and {open_bins} open bins "
-                    f"> {float(allowed)} allowed by its lower bound {opt_t}"
+        if open_bins * num > opt_t * den:
+            additive = additive_at(start)
+            if open_bins * num > opt_t * den + additive * num:
+                allowed = Fraction(opt_t) / alpha + additive
+                if not exact:
+                    raise oracles.SnapshotTooLarge(
+                        f"OPT_t at t={start} is not exact and {open_bins} open bins "
+                        f"> {float(allowed)} allowed by its lower bound {opt_t}"
+                    )
+                raise InvariantViolation(
+                    "per_time",
+                    f"{open_bins} open bins > {float(allowed)} allowed (OPT_t={opt_t})",
+                    start,
                 )
-            raise InvariantViolation(
-                "per_time",
-                f"{open_bins} open bins > {float(allowed)} allowed (OPT_t={opt_t})",
-                start,
-            )
         if opt_t > 0:
             ratio = open_bins / opt_t
             if ratio > max_ratio:
@@ -664,7 +654,9 @@ def checked_run(
     engine makes."""
     _check_names(config.checks)
     alpha = config.alpha_fraction()
-    policy = build_policy(config, alpha, config.f_fraction())
+    policy = algorithms.make_policy(
+        config.algorithm, alpha, config.f_fraction(), config.delay_cost
+    )
     try:
         # through the module global, which the benchmark patches to digest each run
         result = simulate(

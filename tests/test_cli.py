@@ -109,6 +109,26 @@ def test_config_run_and_report(tmp_path):
     assert csv_again == csv_path.read_text()
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"trials": [\n', ":2: not JSON: Expecting value"),
+        ('{"x": 1}', ": expected a run report"),
+        ("[1, 2]", ": expected a run report"),
+        # a bare list of rows is no run report: no command writes one
+        ('[{"family": "fig2"}]', ": expected a run report"),
+        ('{"trials": [1]}', ": expected a run report"),
+    ],
+)
+def test_report_on_bad_input_is_a_one_line_error(tmp_path, text, problem):
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    result = invoke("report", path)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"Error: {path}{problem}\n"
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = {
         "algorithm": "alg2",
@@ -176,8 +196,8 @@ def test_run_rejects_unknown_check(tmp_path):
         (["INSTANCE"], "--config takes no INSTANCE_PATH"),
         (["--alg", "alg2", "--alpha", "1/4", "--trace", "TRACE"],
          "--config takes no --alg, --alpha, --trace"),
-        (["--f", "1/2", "--delay-c", "4", "--mig-order", "size-desc", "--checks", "packing"],
-         "--config takes no --f, --delay-c, --mig-order, --checks"),
+        (["--f", "1/2", "--delay-c", "4", "--checks", "packing"],
+         "--config takes no --f, --delay-c, --checks"),
         (["INSTANCE", "--alg", "firstfit", "--csv", "CSV"], "--csv needs --config"),
     ],
 )
@@ -327,9 +347,10 @@ def test_malformed_file_is_a_one_line_error(tmp_path, lines, problem, command):
         ('{"algorithm": "alg2", "alpha": "1/4", "generator": {"family": "uniform", "n": 5, '
          '"duration_range": [1, 2], "arrival_window": 3}}',
          ": generator uniform needs size_grid"),
-        ('{"algorithm": "alg2", "alpha": "1/4", "mig_order": "bogus", '
+        # a drain re-places its residents in id order, with no option to choose
+        ('{"algorithm": "alg2", "alpha": "1/4", "mig_order": "id", '
          '"generator": {"family": "fig2", "k": 3, "mu": 5}}',
-         ": algorithm alg2: unknown migration order 'bogus'"),
+         ": unknown key mig_order"),
         ('{"algorithm": "firstfit", "generator": {"family": "fig2", "k": 1, "mu": 5}}',
          ": k must be >= 2"),
         ('{"algorithm": "firstfit", "generator": {"family": "uniform", "n": 5, "size_grid": 12, '
@@ -394,6 +415,7 @@ def test_malformed_config_is_a_one_line_error(tmp_path, text, problem):
         ("oracle_time_budget", float("inf")),
         ("algorithm", ["x"]),
         ("algorithm", None),
+        # no longer a config field either
         ("mig_order", ["x"]),
         ("mig_order", 1),
     ],
@@ -410,7 +432,7 @@ def test_bad_config_field_is_one_error_line(tmp_path, name, value):
     assert len(errors) == 1 and name in errors[0]
 
 
-@pytest.mark.parametrize("name", ["algorithm", "mig_order"])
+@pytest.mark.parametrize("name", ["algorithm"])
 def test_a_non_string_name_is_a_type_error(tmp_path, name):
     # a list once reached the policy registry's lookup, as an unhashable key
     path = tmp_path / "cfg.json"
@@ -420,6 +442,16 @@ def test_a_non_string_name_is_a_type_error(tmp_path, name):
     result = invoke("run", "--config", path)
     assert result.exit_code == 1
     assert result.stderr == f"Error: {path}: {name}: expected a string, got ['x']\n"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_mig_order_is_not_an_option(tmp_path, command):
+    # a drain re-places its residents in id order, with no option to choose
+    result = invoke(command, fragmenting_file(tmp_path), "--alg", "alg2", "--alpha", "1/4",
+                    "--mig-order", "id")
+    assert result.exit_code == 2
+    # click words it "No such option: --mig-order" or "No such option '--mig-order'."
+    assert "Error: No such option" in result.stderr and "--mig-order" in result.stderr
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,10 @@ digests were recorded before `opt_total` took over the interval sweep
 from a separate snapshot generator; the case at `MAX_ITEMS` 2 was
 recorded with a `--max-items 2` option, and now sets the module constant
 in-process. The four `run --config` digests were re-recorded when the
-config lost its `oracle_time_budget` field, and again when it lost its
-`oracle_max_items` field: each time every report differs from the one
-before by that one line, and every CSV is unchanged.
+config lost its `oracle_time_budget` field, again when it lost its
+`oracle_max_items` field, and again when it lost its `mig_order` field:
+each time every report differs from the one before by that one line, and
+every CSV is unchanged.
 """
 
 import hashlib
@@ -60,10 +61,10 @@ EXPECTED = {
     "opt uniform": "e91cd4acfbe9ba4d5c5d414d19542f354ef4a124cf71697377009d2780614ed5",
     "opt uniform at MAX_ITEMS 2": "4b5b456e608c61b766501a50c313a905d76106550c574df8afebdf7d31c15b5d",
     "run --checks --trace": "d9e30bd32db313578c372ae395239a3721f9e36f05e655033fc72e85da7e91e3",
-    "run --config alg2": "aa284deb2d5fba1146cc3c3abcbe01ea8e8bf99b84a07ed9a2c037c151d9ad42",
-    "run --config delay": "68168ead170f9fa44e1d2b40d167e2680d68803d79d1ba6638aa5fbef095aef5",
-    "run --config firstfit": "3fd9cd720777d27eb75bf5da02380a3f4bbf54dc827fc32b3df6432c2aa67109",
-    "run --config sizecost": "a8772dfaa2afc1b3b3a12c673d566564aef4a3183ffa29bfa59091d42adddff5",
+    "run --config alg2": "188233bf43a1a9bc26405ae6c5629f0eeedb426266cff6b3708150e2c1f93c96",
+    "run --config delay": "8fa325620995ca97c65684ce2249c19bdb0e942133e3ae83f66c25c7b9e8ef66",
+    "run --config firstfit": "fd45fee3b4db5cf3f920ab3be1b021f5ad0d7bd4f494be6949a21e3691c2af34",
+    "run --config sizecost": "11eb0495184842f43a96104bfd1ef7ebca350a3b845a9b78ada43368caf44e83",
     "verify alg1 delaylb": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg1 fig2": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",
     "verify alg1 uniform": "adf2f0159e5808f3bb536d03d78f4c9910d800539fa22c5b54b37932fadab2b9",

@@ -40,7 +40,6 @@ CONFIG_VALUES = {
     "alpha": ALPHAS,
     "f": FS,
     "delay_cost": st.sampled_from([None, 0, 1, 4.0, 9]),
-    "mig_order": st.sampled_from(algorithms.MIG_ORDERS),
     "trials": st.integers(0, 3),
     "base_seed": SMALL_INTS,
     "checks": CHECK_NAMES,

@@ -160,6 +160,23 @@ class TestEngineGuards:
         with pytest.raises(SimulationError):
             simulate(inst([Item(0, 0.0, 1, 1.0)]), Flipper())
 
+    def test_a_migration_must_end_in_the_event_that_began_it(self):
+        # item 0 detached while item 1 arrives; it used to stay staged
+        # until its departure found it in no bin, a raw KeyError
+        class Abandoner(Policy):
+            def on_arrival(self, item_id, size_num, time):
+                self.engine.place_first_fit(item_id, "g", (GOOD,), GOOD)
+                if item_id == 1:
+                    self.engine.begin_migration(0)
+
+        instance = inst([Item(0, 0.0, 1, 2.0), Item(1, 1.0, 1, 2.0)])
+        with pytest.raises(
+            SimulationError,
+            match=r"^t=1\.0: the migration of item 0 was begun and not completed"
+            " in the same event$",
+        ):
+            simulate(instance, Abandoner())
+
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self):

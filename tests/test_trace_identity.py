@@ -4,7 +4,10 @@ Each case hashes `result.to_json()` and the full trace of every run it
 makes. The expected digests were recorded on the engine that scanned
 every bin ever opened on each placement; the open-bin index and the
 first-fit trees must reproduce bin ids, ledgers, departures and traces
-exactly.
+exactly. When the size-desc drain order was removed, the alg1 and alg2
+runs on long_run(1) that used it turned to id order. The alg1 digest was
+re-recorded then, computed by the code from before the removal; alg2's
+stayed, since its size-desc run equals its id-order one.
 """
 
 import hashlib
@@ -56,9 +59,7 @@ def runs_alg1():
         for alpha, f in ((Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4))):
             yield simulate(acceptance(seed), SingleClassPolicy(alpha, f))
     yield simulate(long_run(0), SingleClassPolicy(Fraction(1, 4), Fraction(1, 2)))
-    yield simulate(
-        long_run(1), SingleClassPolicy(Fraction(1, 4), Fraction(1, 2), mig_order="size-desc")
-    )
+    yield simulate(long_run(1), SingleClassPolicy(Fraction(1, 4), Fraction(1, 2)))
 
 
 def runs_alg2():
@@ -66,7 +67,7 @@ def runs_alg2():
         for alpha in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
             yield simulate(acceptance(seed), MultiClassPolicy(alpha))
     yield simulate(long_run(0), MultiClassPolicy(Fraction(1, 4)))
-    yield simulate(long_run(1), MultiClassPolicy(Fraction(2, 5), mig_order="size-desc"))
+    yield simulate(long_run(1), MultiClassPolicy(Fraction(2, 5)))
 
 
 def runs_sizecost():
@@ -94,7 +95,7 @@ CASES = {
 
 EXPECTED = {
     "firstfit": "ec6ab163fb5ff42b523c81ac946c431ed49c5df6af922215fcd8304b3eeb332d",
-    "alg1": "31559232fafd0a7df88f41636e3a1dadc51f6612add8a16031c34fdfc07019ef",
+    "alg1": "1d3012e119e0dedb7b7a9ba81e5dd6ac643699f3aff9921ccdccd920eb035afc",
     "alg2": "77beea9b9fe5a215bca618f8cddb1427d6373a64a448f1c4b89ac34f9463f5bb",
     "sizecost": "b2b5db77afa0c4cb295956c9e799dd0183fdfe161157069aa85c764b41e4d421",
     "delay": "537103db614d6f1cbc07ec5725e4ae1651d240c5fe2e6c69d86ec5633a76a0fb",
