@@ -40,7 +40,16 @@ A bin leaves it when that event ends, and a later call naming it (`bin`,
 index that a bin leaves when it closes. First fit runs on a max-residual
 segment tree per (group, label) over opening order, so a placement costs
 O(log B) in the number B of open bins of the group, not a scan of every
-bin ever opened; a group with only a few open bins is scanned instead.
+bin ever opened. A group is scanned instead until a search finds more
+than `Engine.SCAN_LIMIT` (64) open bins in it: a tree group pays a climb
+on every load change (fill, departure, close, relabel) and a descent per
+search, while a scan pays only when it searches and stops at the first
+fit. Measured on whole runs, scanning beat the trees up to about 70 open
+bins of a group for alg2 (which searches Bad, then Good), 100 for
+FirstFit and 100-200 for the delay policy's `Ib` pool; of 32, 48, 64,
+96 and 128, 64 is the largest limit at which the scan won on all three.
+A pool of about 1,000 open bins, as the delay policy's `Ib` holds on the
+benchmark's `dense` shape, still needs the trees.
 
 A first-fit placement is one engine call. `place_first_fit` takes an
 arriving item, a group, an ordered tuple of labels and the label of a
@@ -367,7 +376,9 @@ class Policy:
 class Engine:
     """Drives one policy through one instance. Single-threaded."""
 
-    SCAN_LIMIT = 8  # open bins of a group searched without trees
+    # open bins of a group searched without trees: scans beat the trees'
+    # upkeep up to about 70 open bins for alg2, the lowest crossover measured
+    SCAN_LIMIT = 64
 
     def __init__(
         self,
@@ -446,10 +457,11 @@ class Engine:
         group carrying labels[0] where an item of size_num fits, else the
         same for labels[1], and so on; None if there is none.
 
-        A group is scanned while it has at most SCAN_LIMIT open bins,
-        where keeping trees costs more than the scan. Its trees are built
-        the first time a search finds more, and kept from then on; groups
-        nobody searches (junk, dedicated) never get any."""
+        A group is scanned while it has at most SCAN_LIMIT (64) open
+        bins, where keeping trees, a climb on every load change, costs more
+        than the scan, which pays only here and stops at the first fit. Its
+        trees are built the first time a search finds more, and kept from
+        then on; groups nobody searches (junk, dedicated) never get any."""
         index = self._fit.get(group)
         if index is None:
             open_bins = self._open_by_group.get(group)

@@ -17,7 +17,7 @@ import statistics
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from . import algorithms, generators, oracles
 from .core import Instance, time_problems, validate, with_durations
@@ -703,7 +703,16 @@ def checked_run(
     return run
 
 
-def run_trial(config: ExperimentConfig, seed: int) -> dict:
+def row_params(generator: dict) -> str:
+    """A row's `params`: the generator's keys but `family`, as JSON."""
+    return json.dumps({k: v for k, v in generator.items() if k != "family"}, sort_keys=True)
+
+
+def run_trial(config: ExperimentConfig, seed: int, params: str | None = None) -> dict:
+    """One checked trial's row. params is row_params(config.generator),
+    which cmd_run builds once per batch; it is built here if not given."""
+    if params is None:
+        params = row_params(config.generator)
     instance, adversary = build_instance(config.generator, seed)
     run = checked_run(config, instance, adversary)
     if run.violation is not None:
@@ -711,10 +720,7 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
     result = run.result
     row = {
         "family": config.generator["family"],
-        "params": json.dumps(
-            {k: v for k, v in config.generator.items() if k != "family"},
-            sort_keys=True,
-        ),
+        "params": params,
         "seed": seed,
         "alg": config.algorithm,
         "alpha": config.alpha or "",
@@ -750,15 +756,16 @@ def run_trial(config: ExperimentConfig, seed: int) -> dict:
 def cmd_run(config: ExperimentConfig) -> dict:
     """Execute all trials and assemble the report."""
     seeds = [config.base_seed + i for i in range(config.trials)]
+    params = row_params(config.generator)
     if config.jobs > 1:
         # imported here: the pool's modules cost every other run setup time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(run_trial, [config] * len(seeds), seeds))
+            rows = list(pool.map(run_trial, repeat(config), seeds, repeat(params)))
     else:
         # looked up per trial: the benchmark times trials by patching run_trial
-        rows = [run_trial(config, seed) for seed in seeds]
+        rows = [run_trial(config, seed, params) for seed in seeds]
     return {
         "config": config.to_dict(),
         "trials": rows,

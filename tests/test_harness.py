@@ -306,10 +306,11 @@ def ff_events(instance):
     )
 )
 @example((1, []))
-@example((4, [(0, 8, 4)] * 20 + [(k, 1, 1 + k % 4) for k in range(12)]))
+@example((4, [(0, 8, 4)] * 70 + [(k, 1, 1 + k % 4) for k in range(12)]))
 def test_first_fit_cost_is_the_engines_exactly(case):
-    # against the engine's FirstFit, which scans up to 8 open bins and
-    # then keeps trees; the sweep's one tree regrows past 8 open bins
+    # against the engine's FirstFit, which scans up to Engine.SCAN_LIMIT
+    # open bins and then keeps trees; the sweep's one tree regrows past 8
+    # open bins; the example's 70 full bins pass both
     scale, rows = case
     instance = Instance(
         items=tuple(Item(i, a / 2, size, d / 2) for i, (a, d, size) in enumerate(rows)),

@@ -11,7 +11,7 @@ not rest on the bins the engine keeps.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynbin.algorithms import (
     DelayPolicy,
@@ -64,12 +64,24 @@ op = st.tuples(
 )
 
 
-# 0 builds a group's trees on its first search; the default scans small groups
-@pytest.mark.parametrize("scan_limit", [0, Engine.SCAN_LIMIT])
+# 0 builds a group's trees on its first search, and 3 mid-run from bins
+# already open (of mixed labels, persistent ones too); the default scans
+# every group these ops can open
+@pytest.mark.parametrize("scan_limit", [0, 3, Engine.SCAN_LIMIT])
 @settings(max_examples=150, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, SCALE), min_size=1, max_size=60),
     ops=st.lists(op, max_size=250),
+)
+# drawn op lists are short, and few open four bins in one group: this one
+# does, a persistent Bad bin and a loaded Good bin among them
+@example(
+    sizes=[3, 5, 2, 8, 1],
+    ops=[
+        ("open", 0, 0), ("open", 1, 1), ("attach", 0, 0), ("open", 1, 0),
+        ("attach", 1, 1), ("open", 0, 1), ("open", 1, 2), ("attach", 2, 0),
+        ("relabel", 0, 0), ("detach", 0, 0), ("close", 1, 0), ("attach", 3, 3),
+    ],
 )
 def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
     items = [Item(i, 0.0, s, 1.0) for i, s in enumerate(sizes)]

@@ -107,6 +107,10 @@ POLICIES = {
 INSTANCES = [
     # about 40 live items over 300 arrivals: hundreds of bins close
     lambda seed: gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, seed),
+    # about 150 live items: the groups of firstfit, alg1, alg2 (class 0)
+    # and delay (Is) pass Engine.SCAN_LIMIT, so the default engine builds
+    # their trees mid-run
+    lambda seed: gen_uniform(400, 16, (1.0, 2.0), 400 * 1.5 / 150, seed),
     # about 100 live items on a coarse grid: long first-fit searches, and
     # delay items that migrate more than once
     lambda seed: gen_uniform(200, 8, (1.0, 8.0), 8.0, seed),
@@ -138,7 +142,7 @@ def test_one_call_placement_matches_the_separate_calls(monkeypatch, engine_cls, 
         assert result.open_counts == expected.open_counts
         assert result.departures == expected.departures
     if name in ("alg1", "alg2", "delay"):
-        assert result.ledger.entries  # the migration path ran
+        assert result.ledger.entries  # the migration path ran on the last instance
 
 
 def test_a_new_bin_leaf_is_written_once(monkeypatch):
