@@ -10,6 +10,7 @@ oracles, reproducible instance generators, and an experiment harness.
 from .core import (
     Instance,
     Item,
+    LongestPerBinResolver,
     UnresolvedDurationError,
     mu,
     read_jsonl,
@@ -41,7 +42,6 @@ from .algorithms import (
 from .oracles import OptReport, ffd_snapshot, opt_snapshot, opt_total
 from .generators import (
     RNG_ID,
-    LongestPerBinResolver,
     gen_basic_lb,
     gen_delay_lb,
     gen_fig2,
@@ -55,6 +55,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Instance",
     "Item",
+    "LongestPerBinResolver",
     "UnresolvedDurationError",
     "mu",
     "read_jsonl",
@@ -83,7 +84,6 @@ __all__ = [
     "opt_snapshot",
     "opt_total",
     "RNG_ID",
-    "LongestPerBinResolver",
     "gen_basic_lb",
     "gen_delay_lb",
     "gen_fig2",

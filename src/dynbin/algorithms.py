@@ -94,7 +94,8 @@ class SingleClassMigrator:
         threshold, den = self._drain_below
         if b.load * den >= threshold:
             return
-        # drain: migrate every resident in id order, first-fit over Bad, Good, then new bins
+        # drain: residents move in id order, by first fit over the targets listed
+        # here: Bad, then Good, then bins it opens; one turning Good keeps its place
         residents = sorted(b.items)
         others = [t for t in engine.bins_in(self.group) if t.id != bin_id]
         targets = [t for t in others if t.label == BAD] + [

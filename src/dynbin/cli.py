@@ -8,7 +8,7 @@ import sys
 
 import click
 
-from . import algorithms, generators, harness, oracles
+from . import algorithms, harness, oracles
 from .core import read_jsonl, validate, write_jsonl
 from .engine import SimulationError
 # unused here, but the benchmark's tracer patches both names in this module
@@ -53,12 +53,6 @@ def _file_config(path, **options):
         raise click.ClickException(str(exc))
 
 
-def _adversary_for(instance):
-    if instance.adversary is None:
-        return None
-    return generators.resolver_from_header(instance.adversary)
-
-
 @click.group()
 def main():
     """Dynamic bin packing simulator."""
@@ -87,7 +81,7 @@ def gen(family, k, mu, inv_s, c, n, size_grid, dmin, dmax, window, seed, output)
         raise click.UsageError(f"{family} requires: {', '.join(missing)}")
     try:
         harness.check_generator(params)
-        instance, _ = harness.build_instance(params, seed)
+        instance = harness.build_instance(params, seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     write_jsonl(instance, output)
@@ -136,7 +130,7 @@ def run(instance_path, config, alg, alpha, f, delay_c, checks,
             cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
                                delay_cost=delay_c,
                                checks=[c for c in checks.split(",") if c])
-            checked = harness.checked_run(cfg, instance, _adversary_for(instance))
+            checked = harness.checked_run(cfg, instance)
             if checked.violation is not None:
                 raise checked.violation
             text = checked.result.to_json()
@@ -194,7 +188,7 @@ def verify(instance_path, alg, alpha, f, delay_c):
     cfg = _file_config(instance_path, algorithm=alg, alpha=alpha, f=f,
                        delay_cost=delay_c)
     try:
-        results = harness.cmd_verify(cfg, instance, adversary=_adversary_for(instance))
+        results = harness.cmd_verify(cfg, instance)
     except (SimulationError, oracles.SnapshotTooLarge) as exc:
         raise click.ClickException(str(exc))
     failed = False

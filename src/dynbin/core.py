@@ -19,9 +19,9 @@ class UnresolvedDurationError(ValueError):
 
 
 class Item(NamedTuple):
-    """One arriving object. duration=None means the duration is deferred
-    and will be assigned by an adversary callback during simulation. A
-    tuple: immutable, and cheap to build by the thousand."""
+    """One arriving object. duration=None means the duration is deferred:
+    the adversary that the instance's header names assigns it during
+    simulation. A tuple: immutable, and cheap to build by the thousand."""
 
     id: int
     arrival: float
@@ -46,7 +46,7 @@ class Instance:
     items: tuple[Item, ...]
     scale: int
     seed: int | None = None
-    adversary: dict | None = None  # header naming the duration resolver
+    adversary: dict | None = None  # header naming the resolver the engine runs
     rng: str | None = None  # identifier of the generator algorithm
     # whether some item's duration is deferred, found once when built
     _deferred: bool = field(init=False, repr=False, compare=False)
@@ -186,8 +186,8 @@ _INTEGER = ("an integer", lambda v: type(v) is int)  # not true or false
 _NUMBER = ("a number", lambda v: type(v) in (int, float) and v not in (math.inf, -math.inf))
 _ITEM_KEYS = {"id": _INTEGER, "arrival": _NUMBER, "size_num": _INTEGER,
               "duration": ("a number or null", lambda v: v is None or _NUMBER[1](v))}
-# the header's keys, all but scale optional; the one adversary a file can
-# name is generators.LongestPerBinResolver's header
+# the header's keys, all but scale optional; the adversary, the one way a
+# run gets its deferred durations, is LongestPerBinResolver's header below
 _HEADER_KEYS = {
     "scale": _INTEGER,
     "seed": ("an integer or null", lambda v: v is None or type(v) is int),
@@ -196,6 +196,43 @@ _HEADER_KEYS = {
                   lambda v: type(v) is dict and v.get("name") == "longest-per-bin"
                   and _NUMBER[1](v.get("mu")) and _INTEGER[1](v.get("long_count"))),
 }
+
+
+class LongestPerBinResolver:
+    """Adaptive adversary for the deferred-duration construction: after
+    observing the time-0 packing, the lowest-id deferred item in each
+    nonempty bin becomes long-lived (duration mu) until long_count such
+    items are marked; everything else gets duration 1."""
+
+    def __init__(self, mu: float, long_count: int):
+        self.mu = float(mu)
+        self.long_count = int(long_count)
+
+    def resolve(self, snapshot) -> dict[int, float]:
+        assignment: dict[int, float] = {}
+        marked = 0
+        for _bin_id, deferred_ids in snapshot:
+            if deferred_ids and marked < self.long_count:
+                assignment[deferred_ids[0]] = self.mu
+                marked += 1
+            for item_id in deferred_ids:
+                assignment.setdefault(item_id, 1.0)
+        return assignment
+
+    def header(self) -> dict:
+        return {"name": "longest-per-bin", "mu": self.mu, "long_count": self.long_count}
+
+
+def resolver_from_header(header) -> LongestPerBinResolver:
+    """The resolver an adversary header names, else a ValueError naming the
+    header. A nonpositive, NaN or infinite mu passes: the engine refuses
+    the duration the resolver assigns."""
+    if type(header) is dict and header.get("name") == "longest-per-bin":
+        try:
+            return LongestPerBinResolver(header["mu"], header["long_count"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"adversary: expected {_HEADER_KEYS['adversary'][0]}, got {header!r}")
 
 
 def _record(path, lineno: int, line: str, keys: dict, optional: tuple = ()) -> dict:

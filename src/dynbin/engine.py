@@ -6,11 +6,13 @@ durations (non-clairvoyance) -- the only duration information a policy
 receives is the departure event itself.
 
 Event order at equal time: departures, then migration checkpoints, then
-arrivals, then adversary resolution; ties broken by item id. Checkpoints
-live only in the heap: one fires unless its item has departed, so never at
-its departure time, and once per (item, time), as the heap pops a repeat
-right after it. A time's checkpoints reach `on_checkpoints` as one batch,
-in ascending id; one scheduled for that time during the call fires anew.
+arrivals, then adversary resolution; ties broken by item id. The
+adversary is the resolver the instance's header names, built by the
+engine. Checkpoints live only in the heap: one fires unless its item has
+departed, so never at its departure time, and once per (item, time), as
+the heap pops a repeat right after it. A time's checkpoints reach
+`on_checkpoints` as one batch, in ascending id; one scheduled for that
+time during the call fires anew.
 
 The event queue holds only live items. Arrivals are read in order from
 the instance's items, sorted once by (arrival, id); a heap holds the
@@ -97,7 +99,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Instance, Item, validate
+from .core import Instance, Item, resolver_from_header, validate
 
 BAD = "Bad"
 GOOD = "Good"
@@ -385,7 +387,6 @@ class Engine:
         instance: Instance,
         policy: Policy,
         delay_cost: float = 0.0,
-        adversary=None,
         observers: Iterable[Callable[["Engine", float], None]] = (),
     ):
         problems = validate(instance)
@@ -393,13 +394,18 @@ class Engine:
             raise InvalidInstance(problems)
         if delay_cost < 0:
             raise SimulationError("delay cost must be nonnegative")
-        if instance.has_deferred() and adversary is None:
-            raise SimulationError("instance has deferred durations but no adversary")
+        self.adversary = None
+        if instance.has_deferred():
+            if instance.adversary is None:
+                raise SimulationError("instance has deferred durations but no adversary")
+            try:
+                self.adversary = resolver_from_header(instance.adversary)
+            except ValueError as exc:
+                raise SimulationError(str(exc)) from None
         self.instance = instance
         self.scale = instance.scale
         self.policy = policy
         self.delay_cost = delay_cost
-        self.adversary = adversary
         self.observers = list(observers)
 
         self.bins: dict[int, Bin] = {}  # open, or closed in the current event
@@ -829,11 +835,10 @@ def simulate(
     instance: Instance,
     policy: Policy,
     delay_cost: float = 0.0,
-    adversary=None,
     observers: Iterable[Callable[[Engine, float], None]] = (),
 ) -> SimulationResult:
     """Run a policy over an instance; deterministic for identical inputs."""
-    return Engine(instance, policy, delay_cost, adversary, observers).run()
+    return Engine(instance, policy, delay_cost, observers).run()
 
 
 class Replay:

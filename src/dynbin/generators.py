@@ -12,51 +12,21 @@ from __future__ import annotations
 import math
 import random
 
-from .core import Instance, Item
+from .core import Instance, Item, LongestPerBinResolver
 
 RNG_ID = "python-random-mt19937"
 
 
-class LongestPerBinResolver:
-    """Adaptive adversary for the deferred-duration construction: after
-    observing the time-0 packing, the lowest-id deferred item in each
-    nonempty bin becomes long-lived (duration mu) until long_count such
-    items are marked; everything else gets duration 1."""
-
-    def __init__(self, mu: float, long_count: int):
-        self.mu = float(mu)
-        self.long_count = int(long_count)
-
-    def resolve(self, snapshot) -> dict[int, float]:
-        assignment: dict[int, float] = {}
-        marked = 0
-        for _bin_id, deferred_ids in snapshot:
-            if deferred_ids and marked < self.long_count:
-                assignment[deferred_ids[0]] = self.mu
-                marked += 1
-            for item_id in deferred_ids:
-                assignment.setdefault(item_id, 1.0)
-        return assignment
-
-    def header(self) -> dict:
-        return {"name": "longest-per-bin", "mu": self.mu, "long_count": self.long_count}
-
-
-def resolver_from_header(header: dict) -> LongestPerBinResolver:
-    return LongestPerBinResolver(header["mu"], header["long_count"])
-
-
-def gen_fig2(k: int, mu: float) -> tuple[Instance, LongestPerBinResolver]:
+def gen_fig2(k: int, mu: float) -> Instance:
     """k^2 items of size 1/k arriving at time 0 with deferred durations,
-    plus the adaptive resolver marking one long item per algorithm bin."""
+    whose header names the adaptive resolver marking one long item per
+    algorithm bin."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if mu <= 1:
         raise ValueError("mu must exceed 1")
-    resolver = LongestPerBinResolver(mu, k)
     items = tuple(Item(i, 0.0, 1, None) for i in range(k * k))
-    instance = Instance(items=items, scale=k, adversary=resolver.header())
-    return instance, resolver
+    return Instance(items=items, scale=k, adversary=LongestPerBinResolver(mu, k).header())
 
 
 def gen_tradeoff_lb(inv_s: int, k: int, mu: float, seed: int) -> Instance:

@@ -111,20 +111,17 @@ GENERATORS = {
     "fig2": (("k", "mu"), lambda seed, k, mu: generators.gen_fig2(k, mu)),
     "tradeoff": (
         ("inv_s", "k", "mu"),
-        lambda seed, inv_s, k, mu: (generators.gen_tradeoff_lb(inv_s, k, mu, seed), None),
+        lambda seed, inv_s, k, mu: generators.gen_tradeoff_lb(inv_s, k, mu, seed),
     ),
     "basiclb": (
         ("k", "mu"),
-        lambda seed, k, mu: (generators.gen_basic_lb(k, mu, seed), None),
+        lambda seed, k, mu: generators.gen_basic_lb(k, mu, seed),
     ),
-    "delaylb": (("c",), lambda seed, c: (generators.gen_delay_lb(c, seed), None)),
+    "delaylb": (("c",), lambda seed, c: generators.gen_delay_lb(c, seed)),
     "uniform": (
         ("n", "size_grid", "duration_range", "arrival_window"),
-        lambda seed, n, size_grid, duration_range, arrival_window: (
-            generators.gen_uniform(
-                n, size_grid, tuple(duration_range), arrival_window, seed
-            ),
-            None,
+        lambda seed, n, size_grid, duration_range, arrival_window: generators.gen_uniform(
+            n, size_grid, tuple(duration_range), arrival_window, seed
         ),
     ),
 }
@@ -258,11 +255,10 @@ def check_generator(generator) -> None:
             raise ValueError(f"generator {family}: {problem}")
 
 
-def build_instance(generator: dict, seed: int):
-    """Instantiate a generator family; returns (instance, adversary|None).
-    The generator's keys must have passed check_generator, which
-    ExperimentConfig.from_dict and `dynbin gen` call once, not once per
-    trial."""
+def build_instance(generator: dict, seed: int) -> Instance:
+    """Instantiate a generator family. Its keys must have passed
+    check_generator, which ExperimentConfig.from_dict and `dynbin gen`
+    call once, not once per trial."""
     keys, build = GENERATORS[generator["family"]]
     return build(seed, *(generator[key] for key in keys))
 
@@ -643,9 +639,7 @@ class CheckedRun:
         return next((v for v in self.outcomes.values() if v is not None), None)
 
 
-def checked_run(
-    config: ExperimentConfig, instance: Instance, adversary=None
-) -> CheckedRun:
+def checked_run(config: ExperimentConfig, instance: Instance) -> CheckedRun:
     """Simulate config's policy on the instance once and run every check
     in config.checks on that run. The alpha-bounded checks pass vacuously
     without an alpha, which only a caller that skips check_config can ask
@@ -659,9 +653,7 @@ def checked_run(
     )
     try:
         # through the module global, which the benchmark patches to digest each run
-        result = simulate(
-            instance, policy, delay_cost=config.delay_cost or 0.0, adversary=adversary
-        )
+        result = simulate(instance, policy, delay_cost=config.delay_cost or 0.0)
     except InvalidInstance as exc:
         raise InvariantViolation("validate", "; ".join(exc.problems)) from None
     resolved = (
@@ -713,8 +705,8 @@ def run_trial(config: ExperimentConfig, seed: int, params: str | None = None) ->
     which cmd_run builds once per batch; it is built here if not given."""
     if params is None:
         params = row_params(config.generator)
-    instance, adversary = build_instance(config.generator, seed)
-    run = checked_run(config, instance, adversary)
+    instance = build_instance(config.generator, seed)
+    run = checked_run(config, instance)
     if run.violation is not None:
         raise run.violation
     result = run.result
@@ -825,9 +817,9 @@ def applicable_checks(algorithm: str) -> list[str]:
 
 
 def cmd_verify(
-    config: ExperimentConfig, instance: Instance, adversary=None
+    config: ExperimentConfig, instance: Instance
 ) -> list[tuple[str, bool, str]]:
     """Run one instance once with every applicable check; report per-check results."""
     checks = applicable_checks(config.algorithm)
-    run = checked_run(replace(config, checks=checks), instance, adversary)
+    run = checked_run(replace(config, checks=checks), instance)
     return [(c, run.outcomes[c] is None, str(run.outcomes[c] or "")) for c in checks]

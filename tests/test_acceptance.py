@@ -133,8 +133,8 @@ def delay_sweep():
 
 def test_criterion_1_adaptive_construction_exact():
     start = time.perf_counter()
-    instance, resolver = gen_fig2(10, 100.0)
-    run = simulate(instance, FirstFitPolicy(), adversary=resolver)
+    instance = gen_fig2(10, 100.0)
+    run = simulate(instance, FirstFitPolicy())
     resolved = with_durations(instance, run.resolved_durations)
     opt = opt_total(resolved)
     elapsed = time.perf_counter() - start

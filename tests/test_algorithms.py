@@ -100,6 +100,26 @@ class TestSingleClass:
         # a second drain fires during the final departure wave
         assert r.ledger.unit_count == 2
 
+    def test_a_drain_keeps_the_target_order_it_starts_with(self):
+        # a drain lists its targets once: Bad bins, then Good bins, then the
+        # bins it opens. Bin 0's drain sends item 6 to Bad bin 3, which turns
+        # Good, and item 8 follows it there; a first fit per placement (Bad,
+        # then Good) would send item 8 to Good bin 2, where it fits too. Which
+        # order the paper intends is open.
+        instance = gen_uniform(10, 16, (1.0, 20.0), 1.0, 1554)
+        drain_at = 4.230452854396675
+        after = {}
+
+        def watch(engine, time):
+            if time == drain_at:
+                after.update((b.id, (b.label, b.load)) for b in engine.bins_in("shared"))
+
+        r = simulate(instance, SizeCostPolicy(Fraction(2, 5)), observers=[watch])
+        moves = [(e.item, e.source, e.destination) for e in r.ledger.entries if e.time == drain_at]
+        assert moves == [(6, 0, 3), (8, 0, 3)]
+        assert after == {2: (GOOD, 11), 3: (GOOD, 11)}
+        assert r.ledger.unit_count == 7
+
     def test_bad_bin_promoted_at_fill_fraction(self):
         alpha, f = Fraction(1, 4), Fraction(1, 2)
         labels = []

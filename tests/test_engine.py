@@ -1,10 +1,12 @@
 import copy
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynbin.core import Instance, Item
+from dynbin.core import Instance, Item, LongestPerBinResolver
 from dynbin.engine import (
     ACTION_FIELDS,
     BAD,
@@ -20,7 +22,8 @@ from dynbin.engine import (
     verify_packing,
 )
 from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy
-from dynbin.generators import LongestPerBinResolver, gen_fig2, gen_uniform
+from dynbin.generators import gen_fig2, gen_uniform
+from dynbin.harness import ExperimentConfig, checked_run
 
 
 def inst(items, scale=4):
@@ -100,31 +103,54 @@ class TestDelayedDepartures:
 
 class TestAdversary:
     def test_resolution_happens_after_same_time_arrivals(self):
-        instance, resolver = gen_fig2(3, 5.0)
-        r = simulate(instance, FirstFitPolicy(), adversary=resolver)
+        r = simulate(gen_fig2(3, 5.0), FirstFitPolicy())
         # one long item per bin: 3 bins stay open for mu
         assert r.total_active_time == 15.0
         assert sorted(r.resolved_durations.values()).count(5.0) == 3
 
     def test_deferred_without_adversary_rejected(self):
-        instance, _ = gen_fig2(2, 3.0)
-        with pytest.raises(SimulationError):
+        instance = replace(gen_fig2(2, 3.0), adversary=None)
+        message = "^instance has deferred durations but no adversary$"
+        with pytest.raises(SimulationError, match=message):
             simulate(instance, FirstFitPolicy())
 
     @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan")])
     def test_nonpositive_resolved_duration_rejected(self, mu):
         # NaN fails every comparison, and a NaN departure never leaves the queue
-        instance, _ = gen_fig2(2, 3.0)
-        resolver = LongestPerBinResolver(mu, 1)
+        header = LongestPerBinResolver(mu, 1).header()
+        instance = replace(gen_fig2(2, 3.0), adversary=header)
         with pytest.raises(SimulationError, match="nonpositive duration"):
-            simulate(instance, FirstFitPolicy(), adversary=resolver)
+            simulate(instance, FirstFitPolicy())
 
     def test_infinite_resolved_duration_rejected(self):
         # validate refuses an infinite duration; an adversary may not assign one
-        instance, _ = gen_fig2(2, 3.0)
-        resolver = LongestPerBinResolver(float("inf"), 1)
+        header = LongestPerBinResolver(float("inf"), 1).header()
+        instance = replace(gen_fig2(2, 3.0), adversary=header)
         with pytest.raises(SimulationError, match="^adversary assigned infinite duration$"):
-            simulate(instance, FirstFitPolicy(), adversary=resolver)
+            simulate(instance, FirstFitPolicy())
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"name": "shortest-per-bin", "mu": 3.0, "long_count": 2},
+            {"name": "longest-per-bin", "long_count": 2},
+            {"name": "longest-per-bin", "mu": 3.0},
+            {"name": "longest-per-bin", "mu": "big", "long_count": 2},
+            5,
+        ],
+        ids=["unknown name", "no mu", "no long_count", "mu not a number", "not an object"],
+    )
+    def test_a_header_the_engine_cannot_read_is_one_error(self, header):
+        # read_jsonl refuses such a header in a file; built in code, the
+        # engine refuses it before the run, from simulate and checked_run alike
+        instance = replace(gen_fig2(2, 3.0), adversary=header)
+        message = f"^adversary: expected .*, got {re.escape(repr(header))}$"
+        with pytest.raises(SimulationError, match=message):
+            simulate(instance, FirstFitPolicy())
+        generator = {"family": "fig2", "k": 2, "mu": 3.0}
+        config = ExperimentConfig(algorithm="firstfit", generator=generator)
+        with pytest.raises(SimulationError, match=message):
+            checked_run(config, instance)
 
 
 class TestEngineGuards:
@@ -180,17 +206,16 @@ class TestEngineGuards:
 
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
-        instance, resolver = gen_fig2(4, 10.0)
-        a = simulate(instance, FirstFitPolicy(), adversary=resolver)
-        b = simulate(instance, FirstFitPolicy(), adversary=resolver)
+        instance = gen_fig2(4, 10.0)
+        a = simulate(instance, FirstFitPolicy())
+        b = simulate(instance, FirstFitPolicy())
         assert a.to_json() == b.to_json()
         assert a.trace == b.trace
 
 
 class TestVerifyPacking:
     def good_run(self):
-        instance, resolver = gen_fig2(3, 5.0)
-        return simulate(instance, FirstFitPolicy(), adversary=resolver)
+        return simulate(gen_fig2(3, 5.0), FirstFitPolicy())
 
     def first(self, r, action):
         """The index in r.actions of the first record of the action."""
@@ -231,8 +256,7 @@ class TestVerifyPacking:
         assert verify_packing(r) == "t=2.0: migration of item 0 from wrong bin"
 
     def test_detects_good_bin_relabeled_bad(self):
-        instance, resolver = gen_fig2(3, 5.0)
-        r = simulate(instance, MultiClassPolicy(Fraction(1, 4)), adversary=resolver)
+        r = simulate(gen_fig2(3, 5.0), MultiClassPolicy(Fraction(1, 4)))
         # the first Bad -> Good relabel, turned around
         i = next(
             i for i, act in action_records(r.actions) if act[0] == "label" and act[2] == "Bad"
@@ -408,8 +432,7 @@ def test_events_follow_time_kind_id_under_ties(make_policy, rows):
 
 
 def test_queue_holds_only_live_departures_through_an_adversary():
-    instance, adversary = gen_fig2(4, 10.0)
-    simulate(instance, FirstFitPolicy(), adversary=adversary, observers=[bounded_queue])
+    simulate(gen_fig2(4, 10.0), FirstFitPolicy(), observers=[bounded_queue])
 
 
 def test_the_heap_holds_one_departure_per_live_item_under_delays():

@@ -4,28 +4,26 @@ import statistics
 
 import pytest
 
-from dynbin.core import Item, validate
+from dynbin.core import Item, LongestPerBinResolver, resolver_from_header, validate
 from dynbin.engine import simulate
 from dynbin.algorithms import FirstFitPolicy
 from dynbin.generators import (
     RNG_ID,
-    LongestPerBinResolver,
     gen_basic_lb,
     gen_delay_lb,
     gen_fig2,
     gen_tradeoff_lb,
     gen_uniform,
-    resolver_from_header,
 )
 
 
 class TestFig2:
     def test_shape(self):
-        instance, resolver = gen_fig2(5, 20.0)
+        instance = gen_fig2(5, 20.0)
         assert len(instance) == 25
         assert instance.scale == 5
         assert all(it.deferred and it.arrival == 0.0 for it in instance.items)
-        assert resolver.long_count == 5
+        assert resolver_from_header(instance.adversary).long_count == 5
 
     def test_resolver_marks_one_per_bin(self):
         resolver = LongestPerBinResolver(mu=9.0, long_count=2)
@@ -34,13 +32,13 @@ class TestFig2:
         assert out == {0: 9.0, 1: 1.0, 2: 9.0, 3: 1.0, 4: 1.0}
 
     def test_resolver_header_roundtrip(self):
-        instance, resolver = gen_fig2(3, 7.0)
+        instance = gen_fig2(3, 7.0)
         again = resolver_from_header(instance.adversary)
-        assert again.mu == resolver.mu and again.long_count == resolver.long_count
+        assert (again.mu, again.long_count) == (7.0, 3)
+        assert again.header() == instance.adversary
 
     def test_forces_one_long_item_per_firstfit_bin(self):
-        instance, resolver = gen_fig2(4, 10.0)
-        r = simulate(instance, FirstFitPolicy(), adversary=resolver)
+        r = simulate(gen_fig2(4, 10.0), FirstFitPolicy())
         assert r.total_active_time == 40.0
 
     def test_parameter_validation(self):

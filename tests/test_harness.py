@@ -135,7 +135,7 @@ def test_per_time_check_flags_violation():
 def test_migration_budget_counts_alg1_class_against_all_items():
     # alg1 records its migrations under the one class key "class"; the
     # budget is 4*alpha/(1-2*alpha) = 2 migrations per item of the instance
-    instance, _ = build_instance(UNIFORM, 1)
+    instance = build_instance(UNIFORM, 1)
     policy = SingleClassPolicy(Fraction(1, 4), Fraction(1, 2))
     result = simulate(instance, policy)
     assert result.ledger.per_class() == {"class": 4}
@@ -196,7 +196,7 @@ def test_a_budget_check_refuses_an_alpha_outside_its_range(name, check, alpha):
     # 1 / (1 - 2 alpha) is undefined at 1/2 and negative beyond: called
     # directly, through checked_run or through check_config, a budget
     # check refuses such an alpha with the same words
-    instance, _ = build_instance(UNIFORM, 1)
+    instance = build_instance(UNIFORM, 1)
     result = simulate(instance, MultiClassPolicy(Fraction(1, 4)))
     problem = f"check {name} needs alpha in (0, 1/2), got {alpha}"
     with pytest.raises(ValueError) as direct:
@@ -514,7 +514,7 @@ def test_aggregate_of_costs_past_the_largest_float(costs):
 
 def test_checked_run_rejects_unknown_check():
     cfg = ExperimentConfig(algorithm="firstfit", generator=dict(UNIFORM), checks=["packng"])
-    instance, _ = build_instance(UNIFORM, 0)
+    instance = build_instance(UNIFORM, 0)
     with pytest.raises(ValueError, match="packng"):
         checked_run(cfg, instance)
 
@@ -534,9 +534,9 @@ def test_verify_simulates_once(monkeypatch, alg, options, generator, runs):
     monkeypatch.setattr(
         harness, "simulate", lambda *a, **kw: calls.append(a) or original(*a, **kw)
     )
-    instance, adversary = build_instance(generator, 0)
+    instance = build_instance(generator, 0)
     cfg = ExperimentConfig(algorithm=alg, generator=generator, **options)
-    results = cmd_verify(cfg, instance, adversary)
+    results = cmd_verify(cfg, instance)
     assert [check for check, ok, _ in results if ok] == applicable_checks(alg)
     assert len(calls) == runs
 

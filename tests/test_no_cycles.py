@@ -51,10 +51,8 @@ def test_simulate_leaves_no_cycles(collector_off, name):
         f=Fraction(params["f"]) if "f" in params else None,
         delay_cost=params.get("delay_cost"),
     )
-    instance, adversary = gen_fig2(4, 10.0)
-    result = simulate(
-        instance, policy, delay_cost=params.get("delay_cost", 0.0), adversary=adversary
-    )
+    instance = gen_fig2(4, 10.0)
+    result = simulate(instance, policy, delay_cost=params.get("delay_cost", 0.0))
     assert result.resolved_durations
     del result, policy
     assert gc.collect() == 0

@@ -55,7 +55,7 @@ def outcome(observer, engine, time):
     return None
 
 
-def compare(instance, policy, scale=None, delay_cost=0.0, adversary=None):
+def compare(instance, policy, scale=None, delay_cost=0.0):
     """Run both observers after every event up to the first violation;
     returns the number of events compared and that violation, if any.
     At the instance's own scale, the replay of the stored run that
@@ -71,9 +71,7 @@ def compare(instance, policy, scale=None, delay_cost=0.0, adversary=None):
         assert outcome(incremental, engine, time) == expected, f"t={time}"
         seen.append(expected)
 
-    result = simulate(
-        instance, policy, delay_cost=delay_cost, adversary=adversary, observers=[both]
-    )
+    result = simulate(instance, policy, delay_cost=delay_cost, observers=[both])
     first = seen[-1] if seen else None
     if scale == instance.scale:
         broken = check_records(result)[1]
@@ -100,9 +98,9 @@ def test_matches_rescan_on_acceptance_shapes(name):
         policy, delay_cost = POLICIES[name]()
         events, violation = compare(instance, policy, delay_cost=delay_cost)
         assert events > 0 and violation is None
-    fig2, resolver = gen_fig2(4, 10.0)
+    fig2 = gen_fig2(4, 10.0)
     policy, delay_cost = POLICIES[name]()
-    assert compare(fig2, policy, delay_cost=delay_cost, adversary=resolver)[1] is None
+    assert compare(fig2, policy, delay_cost=delay_cost)[1] is None
 
 
 class Meddler(Policy):

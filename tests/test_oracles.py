@@ -93,8 +93,8 @@ class TestOptSnapshot:
 
 class TestOptTotal:
     def test_adaptive_construction_value(self):
-        instance, resolver = gen_fig2(4, 10.0)
-        run = simulate(instance, FirstFitPolicy(), adversary=resolver)
+        instance = gen_fig2(4, 10.0)
+        run = simulate(instance, FirstFitPolicy())
         resolved = with_durations(instance, run.resolved_durations)
         report = opt_total(resolved)
         assert report.all_exact
@@ -120,7 +120,7 @@ class TestOptTotal:
             with pytest.raises(ValueError):
                 opt_total(instance)
         with pytest.raises(UnresolvedDurationError):
-            opt_total(gen_fig2(3, 5.0)[0])
+            opt_total(gen_fig2(3, 5.0))
 
     def test_alg_cost_never_below_opt(self):
         for seed in range(20):

@@ -45,8 +45,7 @@ def delay_instance(c, seed):
 
 
 def runs_firstfit():
-    instance, resolver = gen_fig2(10, 100.0)
-    yield simulate(instance, FirstFitPolicy(), adversary=resolver)
+    yield simulate(gen_fig2(10, 100.0), FirstFitPolicy())
     for seed in SEEDS:
         yield simulate(gen_tradeoff_lb(4, 8, 16.0, seed), FirstFitPolicy())
         yield simulate(gen_basic_lb(8, 8.0, seed), FirstFitPolicy())
