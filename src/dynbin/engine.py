@@ -71,21 +71,24 @@ The engine records what it did in two flat lists of plain values, with
 no object per record. `actions` holds each state change as its action
 name followed by the values of the fields `ACTION_FIELDS` names for it,
 so a `place` takes four entries: `"place", item, bin, size`. `events`
-holds four entries per processed event, `time, kind, item, end`, where
-`end` is the index in `actions` just past the event's last action, so
-an event's actions start at the previous event's `end` (0 for the
-first). Actions a policy takes while binding form a first
-`None, "SETUP", None, end` event, present only when there are any.
+holds four entries per processed event, `time, kind, item, count`,
+where `count` is the number of `actions` entries the event wrote, so an
+event's actions start where the previous event's end (at 0 for the
+first). A count is a small int, which CPython shares, where an absolute
+index into `actions` would be a new int object per event once past the
+first few. Actions a policy takes while binding form a first
+`None, "SETUP", None, count` event, present only when there are any.
 `Replay` is the one reader of the records' fields (`SimulationResult.trace`
 aside), behind every packing and Bad-bin check; it reads each field by
 its position. `SimulationResult.trace` builds the old list of dicts from
 the records on demand. The segments of constant open-bin count are kept
 the same way, as two flat columns: `times`, the boundaries, and
 `open_counts`, one per segment; `SimulationResult.segments` builds a
-`Segment` list from them on demand. So of a run, the cyclic garbage
-collector walks a few lists, the `Bin`s (slotted, each with its `set` of
-items) of the open bins only, and the ledger's `LedgerEntry`s, named
-tuples, which it never untracks; the instance's `Item`s are the caller's.
+list of slotted `Segment`s from them on demand, with no copy of `times`.
+So of a run, the cyclic garbage collector walks a few lists, the `Bin`s
+(slotted, each with its `set` of items) of the open bins only, and the
+ledger's `LedgerEntry`s, named tuples, which it never untracks; the
+instance's `Item`s are the caller's.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Instance, Item, resolver_from_header, validate
@@ -134,6 +137,8 @@ class EventKind(IntEnum):
 EVENT_NAMES = tuple(kind.name for kind in EventKind)
 # the kinds as the queue holds them: plain ints compare faster than members
 _DEPARTURE, _CHECKPOINT, _ARRIVAL, _RESOLVE = map(int, EventKind)
+# Item's id and arrival fields, the keys of the engine's two arrival sorts
+_ID, _ARRIVAL_TIME = itemgetter(0), itemgetter(1)
 
 # the fields after the action name in each record of Engine.actions
 ACTION_FIELDS = {
@@ -187,7 +192,7 @@ class MigrationLedger:
         return counts
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     start: float
     end: float
@@ -205,7 +210,7 @@ class SimulationResult:
     departures: dict[int, float]
     resolved_durations: dict[int, float]
     migrations_per_item: dict[int, int]
-    events: list  # time, kind, item, end: four entries per event
+    events: list  # time, kind, item, count of actions entries: four per event
     actions: list  # each action's name, then its ACTION_FIELDS values
     scale: int
 
@@ -217,7 +222,8 @@ class SimulationResult:
         trace = []
         i = 0
         for k in range(0, len(events), 4):
-            time, kind, item, end = events[k : k + 4]
+            time, kind, item, count = events[k : k + 4]
+            end = i + count
             acts = []
             while i < end:
                 keys = ("action", *ACTION_FIELDS[actions[i]])
@@ -230,13 +236,13 @@ class SimulationResult:
     def segments(self) -> list[Segment]:
         """The segments as one Segment each; built anew on every access."""
         times = self.times
-        return list(map(Segment, times, times[1:], self.open_counts))
+        return list(map(Segment, times, islice(times, 1, None), self.open_counts))
 
     def to_dict(self) -> dict:
         times = self.times
         return {
             "total_active_time": self.total_active_time,
-            "segments": list(map(list, zip(times, times[1:], self.open_counts))),
+            "segments": list(map(list, zip(times, islice(times, 1, None), self.open_counts))),
             "ledger": list(map(list, self.ledger.entries)),
             "departures": {str(k): v for k, v in sorted(self.departures.items())},
             "migration_counts": {
@@ -421,7 +427,7 @@ class Engine:
         self.migrations_per_item: dict[int, int] = {}
         self.ledger = MigrationLedger(self.scale)
         self.resolved: dict[int, float] = {}
-        self.events: list = []  # time, kind name, item, end per event
+        self.events: list = []  # time, kind name, item, action count per event
         self.actions: list = []  # action name, then its ACTION_FIELDS values
         self._open_count = 0
         self._staged: dict[int, int] = {}  # item id -> source bin of a migration
@@ -715,13 +721,15 @@ class Engine:
         top goes first if it comes before the next arrival. The policy
         reference is dropped when the run ends, even if it raises."""
         heap, heappush, heappop = self._heap, heapq.heappush, heapq.heappop
-        # latest first: popping from the end releases the list as items arrive
-        arrivals = sorted(
-            self.instance.items, key=attrgetter("arrival", "id"), reverse=True
-        )
-        deferred = [it.arrival for it in arrivals if it.duration is None]
-        if deferred:
-            heappush(heap, (max(deferred), _RESOLVE, -1))
+        # (arrival, id) order as two stable sorts on float and int keys,
+        # with no key tuple per item; the id sort is linear on the id-ordered
+        # items every generator builds. Latest first: popping from the end
+        # releases the list as items arrive
+        arrivals = sorted(sorted(self.instance.items, key=_ID), key=_ARRIVAL_TIME)
+        arrivals.reverse()
+        if self.instance.has_deferred():
+            last = max(it.arrival for it in arrivals if it.duration is None)
+            heappush(heap, (last, _RESOLVE, -1))
         try:
             # bind-time actions (e.g. a policy pre-opening a persistent bin)
             policy = self.policy
@@ -732,6 +740,7 @@ class Engine:
             departure_time = self.departure_time
             if actions:
                 events.extend((None, "SETUP", None, len(actions)))
+            start = len(actions)  # where the next event's actions begin
 
             times: list[float] = []
             open_counts: list[int] = []
@@ -802,7 +811,9 @@ class Engine:
                         " was begun and not completed in the same event"
                     )
 
-                events.extend((time, EVENT_NAMES[kind], item_id, len(actions)))
+                end = len(actions)
+                events.extend((time, EVENT_NAMES[kind], item_id, end - start))
+                start = end
                 for obs in self.observers:
                     obs(self, time)
                 if closed:  # the event has ended: its closed bins leave
@@ -878,7 +889,8 @@ class Replay:
         fail = self._fail
         i = start
         quads = iter(events)
-        for time, _kind, _item, end in zip(quads, quads, quads, quads):
+        for time, _kind, _item, count in zip(quads, quads, quads, quads):
+            end = i + count
             while i < end:
                 kind = actions[i]
                 if kind == "place":

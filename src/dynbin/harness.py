@@ -270,19 +270,19 @@ def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
     bin, and none for class 0; junk bins never exceed capacity.
 
-    After each event the observer feeds the event's records (its four
-    entries at the end of Engine.events), and those of bind time before
-    the first, to an engine.Replay, the reader behind
-    verify_packing and check_records too, and raises the first violation,
-    which the benchmark's stream workload relies on. checked_run finds the
-    same violation after the run."""
+    After each event the observer feeds the event records it has not
+    read (the event's four entries at the end of Engine.events, and the
+    bind-time event before the first) to an engine.Replay, the reader
+    behind verify_packing and check_records too, and raises the first
+    violation, which the benchmark's stream workload relies on.
+    checked_run finds the same violation after the run."""
     replay = Replay(scale)
-    pos = 0  # action records read so far
+    seen = pos = 0  # event entries and action records read so far
 
     def observe(engine, time):
-        nonlocal pos
-        replay.read(engine.actions, engine.events[-4:], pos)
-        pos = len(engine.actions)
+        nonlocal seen, pos
+        replay.read(engine.actions, engine.events[seen:], pos)
+        seen, pos = len(engine.events), len(engine.actions)
         if replay.broken:
             raise InvariantViolation(*replay.broken)
 

@@ -22,7 +22,7 @@ from dynbin.engine import (
     verify_packing,
 )
 from dynbin.algorithms import DelayPolicy, FirstFitPolicy, MultiClassPolicy
-from dynbin.generators import gen_fig2, gen_uniform
+from dynbin.generators import gen_basic_lb, gen_fig2, gen_uniform
 from dynbin.harness import ExperimentConfig, checked_run
 
 
@@ -41,7 +41,7 @@ def action_records(actions):
 
 
 def event_records(events):
-    """The (time, kind, item, end) of each event in a flat event list."""
+    """The (time, kind, item, count) of each event in a flat event list."""
     return [tuple(events[k : k + 4]) for k in range(0, len(events), 4)]
 
 
@@ -240,11 +240,13 @@ class TestVerifyPacking:
         r = copy.deepcopy(self.good_run())
         i = self.first(r, "place")
         # a copy of the record at the end of its event's actions
-        k = next(k for k in range(3, len(r.events), 4) if r.events[k] > i)
-        end = r.events[k]
+        end = 0
+        for k in range(3, len(r.events), 4):
+            end += r.events[k]
+            if end > i:
+                break
         r.actions[end:end] = r.actions[i : i + 4]
-        for j in range(k, len(r.events), 4):
-            r.events[j] += 4
+        r.events[k] += 4
         msg = verify_packing(r)
         assert msg and "placed twice" in msg
 
@@ -271,8 +273,12 @@ class TestVerifyPacking:
         # the last departure, and the close of the bin it emptied
         assert r.actions[i + 4 :] == ["close", r.actions[i + 2]]
         del r.actions[i:]
-        for j in range(3, len(r.events), 4):
-            r.events[j] = min(r.events[j], i)
+        # each event keeps only the actions before i
+        start = 0
+        for k in range(3, len(r.events), 4):
+            count = r.events[k]
+            r.events[k] = max(0, min(count, i - start))
+            start += count
         assert verify_packing(r) == "items left placed at end of trace"
 
     def test_detects_place_in_a_never_opened_bin(self):
@@ -431,6 +437,33 @@ def test_events_follow_time_kind_id_under_ties(make_policy, rows):
     ]
 
 
+@pytest.mark.parametrize("deferred", [False, True], ids=["durations", "deferred"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_arrivals_come_in_arrival_then_id_order_however_listed(deferred, data):
+    # few arrival times, so most arrivals tie; the items are listed in a
+    # drawn order, not by id, and under `deferred` some wait for the
+    # fig2 header's adversary
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(1, 8), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    items = []
+    for i in data.draw(st.permutations(range(len(rows)))):
+        a, d, s, lazy = rows[i]
+        items.append(Item(i, float(a), s, None if deferred and lazy else float(d)))
+    instance = Instance(items=tuple(items), scale=8)
+    if any(it.duration is None for it in items):
+        instance = replace(instance, adversary=gen_fig2(4, 10.0).adversary)
+    result = simulate(instance, FirstFitPolicy())
+    assert [(t, i) for t, kind, i, _ in event_records(result.events) if kind == "ARRIVAL"] == [
+        (it.arrival, it.id) for it in sorted(items, key=lambda it: (it.arrival, it.id))
+    ]
+
+
 def test_queue_holds_only_live_departures_through_an_adversary():
     simulate(gen_fig2(4, 10.0), FirstFitPolicy(), observers=[bounded_queue])
 
@@ -480,20 +513,28 @@ def test_a_call_naming_a_bin_closed_in_an_earlier_event_is_refused(call):
 
 
 @pytest.mark.parametrize(
-    "make_policy, delay_cost",
-    [(FirstFitPolicy, 0.0), (lambda: MultiClassPolicy(Fraction(1, 4)), 0.0),
-     (lambda: DelayPolicy(4.0), 4.0)],
-    ids=["firstfit", "alg2", "delay"],
+    "make_instance, make_policy, delay_cost",
+    [
+        (lambda: gen_uniform(200, 16, (1.0, 8.0), 20.0, 1), FirstFitPolicy, 0.0),
+        (lambda: gen_uniform(200, 16, (1.0, 8.0), 20.0, 1),
+         lambda: MultiClassPolicy(Fraction(1, 4)), 0.0),
+        (lambda: gen_uniform(200, 16, (1.0, 8.0), 20.0, 1), lambda: DelayPolicy(4.0), 4.0),
+        # 96 migrations over 256 items, every one by a drain
+        (lambda: gen_basic_lb(16, 16.0, 0), lambda: MultiClassPolicy(Fraction(2, 5)), 0.0),
+    ],
+    ids=["firstfit", "alg2", "delay", "alg2 drains"],
 )
-def test_records_are_flat_lists_of_plain_values(make_policy, delay_cost):
-    instance = gen_uniform(200, 16, (1.0, 8.0), 20.0, 1)
-    result = simulate(instance, make_policy(), delay_cost=delay_cost)
+def test_records_are_flat_lists_of_plain_values(make_instance, make_policy, delay_cost):
+    result = simulate(make_instance(), make_policy(), delay_cost=delay_cost)
     assert not any(type(x) is tuple for x in result.actions)
     assert not any(type(x) is tuple for x in result.events)
     kinds = {act[0] for _, act in action_records(result.actions)}
     assert {"open", "place", "depart", "close"} <= kinds
     assert len(result.events) % 4 == 0
-    assert result.events[-1] == len(result.actions)
+    counts = result.events[3::4]
+    assert sum(counts) == len(result.actions)
+    # each count is one of the small ints CPython shares, not an object per event
+    assert all(type(c) is int and 0 <= c <= 256 for c in counts)
 
 
 class Checkpointer(Policy):

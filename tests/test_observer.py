@@ -256,9 +256,9 @@ def test_replay_keeps_only_the_event_being_read(policy, broken):
     replay = Replay(instance.scale)
     pos = 0
     for k in range(0, len(result.events), 4):
-        time, end = result.events[k], result.events[k + 3]
+        time, count = result.events[k], result.events[k + 3]
         replay.read(result.actions, result.events[k : k + 4], pos)
-        pos = end
+        pos += count
         if time is not None:
             assert replay._over == [] and replay._rose == [], f"t={time}"
             # and it holds only the open bins
