@@ -17,7 +17,10 @@ import statistics
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import islice, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from . import algorithms, generators, oracles
 from .core import Instance, time_problems, validate, with_durations
@@ -416,40 +419,52 @@ def check_delay_schedule(
             )
 
 
-def _first_fit_cost(events: list, scale: int) -> float:
+def _first_fit_cost(parts: Iterable[tuple[float, int, int, float]], scale: int) -> float:
     """FirstFit's total active time on a resolved instance given as its
-    (time, kind, id, size) events, an arrival (kind 1) and a departure
-    (kind 0, at arrival + duration) per item. It is computed without the
-    engine, so it checks the engine's first fit and is no copy of it.
+    (start, id, size, end) parts in (start, id) order, each starting at a
+    finite time >= 0 and ending after it starts. It is computed without
+    the engine, so it checks the engine's first fit and is no copy of it.
 
-    One pass over the events, sorted in place by (time, kind, id):
-    departures before arrivals at equal times, ties by id, as the engine
-    orders them. Every item must end after it arrives, which each
-    part of a delay run does. The bins are the leaves of one
-    max-residual segment tree in opening order: an open bin's leaf holds
-    its room, scale - load, and every other leaf -1, so the leftmost leaf
-    with room >= size is the bin FirstFit picks. Each item keeps a
-    one-element list naming its bin's leaf, shared by the bin's items,
-    so when the leaves run out the open bins move to the front of a tree
-    at least twice their number by rewriting one list each. The cost
-    adds open bins * elapsed time at each new event time, as the engine
-    does, so the two sums are the same float."""
-    if not events:
-        return 0.0
-    events.sort()
+    One pass over the parts, which holds only the live ones: each live
+    part's (end, id, size, cell) sits in a heap, and it departs, in
+    (end, id) order, before any part that starts at or after its end
+    arrives. So departures come before arrivals at equal times and ties
+    break by id, as the engine orders them. The bins are the leaves of
+    one max-residual segment tree in opening order: an open bin's leaf
+    holds its room, scale - load, and every other leaf -1, so the
+    leftmost leaf with room >= size is the bin FirstFit picks. Each part
+    keeps a one-element list naming its bin's leaf, shared by the bin's
+    parts, so when the leaves run out the open bins move to the front of
+    a tree at least twice their number by rewriting one list each. The
+    cost adds open bins * elapsed time at each new event time, as the
+    engine does, so the two sums are the same float."""
     slots = 8
     tree = [-1] * (2 * slots)
     cells: list[list[int] | None] = [None] * slots  # leaf -> its bin's cell
     next_leaf = 0
-    cell_of: dict[int, list[int]] = {}  # live item -> its bin's cell
+    live: list[tuple[float, int, int, list[int]]] = []  # heap of the live parts
     open_bins = 0
-    total = 0.0
-    prev = events[0][0]
-    for time, kind, item_id, size in events:
-        if time > prev:
-            total += open_bins * (time - prev)
-            prev = time
-        if kind:
+    total = prev = 0.0  # no part starts before 0, and nothing is open until one does
+    parts = iter(parts)
+    part = next(parts, None)
+    while part or live:
+        if live and (part is None or live[0][0] <= part[0]):
+            time, _, size, cell = heappop(live)
+            if time > prev:
+                total += open_bins * (time - prev)
+                prev = time
+            i = cell[0] + slots
+            value = tree[i] + size
+            if value == scale:  # the bin is empty: it closes
+                value = -1
+                cells[cell[0]] = None
+                open_bins -= 1
+        else:
+            time, item_id, size, end = part
+            part = next(parts, None)
+            if time > prev:
+                total += open_bins * (time - prev)
+                prev = time
             if tree[1] >= size:
                 i = 1
                 while i < slots:
@@ -478,15 +493,7 @@ def _first_fit_cost(events: list, scale: int) -> float:
                 open_bins += 1
                 value = scale - size
                 i = cell[0] + slots
-            cell_of[item_id] = cell
-        else:
-            cell = cell_of.pop(item_id)
-            i = cell[0] + slots
-            value = tree[i] + size
-            if value == scale:  # the bin is empty: it closes
-                value = -1
-                cells[cell[0]] = None
-                open_bins -= 1
+            heappush(live, (end, item_id, size, cell))
         # set the leaf and climb while the parent's max changes
         tree[i] = value
         while i > 1:
@@ -498,6 +505,28 @@ def _first_fit_cost(events: list, scale: int) -> float:
                 break
             tree[i] = value
     return total
+
+
+# the first two fields: an Item's (id, arrival), a LedgerEntry's (time, item)
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
+def _small_parts(items, times_of, departures) -> Iterator[tuple[float, int, int, float]]:
+    """check_decomposition's small parts in (arrival, id) order; times_of
+    holds each migrated item's times, the first migration last."""
+    for item_id, start, size, _ in sorted(sorted(items, key=_FIRST), key=_SECOND):
+        times = times_of.get(item_id)
+        yield start, item_id, size, start + ((times[-1] if times else departures[item_id]) - start)
+
+
+def _big_parts(entries, times_of) -> Iterator[tuple[float, int, int, float]]:
+    """check_decomposition's big parts in (migration time, id) order, one
+    per ledger entry; times_of holds each migrated item's migration times
+    and departure, the earliest last, and loses each part's start here."""
+    for e in sorted(sorted(entries, key=_SECOND), key=_FIRST):
+        later = times_of[e.item]
+        start = later.pop()
+        yield start, e.item, e.size_num, start + (later[-1] - start)
 
 
 def check_decomposition(
@@ -512,30 +541,34 @@ def check_decomposition(
     in item order, as algorithms.decompose_delay_run numbers them, and a
     message names a part by its number.
 
-    No sub-instance is built. One pass per part reads the items, the
-    ledger's migration times and the departures, and emits the part's
-    (time, kind, id, size) events, each ending at start + (end - start)
-    as an Item of that duration would. An event carries its item's id,
-    not its part's number, so equal-time ties break by id, as the engine
-    breaks them whatever order the items are listed in. It applies
-    validate's time rules to each part (the sizes and scale are the
-    instance's, which the run validated) and keeps the shortest and
-    longest duration for the mu tests. FirstFit's cost on the part comes
-    from _first_fit_cost, a sweep that shares no code with the engine, so
-    the identity is checked against code the run did not use; the next
-    part is built after it."""
+    No sub-instance is built. A first pass per sub-instance reads the
+    items, the ledger's migration times and the departures in item order:
+    it applies validate's time rules to each part (the sizes and scale
+    are the run's, which it validated), raising before any sweep, and
+    keeps the shortest and longest duration for the mu tests. Then
+    _first_fit_cost takes each sub-instance as a stream of (start, id,
+    size, end) parts in (start, id) order, each ending at start + (end -
+    start) as an Item of that duration would: the small parts from the
+    items in (arrival, id) order, the big parts from the ledger in (time,
+    item) order, each sized as its entry records the item. Each order is
+    two stable sorts, as Engine.run orders arrivals, whatever order the
+    run wrote them in. A part carries its item's id, not its part's
+    number, so equal-time ties break by id, as the engine breaks them
+    whatever order the items are listed in. _first_fit_cost is a sweep
+    that shares no code with the engine, so the identity is checked
+    against code the run did not use."""
     scale, departures, inf = instance.scale, result.departures, math.inf
-    times_of: dict[int, list[float]] = {}  # migrated item -> its migration times
-    for e in result.ledger.entries:  # ledger order: ascending
+    # migrated item -> its migration times; after the big parts' pass its
+    # later times, the departure first, so the last is the next to start
+    times_of: dict[int, list[float]] = {}
+    for e in result.ledger.entries:  # ledger order: each item's ascending
         times_of.setdefault(e.item, []).append(e.time)
 
     # the small parts, one per item (both loops are written out: one shared
     # generator of (start, end, size) made the check about 7% slower)
-    events: list = []
-    add = events.append
     problems: list[str] = []
     shortest, longest = inf, 0.0
-    for part, (item_id, start, size, _) in enumerate(instance.items):
+    for part, (item_id, start, _, _) in enumerate(instance.items):
         times = times_of.get(item_id)
         duration = (times[0] if times else departures[item_id]) - start
         if not (0 <= start < inf and 0 < duration < inf):  # NaN fails it too
@@ -544,19 +577,14 @@ def check_decomposition(
             shortest = duration
         if duration > longest:
             longest = duration
-        add((start, 1, item_id, size))
-        add((start + duration, 0, item_id, size))
     if problems:  # a part of no length: a migration when it began
         raise InvariantViolation("decomposition", f"invalid sub-instance: {'; '.join(problems)}")
-    ff_small = _first_fit_cost(events, scale)
-    mu_small = longest / shortest if events else None
+    mu_small = longest / shortest if instance.items else None
 
     # the big parts, from each migration to the next or to the departure
-    events = []
-    add = events.append
     shortest, longest = inf, 0.0
     part = 0
-    for item_id, _, size, _ in instance.items:
+    for item_id, _, _, _ in instance.items:
         times = times_of.get(item_id)
         if times is None:
             continue
@@ -570,15 +598,15 @@ def check_decomposition(
                 shortest = duration
             if duration > longest:
                 longest = duration
-            add((start, 1, item_id, size))
-            add((start + duration, 0, item_id, size))
             part += 1
             start = end
+        times.reverse()
     if problems:
         raise InvariantViolation("decomposition", f"invalid sub-instance: {'; '.join(problems)}")
-    ff_big = _first_fit_cost(events, scale)
-    mu_big = longest / shortest if events else None
+    mu_big = longest / shortest if part else None
 
+    ff_small = _first_fit_cost(_small_parts(instance.items, times_of, departures), scale)
+    ff_big = _first_fit_cost(_big_parts(result.ledger.entries, times_of), scale)
     total = result.total_active_time
     if abs(total - (ff_small + ff_big)) > 1e-9 * max(1.0, abs(total)):
         raise InvariantViolation(

@@ -4,9 +4,11 @@ upper bounds for the randomized lower-bound instances."""
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .core import Instance, UnresolvedDurationError, vol
@@ -14,6 +16,8 @@ from .core import Instance, UnresolvedDurationError, vol
 # the most live items, and the most search nodes, one branch and bound may take
 MAX_ITEMS = 24
 NODE_BUDGET = 1_000_000
+
+_ARRIVAL = itemgetter(1)  # of an Item: (id, arrival, size_num, duration)
 
 
 class SnapshotTooLarge(ValueError):
@@ -247,26 +251,34 @@ def live_sizes_at(instance: Instance, t: float) -> list[int]:
     ]
 
 
+def _departure(item) -> float:
+    """An Item's end, arrival + duration: the float the sweep departs it at."""
+    return item[1] + item[3]
+
+
 def opt_total(instance: Instance) -> OptReport:
     """Integrate the per-time packing optimum over event intervals.
 
     The optimum may repack arbitrarily at any moment, so it is piecewise
-    constant between arrival/departure events. One sweep walks the sorted
-    boundaries, applying each arriving (+size) and departing (-size) item
-    to the counts of live size numerators, those sizes in ascending order,
-    the item count and the volume: O(n log n + intervals * sizes * runs),
-    the events plus FFD on the ordered counts per interval, which sorts
-    nothing and walks runs of bins with equal room (_ffd_counts) rather
-    than bins.
+    constant between arrival/departure events. One sweep merges the items
+    sorted by arrival with the items sorted by end, arrival + duration,
+    boundary by boundary. At each boundary it applies the arrivals
+    (+size), then the departures (-size), so a zero-length lifetime never
+    drives a count below zero, to the counts of live size numerators,
+    those sizes in ascending order, the item count and the volume:
+    O(n log n + intervals * sizes * runs), the two sorts plus FFD on the
+    ordered counts per interval, which sorts nothing and walks runs of
+    bins with equal room (_ffd_counts) rather than bins. Beyond the
+    report it holds the two sorted lists and the live sizes, nothing per
+    boundary.
 
     The sweep also measures the span of the lower bound max(vol, span):
     a stretch starts at the boundary where the live count rises from
-    zero and ends where it returns to zero, or at the last boundary, and
-    end - start is summed per stretch in time order. Those are the terms
-    core.span sums, in its order, so the bound is the same float, with no
-    sort of the lifetimes. vol stays core.vol: its sum() of floats is
-    compensated from Python 3.12 on, which no loop here would match bit
-    for bit.
+    zero and ends where it returns to zero, and end - start is summed per
+    stretch in time order. Those are the terms core.span sums, in its
+    order, so the bound is the same float, with no sort of the
+    lifetimes. vol stays core.vol: its sum() of floats is compensated
+    from Python 3.12 on, which no loop here would match bit for bit.
 
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),
@@ -284,22 +296,29 @@ def opt_total(instance: Instance) -> OptReport:
     one whose search runs past NODE_BUDGET nodes, falls back to L1 and is
     flagged inexact. The report is a function of the instance alone: what
     earlier calls cached changes no interval.
-    Raises ValueError on a size outside (0, scale] or a negative duration,
-    which would drive a count below zero, and UnresolvedDurationError on
-    an unresolved one.
+    Raises ValueError on a size outside (0, scale], a negative duration,
+    or a NaN or infinite arrival or end, on none of which the merge could
+    advance or its integral be finite, and UnresolvedDurationError on an
+    unresolved duration.
     """
     if instance.has_deferred():
         raise UnresolvedDurationError("unresolved durations")
-    scale = instance.scale
-    deltas: dict[float, list[int]] = {}  # boundary -> +size arriving, -size departing
+    scale, inf = instance.scale, math.inf
     for it in instance.items:
         if not 0 < it.size_num <= scale:
             raise ValueError(f"item {it.id}: size must lie in (0, scale]")
         if it.duration < 0:
             raise ValueError(f"item {it.id}: negative duration")
-        deltas.setdefault(it.arrival, []).append(it.size_num)
-        deltas.setdefault(it.arrival + it.duration, []).append(-it.size_num)
-    boundaries = sorted(deltas)
+        # NaN fails it too, as does an end past the largest float
+        if not (-inf < it.arrival and it.arrival + it.duration < inf):
+            raise ValueError(f"item {it.id}: arrival and end must be finite")
+    if not instance.items:
+        return OptReport(opt_total=0.0, all_exact=True, lower_bound=0.0, upper_bound=0.0)
+    by_end = sorted(instance.items, key=_departure)
+    by_arrival = sorted(instance.items, key=_ARRIVAL)
+    n = len(by_end)
+    arrived = departed = 0  # the items of each list applied so far
+    arrival, end_time = by_arrival[0][1], _departure(by_end[0])  # the next of each
     counts: dict[int, int] = {}
     order: list[int] = []  # the keys of counts, ascending
     volume = items = 0
@@ -309,27 +328,37 @@ def opt_total(instance: Instance) -> OptReport:
     spanned = 0.0  # the measure of the stretches ended so far
     stretch_start = 0.0  # where the current stretch of live items began
     all_exact = True
-    for start, end in zip(boundaries, boundaries[1:]):
+    start = arrival  # the first boundary: no item ends before the first arrives
+    while True:
         if not items:
             stretch_start = start
-        for d in deltas[start]:
-            if d > 0:
-                c = counts.get(d, 0)
-                counts[d] = c + 1
-                if not c:
-                    insort(order, d)
-                items += 1
+        while arrival <= start:
+            s = by_arrival[arrived][2]
+            c = counts.get(s, 0)
+            counts[s] = c + 1
+            if not c:
+                insort(order, s)
+            items += 1
+            volume += s
+            arrived += 1
+            arrival = by_arrival[arrived][1] if arrived < n else inf
+        while end_time <= start:
+            s = by_end[departed][2]
+            c = counts[s] - 1
+            if c:
+                counts[s] = c
             else:
-                c = counts[-d] - 1
-                if c:
-                    counts[-d] = c
-                else:
-                    del counts[-d]
-                    order.remove(-d)
-                items -= 1
-            volume += d
+                del counts[s]
+                order.remove(s)
+            items -= 1
+            volume -= s
+            departed += 1
+            end_time = _departure(by_end[departed]) if departed < n else inf
         if not items:  # the stretch ends here: 0.0 if only empty lifetimes lie here
             spanned += start - stretch_start
+        if departed == n:  # the last boundary: every item has left
+            break
+        end = arrival if arrival <= end_time else end_time
         lower = -(-volume // scale)
         exact = True
         if items <= 2 or 2 * volume <= 3 * scale:
@@ -351,12 +380,11 @@ def opt_total(instance: Instance) -> OptReport:
         intervals.append(OptInterval(start, end, exact, opt, lower, upper))
         total += opt * (end - start)
         upper_total += upper * (end - start)
-    if items:  # every item has left by the last boundary
-        spanned += boundaries[-1] - stretch_start
+        start = end
     return OptReport(
         opt_total=total,
         all_exact=all_exact,
-        lower_bound=max(vol(instance), spanned) if instance.items else 0.0,
+        lower_bound=max(vol(instance), spanned),
         upper_bound=upper_total,
         intervals=intervals,
     )

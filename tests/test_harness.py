@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -277,14 +278,12 @@ def test_the_decomposition_check_sees_a_first_fit_fault(monkeypatch, seed):
         check_decomposition(instance, result, 100.0)
 
 
-def ff_events(instance):
-    """An instance's (time, kind, id, size) events as _first_fit_cost reads
-    them: an arrival (kind 1) and a departure (kind 0) per item."""
-    events = []
-    for item_id, arrival, size, duration in instance.items:
-        events.append((arrival, 1, item_id, size))
-        events.append((arrival + duration, 0, item_id, size))
-    return events
+def ff_parts(instance):
+    """An instance's (start, id, size, end) parts as _first_fit_cost reads
+    them: one per item, in (arrival, id) order."""
+    return sorted(
+        (it.arrival, it.id, it.size_num, it.arrival + it.duration) for it in instance.items
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,7 +316,7 @@ def test_first_fit_cost_is_the_engines_exactly(case):
         scale=scale,
     )
     expected = simulate(instance, FirstFitPolicy()).total_active_time
-    assert harness._first_fit_cost(ff_events(instance), scale) == expected
+    assert harness._first_fit_cost(ff_parts(instance), scale) == expected
     if not rows:
         assert expected == 0.0
 
@@ -365,33 +364,97 @@ def test_the_decomposition_check_sweeps_the_parts_events(delay_cost, case, rever
     result = simulate(instance, DelayPolicy(delay_cost), delay_cost=delay_cost)
     swept, costs = [], []
 
-    def recording(events, scale):
-        swept.append(list(events))  # before the sweep sorts them
-        costs.append(first_fit_cost(events, scale))
+    def recording(parts, scale):
+        swept.append(list(parts))
+        costs.append(first_fit_cost(swept[-1], scale))
         return costs[-1]
 
     first_fit_cost = harness._first_fit_cost
     with patch.object(harness, "_first_fit_cost", recording):
         check_decomposition(instance, result, delay_cost)
-    expected = part_events(instance, result)
+    expected = part_streams(instance, result)
     assert swept == expected
-    assert costs == [first_fit_cost(events, scale) for events in expected]
+    assert costs == [first_fit_cost(parts, scale) for parts in expected]
 
 
-def part_events(instance, result):
-    """decompose_delay_run's small and big parts as (time, kind, id, size)
-    events, each part's number mapped to its item's id: the small parts
-    are one per item and the big parts one per migration, both in item
-    order."""
+def part_streams(instance, result):
+    """decompose_delay_run's small and big parts as (start, id, size, end)
+    parts in (start, id) order, each part's number mapped to its item's
+    id: the small parts are one per item and the big parts one per
+    migration, both numbered in item order."""
     migrations = Counter(e.item for e in result.ledger.entries)
     ids_of_parts = (
         [it.id for it in instance.items],
         [it.id for it in instance.items for _ in range(migrations[it.id])],
     )
     return [
-        [(time, kind, ids[part], size) for time, kind, part, size in ff_events(sub)]
+        sorted((start, ids[part], size, end) for start, part, size, end in ff_parts(sub))
         for sub, ids in zip(decompose_delay_run(instance, result), ids_of_parts)
     ]
+
+
+def test_the_big_parts_stream_in_time_order_however_the_ledger_is_written():
+    # each item's migrations stay ascending, but the items' entries come
+    # grouped by descending id, not in time order
+    instance = generators.gen_uniform(200, 8, (1.0, 16.0), 20.0, 0)
+    result = simulate(instance, DelayPolicy(16.0), delay_cost=16.0)
+    by_item = sorted(result.ledger.entries, key=lambda e: -e.item)
+    assert by_item != result.ledger.entries
+    result.ledger.entries[:] = by_item
+    check_decomposition(instance, result, 16.0)
+
+
+def outcome(check):
+    """None if check passes, else its InvariantViolation's message."""
+    try:
+        check()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        # (arrival, duration, size) on a coarse grid of halves: many items
+        # arrive and depart together, and some lifetimes are empty
+        st.tuples(st.integers(0, 4), st.integers(0, 8), st.integers(1, 4)),
+        min_size=1,
+        max_size=30,
+    ).flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))),
+    st.sampled_from([4.0, 9.0]),
+)
+def test_listing_order_changes_neither_sweep(case, delay_cost):
+    # the same items, ids kept, listed in a drawn order: opt_total's report
+    # and the decomposition check's verdict on the delay run are unchanged;
+    # the run takes the lifetimes of at least 1, as grid_instance says
+    (rows, permutation), scale = case, 4
+    instance = grid_instance(scale, rows)
+    listed = Instance(items=tuple(instance.items[k] for k in permutation), scale=scale)
+    assert opt_total(listed).to_dict() == opt_total(instance).to_dict()
+
+    verdicts = []
+    for items in (instance.items, listed.items):
+        lived = Instance(items=tuple(it for it in items if it.duration >= 1), scale=scale)
+        result = simulate(lived, DelayPolicy(delay_cost), delay_cost=delay_cost)
+        verdicts.append(outcome(lambda: check_decomposition(lived, result, delay_cost)))
+    assert verdicts[0] == verdicts[1]
+
+
+def test_the_decomposition_check_holds_only_the_live_parts():
+    # the benchmark's dense run: the sweeps hold a heap of the live parts
+    # (about 1.2 MiB); one tuple per part boundary, sorted, would take
+    # about 3.4 MiB
+    instance = generators.gen_uniform(8000, 8, (1.0, 40.0), 800.0, 0)
+    result = simulate(instance, DelayPolicy(100), delay_cost=100.0)
+    tracemalloc.start()
+    try:
+        check_decomposition(instance, result, 100.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.ledger.entries) > 10000
+    assert peak <= 2.4 * 2**20
 
 
 def test_equal_time_items_listed_against_id_order_pass_the_decomposition(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -121,6 +123,26 @@ class TestOptTotal:
                 opt_total(instance)
         with pytest.raises(UnresolvedDurationError):
             opt_total(gen_fig2(3, 5.0))
+
+    @pytest.mark.parametrize(
+        "arrival, duration",
+        [
+            (math.nan, 3.0),
+            (1.0, math.nan),
+            (math.inf, 3.0),
+            (-math.inf, 3.0),
+            (1.0, math.inf),
+            (1e308, 1e308),  # an end past the largest float
+        ],
+        ids=["nan-arrival", "nan-duration", "inf-arrival", "minus-inf-arrival",
+             "inf-duration", "end-overflows"],
+    )
+    def test_rejects_times_that_are_not_finite(self, arrival, duration):
+        # the merge could not pass a NaN boundary, and an infinite one
+        # would make the integral infinite
+        instance = Instance(items=(Item(0, arrival, 3, duration), Item(1, 1.0, 3, 1.0)), scale=8)
+        with pytest.raises(ValueError, match="^item 0: arrival and end must be finite$"):
+            opt_total(instance)
 
     def test_alg_cost_never_below_opt(self):
         for seed in range(20):
@@ -531,6 +553,22 @@ def test_opt_total_matches_naive_sweep_at_forty_live_items():
     clear_cache()
     assert len(report.intervals) > 1000
     assert max(len(live_sizes_at(instance, iv.start)) for iv in report.intervals) > 40
+
+
+def test_opt_total_holds_only_the_live_items_beyond_its_report():
+    # the benchmark's offline instance: the two sorted item lists and the
+    # live sizes take about 16 bytes per item; a dict of +-size lists per
+    # boundary would take about 330
+    instance = gen_uniform(6000, 16, (1.0, 2.0), 225.0, 0)
+    opt_total(instance)  # fill the oracle cache first
+    tracemalloc.start()
+    try:
+        report = opt_total(instance)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.intervals) > 11000
+    assert peak - current <= 0.25 * 2**20
 
 
 @settings(max_examples=200, deadline=None)
