@@ -78,17 +78,17 @@ first). A count is a small int, which CPython shares, where an absolute
 index into `actions` would be a new int object per event once past the
 first few. Actions a policy takes while binding form a first
 `None, "SETUP", None, count` event, present only when there are any.
-`Replay` is the one reader of the records' fields (`SimulationResult.trace`
-aside), behind every packing and Bad-bin check; it reads each field by
-its position. `SimulationResult.trace` builds the old list of dicts from
-the records on demand. The segments of constant open-bin count are kept
-the same way, as two flat columns: `times`, the boundaries, and
-`open_counts`, one per segment; `SimulationResult.segments` builds a
-list of slotted `Segment`s from them on demand, with no copy of `times`.
-So of a run, the cyclic garbage collector walks a few lists, the `Bin`s
-(slotted, each with its `set` of items) of the open bins only, and the
-ledger's `LedgerEntry`s, named tuples, which it never untracks; the
-instance's `Item`s are the caller's.
+`Replay.follow` is the one reader of the records' fields
+(`SimulationResult.trace` aside), behind every packing and Bad-bin check:
+it reads each field by its position, each step the events appended since
+the last. `SimulationResult.trace` builds the old list of dicts on demand.
+The segments of constant open-bin count are kept the same way, as two flat
+columns: `times`, the boundaries, and `open_counts`, one per segment;
+`SimulationResult.segments` builds a list of slotted `Segment`s from them
+on demand, with no copy of `times`. So of a run, the cyclic garbage
+collector walks a few lists, the `Bin`s (slotted, each with its `set` of
+items) of the open bins only, and the ledger's `LedgerEntry`s, named
+tuples, which it never untracks; the instance's `Item`s are the caller's.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Instance, Item, resolver_from_header, validate
@@ -879,114 +879,119 @@ class Replay:
         if self.problem is None:
             self.problem = problem
 
-    def read(self, actions: list, events: list, start: int = 0) -> None:
-        """Apply the records of each event in events, laid out as
-        Engine.events, from actions[start] on, and check junk_load and
-        bad_bins after each event until `broken` is found; bind-time
-        records (time None) count toward the next event."""
+    def follow(self, actions: list, events: list) -> Iterator[None]:
+        """Each step applies the events appended to events (laid out as
+        Engine.events) since the last step, with their records in actions,
+        and checks junk_load and bad_bins after each until `broken` is
+        found; bind-time records (time None) count toward the next event."""
         scale, over, rose, shut = self.scale, self._over, self._rose, self._shut
         loads, bins, placed, bad = self.loads, self.bins, self.placed, self.bad
         fail = self._fail
-        i = start
+        i = 0  # the next action entry to read
+        # run only up to its list's end, a list iterator sees the entries
+        # appended later; its length hint counts those it has not read
         quads = iter(events)
-        for time, _kind, _item, count in zip(quads, quads, quads, quads):
-            end = i + count
-            while i < end:
-                kind = actions[i]
-                if kind == "place":
-                    item, b, size = actions[i + 1], actions[i + 2], actions[i + 3]
-                    i += 4
-                    if item in placed:
-                        fail(f"t={time}: item {item} placed twice")
-                        continue
-                    # a bin closed earlier in this event is still in loads;
-                    # a place into it shows when the event ends, not empty
-                    load = loads.get(b)
-                    if load is None:
-                        fail(f"t={time}: item {item} placed in bin {b}, which is not open")
-                        continue
-                    load = loads[b] = load + size
-                    if load > scale:
-                        fail(f"t={time}: bin {b} overflows capacity")
-                        over.append(b)
-                    placed[item] = (b, size)
-                elif kind == "depart":
-                    item, b = actions[i + 1], actions[i + 2]
-                    i += 4
-                    at = placed.pop(item, None)
-                    if at is None or at[0] != b:
-                        fail(f"t={time}: departure of item {item} from wrong bin")
-                        continue
-                    loads[b] -= at[1]
-                elif kind == "open":
-                    b, label, group = actions[i + 1], actions[i + 2], actions[i + 3]
-                    i += 4
-                    loads[b] = 0
-                    bins[b] = (group, label)
-                    if label == BAD:
-                        bad[group] = bad.get(group, 0) + 1
-                        rose.append(group)
-                elif kind == "close":
-                    b = actions[i + 1]
-                    i += 2
-                    if b not in bins:
-                        fail(f"t={time}: bin {b} closed, but it is not open")
-                        continue
-                    group, label = bins.pop(b)
-                    if label == BAD:
-                        bad[group] -= 1
-                    shut.append(b)
-                elif kind == "migrate":
-                    item, src, dst, size = (
-                        actions[i + 1], actions[i + 2], actions[i + 3], actions[i + 4]
-                    )
-                    i += 5
-                    at = placed.get(item)
-                    if at is None or at[0] != src:
-                        fail(f"t={time}: migration of item {item} from wrong bin")
-                        continue
-                    if dst not in loads:
-                        fail(f"t={time}: item {item} migrated to bin {dst}, which is not open")
-                        continue
-                    loads[src] -= size  # first: dst may be src
-                    load = loads[dst] = loads[dst] + size
-                    if load > scale:
-                        fail(f"t={time}: bin {dst} overflows capacity")
-                        over.append(dst)
-                    placed[item] = (dst, size)
-                elif kind == "label":
-                    b, old, new = actions[i + 1], actions[i + 2], actions[i + 3]
-                    i += 4
-                    if old == GOOD and new == BAD:
-                        fail(f"t={time}: bin {b} relabeled Good -> Bad")
-                    if b not in bins:  # only open bins count
-                        if b not in shut:
-                            fail(f"t={time}: bin {b} relabeled, but it is not open")
-                        continue
-                    group, label = bins[b]
-                    bins[b] = (group, new)
-                    if label == BAD:
-                        bad[group] -= 1
-                    if new == BAD:
-                        bad[group] = bad.get(group, 0) + 1
-                        rose.append(group)
-                else:  # no action: the rest of the event cannot be read
-                    fail(f"t={time}: unknown action {kind!r}")
-                    break
-            i = end
-            if (shut or over or rose) and time is not None:
-                # a migration writes its source bin's close before the
-                # migrate record that empties it, so loads wait for the end
-                for b in shut:
-                    if loads[b]:
-                        fail(f"t={time}: bin {b} closed, but it is not empty")
-                    else:
-                        del loads[b]
-                shut.clear()
-                if (over or rose) and self.broken is None:
-                    self.broken = self._violation(time)
-                over.clear()
-                rose.clear()
+        records = zip(quads, quads, quads, quads)
+        while True:
+            for time, _kind, _item, count in islice(records, length_hint(quads) // 4):
+                end = i + count
+                while i < end:
+                    kind = actions[i]
+                    if kind == "place":
+                        item, b, size = actions[i + 1], actions[i + 2], actions[i + 3]
+                        i += 4
+                        if item in placed:
+                            fail(f"t={time}: item {item} placed twice")
+                            continue
+                        # a bin closed earlier in this event is still in loads;
+                        # a place into it shows when the event ends, not empty
+                        load = loads.get(b)
+                        if load is None:
+                            fail(f"t={time}: item {item} placed in bin {b}, which is not open")
+                            continue
+                        load = loads[b] = load + size
+                        if load > scale:
+                            fail(f"t={time}: bin {b} overflows capacity")
+                            over.append(b)
+                        placed[item] = (b, size)
+                    elif kind == "depart":
+                        item, b = actions[i + 1], actions[i + 2]
+                        i += 4
+                        at = placed.pop(item, None)
+                        if at is None or at[0] != b:
+                            fail(f"t={time}: departure of item {item} from wrong bin")
+                            continue
+                        loads[b] -= at[1]
+                    elif kind == "open":
+                        b, label, group = actions[i + 1], actions[i + 2], actions[i + 3]
+                        i += 4
+                        loads[b] = 0
+                        bins[b] = (group, label)
+                        if label == BAD:
+                            bad[group] = bad.get(group, 0) + 1
+                            rose.append(group)
+                    elif kind == "close":
+                        b = actions[i + 1]
+                        i += 2
+                        if b not in bins:
+                            fail(f"t={time}: bin {b} closed, but it is not open")
+                            continue
+                        group, label = bins.pop(b)
+                        if label == BAD:
+                            bad[group] -= 1
+                        shut.append(b)
+                    elif kind == "migrate":
+                        item, src, dst, size = (
+                            actions[i + 1], actions[i + 2], actions[i + 3], actions[i + 4]
+                        )
+                        i += 5
+                        at = placed.get(item)
+                        if at is None or at[0] != src:
+                            fail(f"t={time}: migration of item {item} from wrong bin")
+                            continue
+                        if dst not in loads:
+                            fail(f"t={time}: item {item} migrated to bin {dst}, which is not open")
+                            continue
+                        loads[src] -= size  # first: dst may be src
+                        load = loads[dst] = loads[dst] + size
+                        if load > scale:
+                            fail(f"t={time}: bin {dst} overflows capacity")
+                            over.append(dst)
+                        placed[item] = (dst, size)
+                    elif kind == "label":
+                        b, old, new = actions[i + 1], actions[i + 2], actions[i + 3]
+                        i += 4
+                        if old == GOOD and new == BAD:
+                            fail(f"t={time}: bin {b} relabeled Good -> Bad")
+                        if b not in bins:  # only open bins count
+                            if b not in shut:
+                                fail(f"t={time}: bin {b} relabeled, but it is not open")
+                            continue
+                        group, label = bins[b]
+                        bins[b] = (group, new)
+                        if label == BAD:
+                            bad[group] -= 1
+                        if new == BAD:
+                            bad[group] = bad.get(group, 0) + 1
+                            rose.append(group)
+                    else:  # no action: the rest of the event cannot be read
+                        fail(f"t={time}: unknown action {kind!r}")
+                        break
+                i = end
+                if (shut or over or rose) and time is not None:
+                    # a migration writes its source bin's close before the
+                    # migrate record that empties it, so loads wait for the end
+                    for b in shut:
+                        if loads[b]:
+                            fail(f"t={time}: bin {b} closed, but it is not empty")
+                        else:
+                            del loads[b]
+                    shut.clear()
+                    if (over or rose) and self.broken is None:
+                        self.broken = self._violation(time)
+                    over.clear()
+                    rose.clear()
+            yield
 
     def _violation(self, time: float) -> tuple[str, str, float] | None:
         """The first violation the records read since the last check left:
@@ -1006,11 +1011,11 @@ class Replay:
 
 
 def check_records(result: SimulationResult) -> tuple[str | None, tuple | None]:
-    """One replay of a stored run's records: its first packing problem
-    (t=None at bind time) and its first junk_load or bad_bins violation,
-    as bad_bin_observer raises it."""
+    """One step of a Replay following a stored run's records: its first
+    packing problem (t=None at bind time) and its first junk_load or
+    bad_bins violation, as bad_bin_observer raises it."""
     replay = Replay(result.scale)
-    replay.read(result.actions, result.events)
+    next(replay.follow(result.actions, result.events))
     if replay.placed and replay.problem is None:
         replay.problem = "items left placed at end of trace"
     return replay.problem, replay.broken

@@ -4,10 +4,10 @@ checked_run, which run_trial, cmd_verify and `dynbin run` share; the CLI
 in cli.py only parses options and prints. The packing, bad_bins and
 junk_load checks read the engine's records through engine.Replay, their
 one reader: checked_run takes all three from one replay of the stored run,
-and bad_bin_observer feeds the same reader live. The decomposition check
-reads the run's items, ledger and departures directly: it builds each
-part's FirstFit events with no sub-instance in between and sweeps them
-without the engine."""
+and bad_bin_observer steps the same reader once per event. The
+decomposition check reads the run's items, ledger and departures
+directly: it builds each part's FirstFit events with no sub-instance in
+between and sweeps them without the engine."""
 
 from __future__ import annotations
 
@@ -271,21 +271,19 @@ def build_instance(generator: dict, seed: int) -> Instance:
 
 def bad_bin_observer(scale: int):
     """Live check: within every single-class bin group at most one Bad
-    bin, and none for class 0; junk bins never exceed capacity.
-
-    After each event the observer feeds the event records it has not
-    read (the event's four entries at the end of Engine.events, and the
-    bind-time event before the first) to an engine.Replay, the reader
-    behind verify_packing and check_records too, and raises the first
+    bin, and none for class 0; junk bins never exceed capacity. After each
+    event the observer steps an engine.Replay that follows the calling
+    engine's records, a new one for each engine, and raises the first
     violation, which the benchmark's stream workload relies on.
     checked_run finds the same violation after the run."""
-    replay = Replay(scale)
-    seen = pos = 0  # event entries and action records read so far
+    replay = step = events = None  # set on the first call from each engine
 
     def observe(engine, time):
-        nonlocal seen, pos
-        replay.read(engine.actions, engine.events[seen:], pos)
-        seen, pos = len(engine.events), len(engine.actions)
+        nonlocal replay, step, events
+        if engine.events is not events:
+            replay, events = Replay(scale), engine.events
+            step = replay.follow(engine.actions, events).__next__
+        step()
         if replay.broken:
             raise InvariantViolation(*replay.broken)
 

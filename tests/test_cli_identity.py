@@ -1,9 +1,12 @@
 """Byte-identity of CLI outputs.
 
-Each case runs the CLI in-process and hashes what it prints and writes:
+Each case runs the CLI in-process and compares what it prints and
+writes, byte for byte, with its golden file under `tests/golden/`:
 `verify` for every algorithm on three instances, `opt` on each instance
 from a cold oracle cache, `run --checks --trace` on one file, and
-`run --config` batches with every applicable check.
+`run --config` batches with every applicable check. Cases that print the
+same bytes share a file. Each golden file also hashes to the case's
+recorded sha256 digest below, so the files hold the recorded bytes.
 The expected digests were recorded while `verify` still simulated once
 per check and `run` kept its own simulate-and-check code; the shared
 path must reproduce every byte. `verify alg1` on uniform and delaylb
@@ -20,8 +23,10 @@ each time every report differs from the one before by that one line, and
 every CSV is unchanged.
 """
 
+import difflib
 import hashlib
 import json
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -141,6 +146,39 @@ CASES = {
 }
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_name(case):
+    words = case.replace(" --", " ").split()
+    if words[0] == "verify":
+        # a verify prints only the checks it passed, the same lines on
+        # every instance, and alg1 and alg2 pass the same checks
+        alg = words[1]
+        words = ["verify", "alg1-alg2" if alg in ("alg1", "alg2") else alg]
+    return "-".join(words) + ".out"
+
+
+GOLDEN = {case: golden_name(case) for case in CASES}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_outputs_are_unchanged(case, tmp_path):
-    assert hashlib.sha256(CASES[case](tmp_path)).hexdigest() == EXPECTED[case]
+    golden = GOLDEN_DIR / GOLDEN[case]
+    expected = golden.read_bytes()
+    assert hashlib.sha256(expected).hexdigest() == EXPECTED[case], golden
+    actual = CASES[case](tmp_path)
+    if actual != expected:
+        new = tmp_path / golden.name
+        new.write_bytes(actual)
+        diff = difflib.unified_diff(
+            expected.decode(errors="replace").splitlines(keepends=True),
+            actual.decode(errors="replace").splitlines(keepends=True),
+            str(golden),
+            str(new),
+        )
+        pytest.fail(f"{case}: output differs, new bytes in {new}\n" + "".join(diff))
+
+
+def test_every_golden_file_belongs_to_a_case():
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(set(GOLDEN.values()))

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from dynbin.algorithms import (
     DelayPolicy,
@@ -19,7 +19,16 @@ from dynbin.algorithms import (
     SizeCostPolicy,
 )
 from dynbin.core import Instance, Item
-from dynbin.engine import BAD, GOOD, JUNK, Policy, Replay, check_records, simulate
+from dynbin.engine import (
+    BAD,
+    GOOD,
+    JUNK,
+    Policy,
+    Replay,
+    SimulationError,
+    check_records,
+    simulate,
+)
 from dynbin.generators import gen_fig2, gen_uniform
 from dynbin.harness import InvariantViolation, bad_bin_observer
 
@@ -253,17 +262,30 @@ def test_replay_keeps_only_the_event_being_read(policy, broken):
     # at most three items live at once, so OverfillJunk stays within its widened check
     instance = Instance(items=tuple(Item(i, float(i), 5, 2.5) for i in range(40)), scale=8)
     result = simulate(instance, policy())
-    replay = Replay(instance.scale)
-    pos = 0
-    for k in range(0, len(result.events), 4):
-        time, count = result.events[k], result.events[k + 3]
-        replay.read(result.actions, result.events[k : k + 4], pos)
-        pos += count
+    for replay, time in follow_in_chunks(result, [1] * (len(result.events) // 4)):
         if time is not None:
             assert replay._over == [] and replay._rose == [], f"t={time}"
             # and it holds only the open bins
             assert replay._shut == [] and set(replay.loads) == set(replay.bins), f"t={time}"
     assert (replay.broken is not None) == broken
+
+
+def follow_in_chunks(result, chunks):
+    """Steps a Replay following copies of a run's records, which grow by
+    the given numbers of events before each step, the rest before a last
+    one; yields the replay and the time of the last event fed, if any."""
+    replay = Replay(result.scale)
+    actions, events = [], []
+    step = replay.follow(actions, events).__next__
+    k = pos = 0
+    for size in [*chunks, len(result.events) // 4]:
+        end = min(k + 4 * size, len(result.events))
+        count = sum(result.events[k + 3 : end : 4])
+        events += result.events[k:end]
+        actions += result.actions[pos : pos + count]
+        k, pos = end, pos + count
+        step()
+        yield replay, events[-4] if events else None
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
@@ -299,3 +321,65 @@ class JunkShuttle(Policy):
 def test_junk_loads_follow_migrations_out():
     instance = Instance(items=tuple(Item(i, float(i), 5, 10.0) for i in range(3)), scale=8)
     assert compare(instance, JunkShuttle()) == (6, None)
+
+
+def test_a_reused_observer_follows_each_run_from_its_start():
+    """An observer called from a second engine reads that run's records
+    from the first, not from where the first run's records ended."""
+    observer = bad_bin_observer(8)
+    simulate(gen_uniform(50, 8, (1.0, 2.0), 10.0, 0), FirstFitPolicy(), observers=[observer])
+    instance = Instance(items=tuple(Item(i, float(i), 5, 10.0) for i in range(3)), scale=8)
+    with pytest.raises(InvariantViolation) as info:
+        simulate(instance, TwoBadBins(), observers=[observer])
+    assert str(info.value) == "bad_bins: 2 Bad bins in group class:1 (t=1.0)"
+    # and a clean run after a broken one is clean
+    simulate(instance, FirstFitPolicy(), observers=[observer])
+
+
+FAULTY = {
+    policy.__name__: policy
+    for policy in (TwoBadBins, BadInClassZero, OverfillJunk, BadBinsAtBind, JunkShuttle)
+}
+
+
+def found_by(read):
+    """What read() returns, or the KeyError that records no engine
+    writes can make a replay raise."""
+    try:
+        return read()
+    except KeyError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instances(),
+    st.sampled_from(sorted(POLICIES) + sorted(FAULTY)),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 100)), max_size=40),
+    st.lists(st.integers(0, 4), max_size=60),
+    st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 12)),
+)
+def test_stepping_equals_one_full_read(instance, name, moves, chunks, corrupt):
+    """Fed a run's records in chunks as they grow (no event, one, several,
+    or the bind-time event alone), the follower finds what one read of the
+    whole run finds. A corrupted int field (an item, a bin or a size) gives
+    the packing checks something to find."""
+    policy, delay_cost = POLICIES[name]() if name in POLICIES else (FAULTY[name](), 0.0)
+    try:
+        result = simulate(instance, Meddler(policy, moves), delay_cost=delay_cost)
+    except SimulationError:
+        reject()  # OverfillJunk past even its widened capacity
+    if corrupt is not None:
+        at, value = corrupt
+        ints = [i for i, entry in enumerate(result.actions) if type(entry) is int]
+        if ints:
+            result.actions[ints[at % len(ints)]] = value
+
+    def stepped():
+        for replay, _ in follow_in_chunks(result, chunks):
+            pass
+        if replay.placed and replay.problem is None:  # as check_records ends
+            return "items left placed at end of trace", replay.broken
+        return replay.problem, replay.broken
+
+    assert found_by(stepped) == found_by(lambda: check_records(result))
