@@ -45,11 +45,15 @@ O(log B) in the number B of open bins of the group, not a scan of every
 bin ever opened. A group is scanned instead until a search finds more
 than `Engine.SCAN_LIMIT` (64) open bins in it: a tree group pays a climb
 on every load change (fill, departure, close, relabel) and a descent per
-search, while a scan pays only when it searches and stops at the first
-fit. Measured on whole runs, scanning beat the trees up to about 70 open
-bins of a group for alg2 (which searches Bad, then Good), 100 for
-FirstFit and 100-200 for the delay policy's `Ib` pool; of 32, 48, 64,
-96 and 128, 64 is the largest limit at which the scan won on all three.
+search, while a scan pays only when it searches. A scan walks the
+group's open bins once, whatever the number of labels: it tests each
+bin's load before its label, returns the first fit of the first label
+as soon as it sees it, and else keeps the earliest fit of the best label
+seen so far. Measured on whole runs (when a scan walked a group once per
+label), scanning beat the trees up to about 70 open bins of a group for
+alg2 (which searches Bad, then Good), 100 for FirstFit and 100-200 for
+the delay policy's `Ib` pool; of 32, 48, 64, 96 and 128, 64 is the
+largest limit at which the scan won on all three.
 A pool of about 1,000 open bins, as the delay policy's `Ib` holds on the
 benchmark's `dense` shape, still needs the trees.
 
@@ -81,7 +85,10 @@ first few. Actions a policy takes while binding form a first
 `Replay.follow` is the one reader of the records' fields
 (`SimulationResult.trace` aside), behind every packing and Bad-bin check:
 it reads each field by its position, each step the events appended since
-the last. `SimulationResult.trace` builds the old list of dicts on demand.
+the last, and looks for a junk_load or bad_bins violation only after an
+event that took a bin over scale, gave a group a second Bad bin or gave
+class 0 one, the only events that can break either check.
+`SimulationResult.trace` builds the old list of dicts on demand.
 The segments of constant open-bin count are kept the same way, as two flat
 columns: `times`, the boundaries, and `open_counts`, one per segment;
 `SimulationResult.segments` builds a list of slotted `Segment`s from them
@@ -99,7 +106,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain, islice
-from operator import itemgetter, length_hint
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Instance, Item, resolver_from_header, validate
@@ -471,9 +478,12 @@ class Engine:
 
         A group is scanned while it has at most SCAN_LIMIT (64) open
         bins, where keeping trees, a climb on every load change, costs more
-        than the scan, which pays only here and stops at the first fit. Its
-        trees are built the first time a search finds more, and kept from
-        then on; groups nobody searches (junk, dedicated) never get any."""
+        than the scan, which pays only here. The scan is one pass in
+        opening order for all the labels: it returns a fit of labels[0]
+        when it meets one, and at the end the earliest fit of the best
+        label it met. A group's trees are built the first time a search
+        finds more, and kept from then on; groups nobody searches (junk,
+        dedicated) never get any."""
         index = self._fit.get(group)
         if index is None:
             open_bins = self._open_by_group.get(group)
@@ -481,11 +491,18 @@ class Engine:
                 return None
             if len(open_bins) <= self.SCAN_LIMIT:
                 room = self.scale - size_num
-                for label in labels:
-                    for b in open_bins.values():
-                        if b.label == label and b.load <= room:
+                first = labels[0] if labels else None
+                best, rank = None, len(labels)  # the earliest fit of the best label seen
+                for b in open_bins.values():
+                    if b.load <= room:
+                        label = b.label
+                        if label == first:
                             return b
-                return None
+                        if rank > 1 and label in labels:
+                            r = labels.index(label)
+                            if r < rank:
+                                best, rank = b, r
+                return best
             index = self._fit[group] = FirstFitIndex(self.scale, open_bins)
         for label in labels:
             b = index.first(label, size_num)
@@ -883,17 +900,31 @@ class Replay:
         """Each step applies the events appended to events (laid out as
         Engine.events) since the last step, with their records in actions,
         and checks junk_load and bad_bins after each until `broken` is
-        found; bind-time records (time None) count toward the next event."""
+        found; bind-time records (time None) count toward the next event.
+
+        Every rise of a group's Bad count is noted in `_rose`, in order,
+        but only one that takes the count past 1 or is in class 0 marks
+        the event: a clean event leaves each count at most 1 and class 0
+        at 0, so only such a rise, or a bin over scale, can leave a
+        violation, and `_violation` runs only then. A step that finds one
+        new event, as each of bad_bin_observer's steps after its first
+        does, reads it with no islice."""
         scale, over, rose, shut = self.scale, self._over, self._rose, self._shut
         loads, bins, placed, bad = self.loads, self.bins, self.placed, self.bad
         fail = self._fail
         i = 0  # the next action entry to read
+        k = 0  # the number of event entries read
+        marked = False  # a Bad count rose past 1, or in class 0, since the last check
         # run only up to its list's end, a list iterator sees the entries
-        # appended later; its length hint counts those it has not read
+        # appended later
         quads = iter(events)
         records = zip(quads, quads, quads, quads)
         while True:
-            for time, _kind, _item, count in islice(records, length_hint(quads) // 4):
+            appended = len(events) - k
+            k += appended
+            # the one event a live step finds is read with no islice
+            pending = (next(records),) if appended == 4 else islice(records, appended // 4)
+            for time, _kind, _item, count in pending:
                 end = i + count
                 while i < end:
                     kind = actions[i]
@@ -921,15 +952,20 @@ class Replay:
                         if at is None or at[0] != b:
                             fail(f"t={time}: departure of item {item} from wrong bin")
                             continue
-                        loads[b] -= at[1]
+                        try:
+                            loads[b] -= at[1]
+                        except KeyError:  # b closed empty with the item in it
+                            fail(f"t={time}: item {item} departed from bin {b}, which is not open")
                     elif kind == "open":
                         b, label, group = actions[i + 1], actions[i + 2], actions[i + 3]
                         i += 4
                         loads[b] = 0
                         bins[b] = (group, label)
                         if label == BAD:
-                            bad[group] = bad.get(group, 0) + 1
+                            held = bad[group] = bad.get(group, 0) + 1
                             rose.append(group)
+                            if held > 1 or group == "class:0":
+                                marked = True
                     elif kind == "close":
                         b = actions[i + 1]
                         i += 2
@@ -949,10 +985,17 @@ class Replay:
                         if at is None or at[0] != src:
                             fail(f"t={time}: migration of item {item} from wrong bin")
                             continue
+                        if at[1] != size:
+                            fail(f"t={time}: migration of item {item} with wrong size")
+                            continue
                         if dst not in loads:
                             fail(f"t={time}: item {item} migrated to bin {dst}, which is not open")
                             continue
-                        loads[src] -= size  # first: dst may be src
+                        try:
+                            loads[src] -= size  # first: dst may be src
+                        except KeyError:  # src closed empty with the item in it
+                            fail(f"t={time}: item {item} migrated from bin {src}, which is not open")
+                            continue
                         load = loads[dst] = loads[dst] + size
                         if load > scale:
                             fail(f"t={time}: bin {dst} overflows capacity")
@@ -972,8 +1015,10 @@ class Replay:
                         if label == BAD:
                             bad[group] -= 1
                         if new == BAD:
-                            bad[group] = bad.get(group, 0) + 1
+                            held = bad[group] = bad.get(group, 0) + 1
                             rose.append(group)
+                            if held > 1 or group == "class:0":
+                                marked = True
                     else:  # no action: the rest of the event cannot be read
                         fail(f"t={time}: unknown action {kind!r}")
                         break
@@ -987,16 +1032,18 @@ class Replay:
                         else:
                             del loads[b]
                     shut.clear()
-                    if (over or rose) and self.broken is None:
+                    if (over or marked) and self.broken is None:
                         self.broken = self._violation(time)
                     over.clear()
                     rose.clear()
+                    marked = False
             yield
 
     def _violation(self, time: float) -> tuple[str, str, float] | None:
         """The first violation the records read since the last check left:
         the junk bins they took over scale in id order, then the groups
-        that gained a Bad bin in the order they did."""
+        that gained a Bad bin in the order they did. `follow` calls it
+        only after an event that can have left one."""
         for b in sorted(self._over):
             group, _ = self.bins.get(b, ("", ""))
             if group.startswith("junk") and self.loads[b] > self.scale:

@@ -274,7 +274,9 @@ def bad_bin_observer(scale: int):
     bin, and none for class 0; junk bins never exceed capacity. After each
     event the observer steps an engine.Replay that follows the calling
     engine's records, a new one for each engine, and raises the first
-    violation, which the benchmark's stream workload relies on.
+    violation, which the benchmark's stream workload relies on. Each step
+    after the first finds the one event just recorded (the first may also
+    find the bind-time records) and reads it with no islice or slice.
     checked_run finds the same violation after the run."""
     replay = step = events = None  # set on the first call from each engine
 
@@ -800,7 +802,7 @@ def aggregate(rows: list[dict]) -> dict:
         total = sum(values)
         if math.isfinite(total):
             mean = statistics.fmean(values)
-            std = statistics.stdev(values) if len(values) > 1 else 0.0
+            std = sample_stdev(values) if len(values) > 1 else 0.0
         else:  # an infinite value, or a sum past the largest float
             mean, std = total / len(values), math.nan
         half = 3 * std / math.sqrt(len(values)) if values else 0.0
@@ -813,6 +815,36 @@ def aggregate(rows: list[dict]) -> dict:
             "n": len(values),
         }
     return out
+
+
+def sample_stdev(values: list[float]) -> float:
+    """The sample standard deviation of two or more finite numbers, the
+    same float on every Python: the exact variance, computed in integers
+    from each value's integer ratio, then its square root rounded once, as
+    statistics.stdev does since 3.11 (3.10 rounds the variance first)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # every denominator is a power of two: bring each value over the largest
+    bits = max(den for _, den in ratios).bit_length()
+    xs = [num << (bits - den.bit_length()) for num, den in ratios]
+    n, total = len(xs), sum(xs)
+    # the variance is (n * sum x^2 - total^2) / (n (n - 1) 2^(2 (bits - 1)))
+    ss = n * sum(x * x for x in xs) - total * total
+    return _float_sqrt(ss, (n * (n - 1)) << (2 * (bits - 1)))
+
+
+def _float_sqrt(num: int, den: int) -> float:
+    """The square root of num / den (num >= 0, den > 0) rounded once to a
+    float. The integer root is taken to 55 bits or more and rounded to
+    odd (its last bit set if the root is inexact), which the one rounding
+    to a 53-bit float does not spoil."""
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
 def rows_to_csv(rows: list[dict]) -> str:

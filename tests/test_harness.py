@@ -1,5 +1,7 @@
 import math
 import random
+import statistics
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -40,6 +42,7 @@ from dynbin.harness import (
     rows_to_csv,
     rows_to_markdown,
     run_trial,
+    sample_stdev,
 )
 
 UNIFORM = {
@@ -564,6 +567,35 @@ def test_aggregate_skips_blank_columns():
     agg = aggregate(rows)
     assert agg["alg_cost"]["mean"] == 3.0
     assert "ratio" not in agg
+
+
+def nearest_float_root(f: float, square: Fraction) -> bool:
+    """Whether f is the float nearest the square root of square: it lies
+    between the squares of f's midpoints to its two neighbours."""
+    lo = (Fraction(math.nextafter(f, 0.0)) + Fraction(f)) / 2
+    hi = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return lo * lo <= square <= hi * hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1e300, 1e300) | st.floats(-1.0, 1.0) | st.integers(-(10**6), 10**6),
+        min_size=2,
+        max_size=40,
+    )
+)
+@example([1.0, 1.0])
+@example([0.1, 0.2, 0.3])
+@example([5e-324, 0.0, -5e-324])
+def test_sample_stdev_is_the_exact_root_rounded_once(values):
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    std = sample_stdev(values)
+    assert nearest_float_root(std, variance), (std, float(variance))
+    if sys.version_info >= (3, 11):  # where statistics.stdev rounds once too
+        assert std == statistics.stdev(values)
 
 
 @pytest.mark.parametrize("costs", [[math.inf, 1.0], [1.7e308, 1.7e308]])

@@ -7,6 +7,7 @@ engine, event by event, until the first violation either one raises.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -342,15 +343,6 @@ FAULTY = {
 }
 
 
-def found_by(read):
-    """What read() returns, or the KeyError that records no engine
-    writes can make a replay raise."""
-    try:
-        return read()
-    except KeyError as exc:
-        return repr(exc)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     instances(),
@@ -382,4 +374,60 @@ def test_stepping_equals_one_full_read(instance, name, moves, chunks, corrupt):
             return "items left placed at end of trace", replay.broken
         return replay.problem, replay.broken
 
-    assert found_by(stepped) == found_by(lambda: check_records(result))
+    assert stepped() == check_records(result)
+
+
+def records(scale, *events):
+    """A stored run's records, hand-made: each event is its time and its
+    actions, each an action name followed by its ACTION_FIELDS values."""
+    actions, flat = [], []
+    for time, acts in events:
+        count = sum(map(len, acts))
+        for act in acts:
+            actions.extend(act)
+        flat.extend((time, "ARRIVAL", None, count))
+    return SimpleNamespace(scale=scale, actions=actions, events=flat)
+
+
+OPEN_0_1 = (0.0, [("open", 0, GOOD, "g"), ("open", 1, GOOD, "g")])
+
+
+@pytest.mark.parametrize(
+    "events, problem",
+    [
+        # item 0's migrate names size 5, not the 3 it was placed with, so
+        # bin 0 would read empty with item 1 in it, close, and be gone
+        # when item 1 departs from it
+        (
+            [
+                (1.0, [("place", 0, 0, 3), ("place", 1, 0, 2)]),
+                (2.0, [("migrate", 0, 0, 1, 5), ("close", 0)]),
+                (3.0, [("depart", 1, 0, 2)]),
+            ],
+            "t=2.0: migration of item 0 with wrong size",
+        ),
+        # an item of size 0 leaves its bin empty, so the bin closes under it
+        (
+            [(1.0, [("place", 0, 0, 0), ("close", 0)]), (2.0, [("depart", 0, 0, 0)])],
+            "t=2.0: item 0 departed from bin 0, which is not open",
+        ),
+        (
+            [(1.0, [("place", 0, 0, 0), ("close", 0)]), (2.0, [("migrate", 0, 0, 1, 0)])],
+            "t=2.0: item 0 migrated from bin 0, which is not open",
+        ),
+    ],
+)
+def test_a_bin_the_replay_no_longer_holds_is_a_packing_problem(events, problem):
+    assert check_records(records(8, OPEN_0_1, *events)) == (problem, None)
+
+
+def test_the_first_group_to_break_in_an_event_is_reported():
+    """In one event class:1 gains a first Bad bin, class:2 a second, then
+    class:1 a second: the violation names class:1, whose Bad count rose
+    first, although its first rise could not break the check."""
+    run = records(
+        8,
+        (0.0, [("open", 0, BAD, "class:2")]),
+        (1.0, [("open", 1, BAD, "class:1"), ("open", 2, BAD, "class:2"), ("open", 3, BAD, "class:1")]),
+    )
+    assert check_records(run) == (None, ("bad_bins", "2 Bad bins in group class:1", 1.0))

@@ -9,6 +9,7 @@ not rest on the bins the engine keeps.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,23 +22,29 @@ from dynbin.algorithms import (
     SizeCostPolicy,
 )
 from dynbin.core import Instance, Item
-from dynbin.engine import BAD, GOOD, Engine, Policy, simulate
+from dynbin.engine import BAD, GOOD, JUNK, Engine, Policy, simulate
 from dynbin.generators import gen_uniform
 
 SCALE = 8
 GROUPS = ("a", "b")
 
 
-def naive_first_fit(registry, scale, group, label, size_num):
-    for b in sorted(registry.values(), key=lambda b: b.id):
-        if (
-            b.group == group
-            and b.label == label
-            and not b.closed
-            and b.load + size_num <= scale
-        ):
-            return b
+def naive_first_fit(bins, scale, group, labels, size_num):
+    """The first fit over bins, listed in id order, trying the labels in turn."""
+    for label in labels:
+        for b in bins:
+            if (
+                b.group == group
+                and b.label == label
+                and not b.closed
+                and b.load + size_num <= scale
+            ):
+                return b
     return None
+
+
+def by_id(registry):
+    return sorted(registry.values(), key=lambda b: b.id)
 
 
 def naive_open_index(registry):
@@ -56,6 +63,9 @@ def open_index(engine):
             index[group] = list(bins)
     return index
 
+
+# each label alone, and both in either order: alg2 searches Bad, then Good
+LABEL_TUPLES = ((BAD,), (GOOD,), (BAD, GOOD), (GOOD, BAD))
 
 op = st.tuples(
     st.sampled_from(["open", "attach", "detach", "close", "relabel"]),
@@ -116,16 +126,42 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
             b = live[x % len(live)]
             if b.label == BAD:
                 engine.set_label(b.id, GOOD)
-        assert open_index(engine) == naive_open_index(registry)
+        expected = naive_open_index(registry)
+        assert open_index(engine) == expected
+        bins = by_id(registry)
         for group in GROUPS:
-            assert [b.id for b in engine.bins_in(group)] == naive_open_index(registry).get(
-                group, []
-            )
-            for label in (BAD, GOOD):
+            assert [b.id for b in engine.bins_in(group)] == expected.get(group, [])
+            # the group's open bins, taken once for its 32 queries
+            candidates = [b for b in bins if b.group == group and not b.closed]
+            for labels in LABEL_TUPLES:
                 for size_num in range(1, SCALE + 1):
-                    assert engine.first_fit(group, (label,), size_num) is naive_first_fit(
-                        registry, SCALE, group, label, size_num
-                    )
+                    assert engine.first_fit(group, labels, size_num) is naive_first_fit(
+                        candidates, SCALE, group, labels, size_num
+                    ), (labels, size_num)
+
+
+@pytest.mark.parametrize("scan_limit", [0, Engine.SCAN_LIMIT])
+def test_first_fit_takes_the_labels_in_turn(scan_limit):
+    """Every label tuple of up to three labels, repeats and the empty one
+    included, over one group of bins of three labels and mixed loads. An
+    item of size 6 fits in two Junk bins and in no other."""
+    loads = [(GOOD, 6), (JUNK, 2), (BAD, 7), (JUNK, 1), (GOOD, 4), (BAD, 3), (JUNK, 5)]
+    items = [Item(i, 0.0, load, 1.0) for i, (_, load) in enumerate(loads)]
+    engine = Engine(Instance(items=tuple(items), scale=SCALE), Policy())
+    engine.SCAN_LIMIT = scan_limit
+    engine.live.update((item.id, item.size_num) for item in items)
+    registry = {}
+    for item, (label, _) in zip(items, loads):
+        b = engine.open_bin(label, "a")
+        engine.place(item.id, b.id)
+        registry[b.id] = b
+    bins = by_id(registry)
+    for length in range(4):
+        for labels in product((BAD, GOOD, JUNK), repeat=length):
+            for size_num in range(1, SCALE + 1):
+                assert engine.first_fit("a", labels, size_num) is naive_first_fit(
+                    bins, SCALE, "a", labels, size_num
+                ), (labels, size_num)
 
 
 POLICIES = {
@@ -149,11 +185,12 @@ def test_open_index_matches_registry_after_every_event(name):
         registry.update(engine.bins)
         expected = naive_open_index(registry)
         assert open_index(engine) == expected, f"t={time}"
+        bins = by_id(registry)
         for group, ids in expected.items():
             for label in {registry[i].label for i in ids}:
                 for size_num in (1, 5, 8, 13, 16):
                     assert engine.first_fit(group, (label,), size_num) is naive_first_fit(
-                        registry, engine.scale, group, label, size_num
+                        bins, engine.scale, group, (label,), size_num
                     ), f"t={time} group={group} label={label} size={size_num}"
         events.append(time)
 
