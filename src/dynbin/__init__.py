@@ -12,9 +12,7 @@ from .core import (
     Item,
     LongestPerBinResolver,
     UnresolvedDurationError,
-    mu,
     read_jsonl,
-    span,
     validate,
     vol,
     with_durations,
@@ -57,9 +55,7 @@ __all__ = [
     "Item",
     "LongestPerBinResolver",
     "UnresolvedDurationError",
-    "mu",
     "read_jsonl",
-    "span",
     "validate",
     "vol",
     "with_durations",

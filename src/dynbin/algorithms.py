@@ -20,6 +20,7 @@ from .engine import (
     DEDICATED,
     GOOD,
     JUNK,
+    Bin,
     Engine,
     Policy,
     SimulationError,
@@ -86,9 +87,8 @@ class SingleClassMigrator:
         # first fit over Bad bins, then Good bins, then a new Bad bin
         self._relabel(self.engine.place_first_fit(item_id, self.group, (BAD, GOOD), BAD))
 
-    def handle_departure(self, bin_id: int, time: float) -> None:
+    def handle_departure(self, b: Bin, time: float) -> None:
         engine = self.engine
-        b = engine.bin(bin_id)
         if b.label != GOOD or b.load == 0:
             return
         threshold, den = self._drain_below
@@ -97,7 +97,7 @@ class SingleClassMigrator:
         # drain: residents move in id order, by first fit over the targets listed
         # here: Bad, then Good, then bins it opens; one turning Good keeps its place
         residents = sorted(b.items)
-        others = [t for t in engine.bins_in(self.group) if t.id != bin_id]
+        others = [t for t in engine.bins_in(self.group) if t is not b]
         targets = [t for t in others if t.label == BAD] + [
             t for t in others if t.label == GOOD
         ]
@@ -136,8 +136,8 @@ class SingleClassPolicy(Policy):
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         self.migrator.place(item_id)
 
-    def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
-        self.migrator.handle_departure(bin_id, time)
+    def on_departure(self, item_id: int, b: Bin, time: float) -> None:
+        self.migrator.handle_departure(b, time)
 
 
 class MultiClassPolicy(Policy):
@@ -206,10 +206,10 @@ class MultiClassPolicy(Policy):
             # always fit in one junk bin
             engine.place(item_id, self.junk.id)
 
-    def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
-        migrator = self.by_group.get(self.engine.bin(bin_id).group)
+    def on_departure(self, item_id: int, b: Bin, time: float) -> None:
+        migrator = self.by_group.get(b.group)
         if migrator is not None:  # not a junk bin
-            migrator.handle_departure(bin_id, time)
+            migrator.handle_departure(b, time)
 
 
 class SizeCostPolicy(Policy):
@@ -241,9 +241,9 @@ class SizeCostPolicy(Policy):
         else:
             self.migrator.place(item_id)
 
-    def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
-        if self.engine.bin(bin_id).group == "shared":
-            self.migrator.handle_departure(bin_id, time)
+    def on_departure(self, item_id: int, b: Bin, time: float) -> None:
+        if b.group == "shared":
+            self.migrator.handle_departure(b, time)
 
 
 class DelayPolicy(Policy):

@@ -64,46 +64,11 @@ class Instance:
         return self._deferred
 
 
-def _require_resolved(instance: Instance) -> None:
-    if instance.has_deferred():
-        raise UnresolvedDurationError("unresolved durations")
-
-
 def vol(instance: Instance) -> float:
     """Sum of size * duration over all items."""
-    _require_resolved(instance)
+    if instance.has_deferred():
+        raise UnresolvedDurationError("unresolved durations")
     return sum((it.size_num / instance.scale) * it.duration for it in instance.items)
-
-
-def span(instance: Instance) -> float:
-    """Lebesgue measure of the union of item lifetimes.
-
-    Computed by a sweep over intervals sorted by start; half-open
-    abutment merges measure (e.g. [0,1) and [1,2) span 2).
-    """
-    _require_resolved(instance)
-    intervals = sorted((it.arrival, it.departure) for it in instance.items)
-    total = 0.0
-    cur_start = cur_end = None
-    for start, end in intervals:
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                total += cur_end - cur_start
-            cur_start, cur_end = start, end
-        else:
-            cur_end = max(cur_end, end)
-    if cur_end is not None:
-        total += cur_end - cur_start
-    return total
-
-
-def mu(instance: Instance) -> float:
-    """Ratio of the largest to smallest item duration."""
-    _require_resolved(instance)
-    if not instance.items:
-        raise ValueError("mu of an empty instance is undefined")
-    durations = [it.duration for it in instance.items]
-    return max(durations) / min(durations)
 
 
 def with_durations(instance: Instance, durations: dict[int, float]) -> Instance:

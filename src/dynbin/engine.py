@@ -32,12 +32,11 @@ policy and engine, without a pass of the cyclic garbage collector.
 Besides the records and result columns below, a run's state is O(live):
 the engine keeps the size (`live`), `Item` and departure time of each
 live item, and drops them when it departs, and it keeps only open bins.
-`Engine.bins` holds the open bins and those closed in the event being
-processed, so the policy's callback (`on_departure` above all) and the
-observers can still look up a bin that closed in the event they handle.
-A bin leaves it when that event ends, and a later call naming it (`bin`,
-`set_label`, `close_bin`, a placement) raises
-`SimulationError("bin N is closed")`.
+A bin leaves `Engine.bins` the moment it closes, and any later call
+naming it (`bin`, `set_label`, `close_bin`, a placement), in the same
+event or after, raises `SimulationError("bin N is closed")`.
+`on_departure` receives the `Bin` its item left, which may have closed,
+so no policy looks a bin up by id once it is gone.
 `Engine.bins_in` yields only the open bins of a group, from a per-group
 index that a bin leaves when it closes. First fit runs on a max-residual
 segment tree per (group, label) over opening order, so a placement costs
@@ -105,7 +104,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -166,7 +165,6 @@ class Bin:
     load: int = 0
     items: set[int] = field(default_factory=set)
     persistent: bool = False  # survives emptying (junk bin within its phase)
-    closed: bool = False
 
 
 class LedgerEntry(NamedTuple):
@@ -374,8 +372,10 @@ class Policy:
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
         raise NotImplementedError
 
-    def on_departure(self, item_id: int, bin_id: int, time: float) -> None:
-        pass
+    def on_departure(self, item_id: int, b: Bin, time: float) -> None:
+        """The item has left bin b. If that emptied b and b was not
+        persistent, b has closed: it is no longer in Engine.bins, and
+        the engine refuses any call naming it."""
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
         """The live items with a checkpoint at time, in ascending id, each
@@ -421,8 +421,7 @@ class Engine:
         self.delay_cost = delay_cost
         self.observers = list(observers)
 
-        self.bins: dict[int, Bin] = {}  # open, or closed in the current event
-        self._closed: list[int] = []  # bins closed in the current event
+        self.bins: dict[int, Bin] = {}  # the open bins, in opening order
         self._open_by_group: dict[str, dict[int, Bin]] = {}
         self._fit: dict[str, FirstFitIndex] = {}  # groups past SCAN_LIMIT
         self._next_bin_id = 0
@@ -449,25 +448,18 @@ class Engine:
         return self.live[item_id]
 
     def bin(self, bin_id: int) -> Bin:
-        """The bin, if it is open or closed in the current event."""
+        """The open bin with this id; every call naming a bin goes
+        through here, so one that is closed or was never opened fails."""
         try:
             return self.bins[bin_id]
         except KeyError:
-            raise self._no_bin(bin_id) from None
-
-    def _no_bin(self, bin_id: int) -> SimulationError:
-        """The error for a call naming a bin that is closed or was never opened."""
-        if bin_id in range(self._next_bin_id):
-            return SimulationError(f"bin {bin_id} is closed")
-        return SimulationError(f"no bin {bin_id}")
+            closed = bin_id in range(self._next_bin_id)
+            problem = f"bin {bin_id} is closed" if closed else f"no bin {bin_id}"
+            raise SimulationError(problem) from None
 
     def bins_in(self, group: str) -> Iterator[Bin]:
-        """Non-closed bins of a group in opening order."""
+        """The open bins of a group in opening order."""
         return iter(self._open_by_group.get(group, {}).values())
-
-    def open_bins(self) -> Iterator[Bin]:
-        """Every non-closed bin, group by group, each in opening order."""
-        return chain.from_iterable(map(dict.values, self._open_by_group.values()))
 
     def first_fit(
         self, group: str, labels: tuple[str, ...], size_num: int
@@ -552,7 +544,7 @@ class Engine:
     def close_bin(self, bin_id: int) -> None:
         b = self.bin(bin_id)
         b.persistent = False
-        if b.load == 0 and not b.closed:
+        if b.load == 0:
             self._close(b)
 
     def set_label(self, bin_id: int, label: str) -> None:
@@ -564,7 +556,7 @@ class Engine:
         self.actions.extend(("label", bin_id, b.label, label))
         old, b.label = b.label, label
         index = self._fit.get(b.group)
-        if index is not None and not b.closed:
+        if index is not None:
             index.relabel(b, old)
 
     def place(self, item_id: int, bin_id: int) -> None:
@@ -580,7 +572,7 @@ class Engine:
         if item_id not in self.live:
             raise SimulationError(f"cannot migrate departed item {item_id}")
         src = self.placement.pop(item_id)
-        self._detach(item_id, src)
+        self._detach(item_id, self.bins[src])
         self._staged[item_id] = src
         return self.size_of(item_id)
 
@@ -635,9 +627,7 @@ class Engine:
         return b
 
     def _attach(self, item_id: int, bin_id: int) -> None:
-        b = self.bins.get(bin_id)
-        if b is None or b.closed:
-            raise self._no_bin(bin_id)
+        b = self.bin(bin_id)
         size = self.live[item_id]
         if b.load + size > self.scale:
             raise CapacityViolation(
@@ -678,8 +668,7 @@ class Engine:
             )
             self.departure_time[item_id] = new_dep
 
-    def _detach(self, item_id: int, bin_id: int) -> None:
-        b = self.bins[bin_id]
+    def _detach(self, item_id: int, b: Bin) -> None:
         b.items.discard(item_id)
         b.load -= self.live[item_id]
         if b.load == 0:
@@ -692,14 +681,9 @@ class Engine:
             index.update(b)
 
     def _close(self, b: Bin) -> None:
-        """The one place a bin closes: it leaves the open index and the
-        first-fit trees now, and `bins` when the event ends."""
-        b.closed = True
-        self._closed.append(b.id)
-        open_bins = self._open_by_group[b.group]
-        del open_bins[b.id]
-        if not open_bins:  # keeps open_bins() from walking empty groups
-            del self._open_by_group[b.group]
+        """The one place a bin closes: it leaves `bins`, the open index
+        and the first-fit trees at once."""
+        del self.bins[b.id], self._open_by_group[b.group][b.id]
         index = self._fit.get(b.group)
         if index is not None:
             index.remove(b)
@@ -708,10 +692,11 @@ class Engine:
     def _resolve(self, time: float) -> None:
         # the resolve event follows the last deferred arrival, and a
         # deferred item cannot depart before it, so every one is live; a
-        # bin that holds an item is never closed, so the open bins suffice
+        # bin that holds an item is never closed, so the open bins suffice,
+        # and bins, filled in id order, lists them in ascending id
         items = self._live_items
         snapshot = []
-        for b in sorted(self.open_bins(), key=lambda b: b.id):
+        for b in self.bins.values():
             deferred = sorted(i for i in b.items if items[i].duration is None)
             if deferred:
                 snapshot.append((b.id, deferred))
@@ -752,7 +737,7 @@ class Engine:
             policy = self.policy
             policy.bind(self)
             events, actions = self.events, self.actions
-            live, live_items, bins, closed = self.live, self._live_items, self.bins, self._closed
+            live, live_items, bins = self.live, self._live_items, self.bins
             staged = self._staged
             departure_time = self.departure_time
             if actions:
@@ -807,12 +792,12 @@ class Engine:
                             f"policy did not place arriving item {item_id}"
                         )
                 elif kind == _DEPARTURE:
-                    bin_id = self.placement.pop(item_id)
-                    actions.extend(("depart", item_id, bin_id, live[item_id]))
-                    self._detach(item_id, bin_id)
+                    b = bins[self.placement.pop(item_id)]
+                    actions.extend(("depart", item_id, b.id, live[item_id]))
+                    self._detach(item_id, b)
                     del live[item_id], live_items[item_id], departure_time[item_id]
                     departures[item_id] = time
-                    policy.on_departure(item_id, bin_id, time)
+                    policy.on_departure(item_id, b, time)
                 elif kind == _CHECKPOINT:
                     batch = [item_id]  # in id order; a repeated (item, time) is skipped
                     while heap and heap[0][0] == time and heap[0][1] == _CHECKPOINT:
@@ -833,10 +818,6 @@ class Engine:
                 start = end
                 for obs in self.observers:
                     obs(self, time)
-                if closed:  # the event has ended: its closed bins leave
-                    for bin_id in closed:
-                        del bins[bin_id]
-                    closed.clear()
         finally:
             self.policy = None
 
@@ -875,10 +856,10 @@ class Replay:
     or bad_bins violation an event left, `broken`, as (check, detail, time).
     A record with a packing problem is skipped, except that a bin may go
     over scale, so reading goes on after it. A record naming a bin that is
-    not open, never opened or closed, is a packing problem, save a label
-    on a bin that closed earlier in the same event, which the engine
-    allows. A bin is forgotten once the event that closed it ends, so a
-    replay holds only the open bins and the placed items."""
+    not open, never opened or closed, is a packing problem. A closed bin's
+    load is kept until the event that closed it ends, where it must be 0:
+    a migration writes its source bin's `close` before the `migrate` that
+    empties it. So a replay holds only the open bins and the placed items."""
 
     def __init__(self, scale: int):
         self.scale = scale
@@ -1006,9 +987,8 @@ class Replay:
                         i += 4
                         if old == GOOD and new == BAD:
                             fail(f"t={time}: bin {b} relabeled Good -> Bad")
-                        if b not in bins:  # only open bins count
-                            if b not in shut:
-                                fail(f"t={time}: bin {b} relabeled, but it is not open")
+                        if b not in bins:
+                            fail(f"t={time}: bin {b} relabeled, but it is not open")
                             continue
                         group, label = bins[b]
                         bins[b] = (group, new)

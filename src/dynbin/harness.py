@@ -24,7 +24,8 @@ from typing import Iterable, Iterator
 
 from . import algorithms, generators, oracles
 from .core import Instance, time_problems, validate, with_durations
-from .engine import InvalidInstance, Policy, Replay, SimulationResult, check_records, simulate
+from .engine import InvalidInstance, Policy, Replay, SimulationError, SimulationResult
+from .engine import check_records, simulate
 # unused here, but the benchmark's tracer patches this name in this module
 from .engine import verify_packing  # noqa: F401
 
@@ -419,6 +420,42 @@ def check_delay_schedule(
             )
 
 
+# the most migrations a delay run may make, all items together, counted
+# before it starts: far above the 12,257 of the benchmark's dense
+# instance, the most any test, CI line or benchmark run may make, and far
+# below the 5e15 of one item of duration 1e16 at C = 4, which would not
+# end in practice
+MAX_DELAY_MIGRATIONS = 10**8
+
+
+def check_delay_migrations(instance: Instance, delay_cost: float) -> None:
+    """Refuse a delay run that may make more than MAX_DELAY_MIGRATIONS
+    migrations, by the bound check_delay_schedule certifies: floor(d /
+    sqrt(C)) for an item of duration d. A deferred item counts with the
+    longest duration the adversary's header assigns, max(mu, 1). The
+    SimulationError names the item that may make the most. A duration
+    the engine refuses counts for none, and an instance that fails
+    validation is left to the engine to report."""
+    sqrt_c = math.sqrt(delay_cost)
+    header = instance.adversary
+    mu = header.get("mu") if type(header) is dict else None
+    longest = max(mu, 1.0) if type(mu) in (int, float) else 0.0
+    total, most, worst = 0.0, 0.0, None
+    for item_id, _, _, duration in instance.items:
+        if duration is None:
+            duration = longest
+        if 0 < duration < math.inf:
+            count = duration // sqrt_c
+            total += count
+            if count > most:
+                most, worst = count, item_id
+    if total > MAX_DELAY_MIGRATIONS and not validate(instance):
+        raise SimulationError(
+            f"a delay run at C = {delay_cost} may make {total:.4g} migrations, more than"
+            f" {MAX_DELAY_MIGRATIONS:.0e}; item {worst} alone may make {most:.4g}"
+        )
+
+
 def _first_fit_cost(parts: Iterable[tuple[float, int, int, float]], scale: int) -> float:
     """FirstFit's total active time on a resolved instance given as its
     (start, id, size, end) parts in (start, id) order, each starting at a
@@ -680,6 +717,8 @@ def checked_run(config: ExperimentConfig, instance: Instance) -> CheckedRun:
         config.algorithm, alpha, config.f_fraction(), config.delay_cost
     )
     try:
+        if isinstance(policy, algorithms.DelayPolicy):
+            check_delay_migrations(instance, policy.delay_cost)
         # through the module global, which the benchmark patches to digest each run
         result = simulate(instance, policy, delay_cost=config.delay_cost or 0.0)
     except InvalidInstance as exc:

@@ -272,13 +272,13 @@ def opt_total(instance: Instance) -> OptReport:
     report it holds the two sorted lists and the live sizes, nothing per
     boundary.
 
-    The sweep also measures the span of the lower bound max(vol, span):
-    a stretch starts at the boundary where the live count rises from
-    zero and ends where it returns to zero, and end - start is summed per
-    stretch in time order. Those are the terms core.span sums, in its
-    order, so the bound is the same float, with no sort of the
-    lifetimes. vol stays core.vol: its sum() of floats is compensated
-    from Python 3.12 on, which no loop here would match bit for bit.
+    The sweep also measures the span of the lower bound max(vol, span),
+    the measure of the union of the lifetimes: a stretch starts at the
+    boundary where the live count rises from zero and ends where it
+    returns to zero, and end - start is summed per stretch in time order,
+    with no sort of the lifetimes. vol stays core.vol: its sum() of
+    floats is compensated from Python 3.12 on, which no loop here would
+    match bit for bit.
 
     FFD is skipped where it provably equals L1: with at most two live
     items (one bin if they fit together, else two, and L1 is the same),

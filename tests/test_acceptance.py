@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynbin.core import Instance, Item, span, vol, with_durations
+from dynbin.core import Instance, Item, vol, with_durations
 from dynbin.engine import simulate
 from dynbin.algorithms import (
     DelayPolicy,
@@ -40,6 +40,7 @@ from dynbin.harness import (
     check_size_budget,
 )
 from dynbin.oracles import ffd_snapshot, live_sizes_at, opt_snapshot, opt_total
+from references import span
 
 
 def report(num, name, ok, detail=""):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbin import cli, harness
-from dynbin.core import Instance, Item, mu
+from dynbin.core import Instance, Item
 from dynbin.engine import BAD, GOOD, SimulationError, simulate
 from dynbin.algorithms import (
     ALGORITHMS,
@@ -18,6 +18,7 @@ from dynbin.algorithms import (
     size_class,
 )
 from dynbin.generators import gen_uniform
+from references import mu
 
 
 def inst(items, scale=8):

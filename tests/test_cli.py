@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -659,6 +660,33 @@ def test_a_delay_config_past_float_resolution_ends_in_one_error_line(tmp_path):
     assert proc.stderr == (
         "Error: t=7.298317482601286e+16: the first checkpoint, t + sqrt(C), rounds to t\n"
     )
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "run --config"])
+def test_a_delay_run_that_would_not_end_is_refused_before_it_starts(tmp_path, command):
+    # one item of duration 1e16 at C = 4 would migrate floor(1e16 / 2) =
+    # 5e15 times; a subprocess first, so a run that starts times out
+    path = tmp_path / "inst.jsonl"
+    write_jsonl(Instance(items=(Item(0, 0.0, 3, 1e16),), scale=8), path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "algorithm": "delay", "delay_cost": 4, "checks": ["packing"],
+        "generator": {"family": "uniform", "n": 1, "size_grid": 8,
+                      "duration_range": [1e16, 1e16], "arrival_window": 0},
+    }))
+    args = (
+        ["run", "--config", str(config)] if command == "run --config"
+        else [command, str(path), "--alg", "delay", "--delay-c", "4"]
+    )
+    proc = subprocess.run(CLI + args, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "Error: a delay run at C = 4.0 may make 5e+15 migrations, more than 1e+08;"
+        " item 0 alone may make 5e+15\n"
+    )
+    start = time.perf_counter()
+    assert invoke(*args).stderr == proc.stderr
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -9,15 +9,14 @@ from dynbin.core import (
     Instance,
     Item,
     UnresolvedDurationError,
-    mu,
     read_jsonl,
-    span,
     validate,
     vol,
     with_durations,
     write_jsonl,
 )
 from dynbin.engine import LedgerEntry, simulate
+from references import mu, span
 
 
 def make(items, scale=4, **kw):

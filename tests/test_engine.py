@@ -321,11 +321,14 @@ class TestVerifyPacking:
         [
             (("close", 0), "bin 0 closed, but it is not open"),
             (("label", 0, "Good", "Junk"), "bin 0 relabeled, but it is not open"),
+            # bin 1 closes in the event the record is appended to
+            (("label", 1, "Good", "Junk"), "bin 1 relabeled, but it is not open"),
         ],
     )
     def test_detects_a_record_naming_a_bin_closed_in_an_earlier_event(self, record, problem):
         r = simulate(inst([Item(0, 0.0, 3, 1.0), Item(1, 2.0, 3, 1.0)]), FirstFitPolicy())
-        # appended to the last event, the departure at t=3
+        # appended to the last event, the departure at t=3, which closes bin 1
+        assert r.actions[-2:] == ["close", 1]
         r.actions += record
         r.events[-1] += len(record)
         assert verify_packing(r) == f"t=3.0: {problem}"
@@ -482,34 +485,56 @@ def test_the_heap_holds_one_departure_per_live_item_under_delays():
 
 class Revisit(Policy):
     """Places each item in a bin of its own, and at the second arrival
-    makes one call naming the first item's bin, which closed at t=1."""
+    makes one call naming a closed bin: the first item's, bin 0, which
+    closed at t=1, or with same_event bin 2, which it opens and closes
+    just before the call."""
 
-    def __init__(self, call):
+    def __init__(self, call, same_event):
         self.call = call
+        self.same_event = same_event
 
     def on_arrival(self, item_id, size_num, time):
         b = self.engine.open_bin(GOOD, "g")
         if item_id == 1:
-            self.call(self.engine, 0, item_id)
+            closed = 0
+            if self.same_event:
+                closed = self.engine.open_bin(GOOD, "g").id
+                self.engine.close_bin(closed)
+            self.call(self.engine, closed, item_id)
         self.engine.place(item_id, b.id)
 
 
+def migrate_into(engine, bin_id, item_id):
+    """Place the arriving item in a bin of its own, then migrate it to bin_id."""
+    engine.place(item_id, engine.open_bin(GOOD, "g").id)
+    engine.migrate(item_id, bin_id, "revisit", "g", 2.0)
+
+
+CALLS = {
+    "bin": lambda engine, bin_id, item_id: engine.bin(bin_id),
+    "set_label": lambda engine, bin_id, item_id: engine.set_label(bin_id, BAD),
+    "close_bin": lambda engine, bin_id, item_id: engine.close_bin(bin_id),
+    "place": lambda engine, bin_id, item_id: engine.place(item_id, bin_id),
+    "migrate": migrate_into,
+}
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda engine, bin_id, item_id: engine.bin(bin_id),
-        lambda engine, bin_id, item_id: engine.set_label(bin_id, BAD),
-        lambda engine, bin_id, item_id: engine.close_bin(bin_id),
-        lambda engine, bin_id, item_id: engine.place(item_id, bin_id),
-    ],
-    ids=["bin", "set_label", "close_bin", "place"],
+    "name, same_event",
+    [(name, False) for name in CALLS] + [(name, True) for name in CALLS],
+    ids=list(CALLS) + [f"{name}, same event" for name in CALLS],
 )
-def test_a_call_naming_a_bin_closed_in_an_earlier_event_is_refused(call):
+def test_a_call_naming_a_bin_closed_in_an_earlier_event_is_refused(name, same_event):
+    """In a later event or earlier in the same one: a bin leaves the
+    engine the moment it closes."""
+    call = CALLS[name]
     instance = inst([Item(0, 0.0, 1, 1.0), Item(1, 2.0, 1, 1.0)])
-    with pytest.raises(SimulationError, match="^bin 0 is closed$"):
-        simulate(instance, Revisit(call))
+    closed = 2 if same_event else 0
+    with pytest.raises(SimulationError, match=f"^bin {closed} is closed$"):
+        simulate(instance, Revisit(call, same_event))
+    never_opened = Revisit(lambda engine, bin_id, item_id: call(engine, 7, item_id), same_event)
     with pytest.raises(SimulationError, match="^no bin 7$"):
-        simulate(instance, Revisit(lambda engine, bin_id, item_id: call(engine, 7, item_id)))
+        simulate(instance, never_opened)
 
 
 @pytest.mark.parametrize(

@@ -231,6 +231,34 @@ def test_delay_schedule_allows_any_count_when_d_over_sqrt_c_is_past_every_float(
     check_delay_schedule(one, result, 5e-324)
 
 
+def test_a_delay_run_that_may_migrate_past_the_bound_is_refused(monkeypatch):
+    """At C = 4 an item of duration d counts floor(d / 2) migrations, a
+    deferred one at max(mu, 1): a run at the bound starts, one past it is
+    refused, and an invalid instance keeps its validate violation."""
+    monkeypatch.setattr(harness, "MAX_DELAY_MIGRATIONS", 10)
+    cfg = ExperimentConfig(
+        algorithm="delay", generator=dict(UNIFORM), delay_cost=4.0, checks=["packing"]
+    )
+    at_bound = (Item(0, 0.0, 1, 8.0), Item(1, 0.0, 1, 13.0))  # 4 + 6
+    assert checked_run(cfg, Instance(items=at_bound, scale=4)).violation is None
+    past = Instance(items=(*at_bound, Item(2, 1.0, 1, 3.0)), scale=4)
+    with pytest.raises(SimulationError) as info:
+        checked_run(cfg, past)
+    assert str(info.value) == (
+        "a delay run at C = 4.0 may make 11 migrations, more than 1e+01;"
+        " item 1 alone may make 6"
+    )
+    header = {"name": "longest-per-bin", "mu": 21.0, "long_count": 1}
+    deferred = Instance(
+        items=(Item(0, 0.0, 1, None), Item(1, 0.0, 1, 3.0)), scale=4, adversary=header
+    )
+    with pytest.raises(SimulationError, match="may make 11 migrations.* item 0 alone may make 10$"):
+        checked_run(cfg, deferred)
+    invalid = Instance(items=(*past.items, Item(3, 0.0, 9, 1.0)), scale=4)
+    with pytest.raises(InvariantViolation, match="^validate: item 3: size exceeds bin capacity$"):
+        checked_run(cfg, invalid)
+
+
 def test_a_migration_at_its_own_arrival_fails_the_decomposition():
     # the small part of item 0 would last no time, which no instance holds
     one = Instance(items=(Item(0, 0.0, 1, 2.0),), scale=2)

@@ -3,9 +3,9 @@
 The naive references walk a registry of every bin the engine opened, in
 id order: the scan the engine did on every placement before it kept an
 index of open bins. The tests keep that registry themselves, from what
-`open_bin` returns or from `Engine.bins` after every event (a bin that
-closes leaves it only when its event has ended), so the references do
-not rest on the bins the engine keeps.
+`open_bin` returns or from `Engine.bins` after every event, so the
+references do not rest on the index or the trees. A registered bin is
+open while it is in `Engine.bins`, which a bin leaves when it closes.
 """
 
 from fractions import Fraction
@@ -30,28 +30,23 @@ GROUPS = ("a", "b")
 
 
 def naive_first_fit(bins, scale, group, labels, size_num):
-    """The first fit over bins, listed in id order, trying the labels in turn."""
+    """The first fit over open bins, listed in id order, trying the labels in turn."""
     for label in labels:
         for b in bins:
-            if (
-                b.group == group
-                and b.label == label
-                and not b.closed
-                and b.load + size_num <= scale
-            ):
+            if b.group == group and b.label == label and b.load + size_num <= scale:
                 return b
     return None
 
 
-def by_id(registry):
-    return sorted(registry.values(), key=lambda b: b.id)
+def open_by_id(registry, engine):
+    """The registered bins still in Engine.bins, in id order."""
+    return sorted((b for b in registry.values() if b.id in engine.bins), key=lambda b: b.id)
 
 
-def naive_open_index(registry):
+def naive_open_index(open_bins):
     groups = {}
-    for b in sorted(registry.values(), key=lambda b: b.id):
-        if not b.closed:
-            groups.setdefault(b.group, []).append(b.id)
+    for b in open_bins:
+        groups.setdefault(b.group, []).append(b.id)
     return groups
 
 
@@ -101,7 +96,7 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
     engine.live.update(enumerate(sizes))  # every item has arrived
     registry = {}  # every bin opened
     for kind, x, y in ops:
-        live = [b for b in registry.values() if not b.closed]
+        live = open_by_id(registry, engine)
         if kind == "open":
             b = engine.open_bin(
                 (BAD, GOOD)[x % 2], GROUPS[(x // 2) % len(GROUPS)], persistent=y % 3 == 0
@@ -119,20 +114,20 @@ def test_first_fit_matches_naive_scan(scan_limit, sizes, ops):
             placed = sorted(engine.placement)
             if placed:
                 item = placed[x % len(placed)]
-                engine._detach(item, engine.placement.pop(item))
+                engine._detach(item, engine.bins[engine.placement.pop(item)])
         elif kind == "close" and live:
             engine.close_bin(live[x % len(live)].id)
         elif kind == "relabel" and live:
             b = live[x % len(live)]
             if b.label == BAD:
                 engine.set_label(b.id, GOOD)
-        expected = naive_open_index(registry)
+        bins = open_by_id(registry, engine)
+        expected = naive_open_index(bins)
         assert open_index(engine) == expected
-        bins = by_id(registry)
         for group in GROUPS:
             assert [b.id for b in engine.bins_in(group)] == expected.get(group, [])
             # the group's open bins, taken once for its 32 queries
-            candidates = [b for b in bins if b.group == group and not b.closed]
+            candidates = [b for b in bins if b.group == group]
             for labels in LABEL_TUPLES:
                 for size_num in range(1, SCALE + 1):
                     assert engine.first_fit(group, labels, size_num) is naive_first_fit(
@@ -155,7 +150,7 @@ def test_first_fit_takes_the_labels_in_turn(scan_limit):
         b = engine.open_bin(label, "a")
         engine.place(item.id, b.id)
         registry[b.id] = b
-    bins = by_id(registry)
+    bins = open_by_id(registry, engine)
     for length in range(4):
         for labels in product((BAD, GOOD, JUNK), repeat=length):
             for size_num in range(1, SCALE + 1):
@@ -183,9 +178,9 @@ def test_open_index_matches_registry_after_every_event(name):
 
     def watch(engine, time):
         registry.update(engine.bins)
-        expected = naive_open_index(registry)
+        bins = open_by_id(registry, engine)
+        expected = naive_open_index(bins)
         assert open_index(engine) == expected, f"t={time}"
-        bins = by_id(registry)
         for group, ids in expected.items():
             for label in {registry[i].label for i in ids}:
                 for size_num in (1, 5, 8, 13, 16):
@@ -199,18 +194,22 @@ def test_open_index_matches_registry_after_every_event(name):
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
-def test_closed_bins_leave_when_their_event_ends(name):
-    """After every event, Engine.bins holds the open bins and those the
-    event closed, and no bin that closed in an earlier event."""
+def test_engine_bins_hold_only_the_open_bins(name):
+    """After every event, each bin in Engine.bins holds an item or is
+    persistent, the bins of every group, by bins_in, are Engine.bins, and
+    no bin that left Engine.bins comes back."""
     instance = gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, 7)
     policy, delay_cost = POLICIES[name]()
-    seen_closed = set()
+    seen, gone = set(), set()
 
     def watch(engine, time):
-        closed = {b.id for b in engine.bins.values() if b.closed}
-        assert not closed & seen_closed, f"t={time}"
-        seen_closed.update(closed)
-        assert {b.id for b in engine.open_bins()} == set(engine.bins) - closed, f"t={time}"
+        assert all(b.load or b.persistent for b in engine.bins.values()), f"t={time}"
+        in_groups = [b for group in engine._open_by_group for b in engine.bins_in(group)]
+        assert len(in_groups) == len(engine.bins), f"t={time}"
+        assert all(engine.bins.get(b.id) is b for b in in_groups), f"t={time}"
+        assert not gone & engine.bins.keys(), f"t={time}"
+        gone.update(seen - engine.bins.keys())
+        seen.update(engine.bins)
 
     simulate(instance, policy, delay_cost=delay_cost, observers=[watch])
-    assert len(seen_closed) > 100  # hundreds of bins closed, each seen once
+    assert len(gone) > 100  # hundreds of bins closed

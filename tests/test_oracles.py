@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dynbin import oracles
-from dynbin.core import Instance, Item, UnresolvedDurationError, span, vol, with_durations
+from dynbin.core import Instance, Item, UnresolvedDurationError, vol, with_durations
 from dynbin.engine import Segment, simulate
 from dynbin.algorithms import FirstFitPolicy, make_policy
 from dynbin.generators import gen_fig2, gen_uniform
@@ -25,6 +25,7 @@ from dynbin.oracles import (
     opt_snapshot,
     opt_total,
 )
+from references import span
 
 
 def brute_force_opt(sizes, scale):
