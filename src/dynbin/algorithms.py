@@ -60,7 +60,7 @@ class FirstFitPolicy(Policy):
 
 class SingleClassMigrator:
     """Arrival/departure rules of the bounded-migration single-class
-    algorithm, bound to one bin group, which also keys its migrations.
+    algorithm, bound to one bin group, the ledger's class of its migrations.
     Reused per size class by the complete algorithm and (with f = 1 -
     alpha) by the size-cost one, which pass checked parameters; f comes
     as the integers (numerator, denominator) of the promotion threshold.
@@ -111,7 +111,7 @@ class SingleClassMigrator:
             if dest is None:
                 dest = engine.open_bin(BAD, self.group)
                 targets.append(dest)
-            engine.migrate(item_id, dest.id, "drain", self.group, time)
+            engine.migrate(item_id, dest.id, "drain", time)
             self._relabel(dest)
 
 
@@ -253,8 +253,9 @@ class DelayPolicy(Policy):
 
     Same-time checkpoint migrations are batched: all movers leave their
     bins first, then re-enter first-fit in item-id order, matching the
-    event order of the decomposed sub-instances. The engine's migration
-    count gives the pool an item leaves: small at first, big after.
+    event order of the decomposed sub-instances; the batch is one
+    migrate_first_fit call. The engine's migration count gives each move's
+    rule: small-to-big at first, reshuffle after.
     """
 
     name = "delay"
@@ -281,8 +282,6 @@ class DelayPolicy(Policy):
 
     def on_checkpoints(self, item_ids: list[int], time: float) -> None:
         engine = self.engine
-        for item_id in item_ids:
-            engine.begin_migration(item_id)
         next_checkpoint = time + self.delay_cost + self.sqrt_c
         if next_checkpoint - time <= self.delay_cost:  # the departure keeps pace, forever
             raise SimulationError(
@@ -290,11 +289,11 @@ class DelayPolicy(Policy):
                 " t + C, so the item would never depart"
             )
         migrated = engine.migrations_per_item
+        moves = []  # a loop, not a comprehension: most batches hold one item
         for item_id in item_ids:
-            rule, src_pool = ("reshuffle", "Ib") if item_id in migrated else ("small-to-big", "Is")
-            engine.complete_migration_first_fit(
-                item_id, "Ib", (GOOD,), GOOD, rule, src_pool, time
-            )
+            moves.append((item_id, "reshuffle" if item_id in migrated else "small-to-big"))
+        engine.migrate_first_fit(moves, "Ib", (GOOD,), GOOD, time)
+        for item_id in item_ids:
             engine.schedule_checkpoint(item_id, next_checkpoint)
 
 

@@ -62,13 +62,16 @@ bin to open: it places the item in the earliest-opened bin of the group
 where it fits, trying the labels in turn, else in a new bin, and records
 `open` (if it opened one) and then `place`, as
 `first_fit(group, labels, size)`, `open_bin` and `place` called in turn
-would. `complete_migration_first_fit` does the same for a migration
-staged by `begin_migration`, recording `migrate`. Both run `first_fit`,
-the one first-fit search, which returns the bin or None. A new bin is
-built holding the item and only then enters its group's trees, so each
-changed leaf is written once. `open_bin`, `place`, `complete_migration`
-and `migrate` stay for placements that are not first fit: junk and
-dedicated bins, and the drain, whose targets exclude the draining bin.
+would. `migrate_first_fit` does the same for a batch of migrations: every
+item of the batch leaves its bin first, then each in turn is placed
+first fit and recorded as `migrate`. Both run `first_fit`, the one
+first-fit search, which returns the bin or None. A new bin is built
+holding the item and only then enters its group's trees, so each changed
+leaf is written once. `open_bin`, `place` and `migrate` stay for
+placements that are not first fit: junk and dedicated bins, and the
+drain, whose targets exclude the draining bin. A migration is one call,
+so no engine state outlives the policy call that made it, and its ledger
+entry's `class_key` is the group of the bin the item left.
 
 The engine records what it did in two flat lists of plain values, with
 no object per record. `actions` holds each state change as its action
@@ -168,6 +171,8 @@ class Bin:
 
 
 class LedgerEntry(NamedTuple):
+    """One migration; class_key is the group of the bin the item left."""
+
     time: float
     item: int
     size_num: int
@@ -436,9 +441,7 @@ class Engine:
         self.events: list = []  # time, kind name, item, action count per event
         self.actions: list = []  # action name, then its ACTION_FIELDS values
         self._open_count = 0
-        self._staged: dict[int, int] = {}  # item id -> source bin of a migration
         self._heap: list[tuple[float, int, int]] = []
-        self._arrival_placed = False
 
     # ------------------------------------------------------------------
     # policy-facing API
@@ -519,27 +522,26 @@ class Engine:
         size = self.live[item_id]
         b = self._fit_or_open(item_id, size, group, labels, new_label)
         self.actions.extend(("place", item_id, b.id, size))
-        self._arrival_placed = True
         return b
 
-    def complete_migration_first_fit(
+    def migrate_first_fit(
         self,
-        item_id: int,
+        moves: list[tuple[int, str]],
         group: str,
         labels: tuple[str, ...],
         new_label: str,
-        rule: str,
-        class_key: str,
         time: float,
-    ) -> Bin:
-        """Complete a staged migration first fit, as place_first_fit
-        places an arrival; one call for first_fit, open_bin and
-        complete_migration, recording the same actions."""
-        src = self._staged.pop(item_id)
-        size = self.live[item_id]
-        b = self._fit_or_open(item_id, size, group, labels, new_label)
-        self._migrated(item_id, size, src, b.id, rule, class_key, time)
-        return b
+    ) -> None:
+        """Migrate a batch of (item, rule) pairs: every item leaves its bin
+        first, then each in turn is placed first fit, as place_first_fit
+        places an arrival, and recorded as a migration under its rule."""
+        sources = []  # a loop, not a comprehension: most batches hold one item
+        for item_id, _ in moves:
+            sources.append(self._unplace(item_id))
+        for (item_id, rule), src in zip(moves, sources):
+            size = self.live[item_id]
+            b = self._fit_or_open(item_id, size, group, labels, new_label)
+            self._migrated(item_id, size, src, b.id, rule, time)
 
     def close_bin(self, bin_id: int) -> None:
         b = self.bin(bin_id)
@@ -565,29 +567,12 @@ class Engine:
             raise SimulationError(f"item {item_id} already placed")
         self._attach(item_id, bin_id)
         self.actions.extend(("place", item_id, bin_id, self.live[item_id]))
-        self._arrival_placed = True
 
-    def begin_migration(self, item_id: int) -> int:
-        """Detach an item from its bin; must be completed in the same event."""
-        if item_id not in self.live:
-            raise SimulationError(f"cannot migrate departed item {item_id}")
-        src = self.placement.pop(item_id)
-        self._detach(item_id, self.bins[src])
-        self._staged[item_id] = src
-        return self.size_of(item_id)
-
-    def complete_migration(
-        self, item_id: int, bin_id: int, rule: str, class_key: str, time: float
-    ) -> None:
-        src = self._staged.pop(item_id)
+    def migrate(self, item_id: int, bin_id: int, rule: str, time: float) -> None:
+        """Move a placed item to an open bin, recorded under rule."""
+        src = self._unplace(item_id)
         self._attach(item_id, bin_id)
-        self._migrated(item_id, self.live[item_id], src, bin_id, rule, class_key, time)
-
-    def migrate(
-        self, item_id: int, bin_id: int, rule: str, class_key: str, time: float
-    ) -> None:
-        self.begin_migration(item_id)
-        self.complete_migration(item_id, bin_id, rule, class_key, time)
+        self._migrated(item_id, self.live[item_id], src, bin_id, rule, time)
 
     def schedule_checkpoint(self, item_id: int, time: float) -> None:
         heapq.heappush(self._heap, (time, _CHECKPOINT, item_id))
@@ -647,20 +632,35 @@ class Engine:
         if index is not None:
             index.update(b)
 
+    def _unplace(self, item_id: int) -> Bin:
+        """Take a migrating item out of its bin and return that bin, which
+        may have closed."""
+        if item_id not in self.live:
+            raise SimulationError(f"cannot migrate departed item {item_id}")
+        b = self.bins[self.placement.pop(item_id)]
+        self._detach(item_id, b)
+        return b
+
     def _migrated(
-        self, item_id: int, size: int, src: int, dst: int, rule: str, class_key: str, time: float
+        self, item_id: int, size: int, src: Bin, dst: int, rule: str, time: float
     ) -> None:
-        """Record a completed migration and, under a delay cost, move the
-        item's departure time later; its heap entry follows when popped."""
+        """Record a completed migration, in the ledger under the group of
+        the bin the item left, and, under a delay cost, move the item's
+        departure time later; its heap entry follows when popped."""
         self.ledger.entries.append(
-            LedgerEntry(time, item_id, size, src, dst, class_key, rule)
+            LedgerEntry(time, item_id, size, src.id, dst, src.group, rule)
         )
         self.migrations_per_item[item_id] = self.migrations_per_item.get(item_id, 0) + 1
-        self.actions.extend(("migrate", item_id, src, dst, size))
+        self.actions.extend(("migrate", item_id, src.id, dst, size))
         if self.delay_cost > 0:
             # closed form, not accumulation: keeps the delayed departure
             # bit-identical to arrival + duration + C * migrations
             it = self._live_items[item_id]
+            if it.duration is None:  # its departure is not known yet
+                raise SimulationError(
+                    f"t={time}: item {item_id} migrated under a delay cost"
+                    " before the adversary resolved its duration"
+                )
             new_dep = (
                 it.arrival
                 + it.duration
@@ -738,7 +738,7 @@ class Engine:
             policy.bind(self)
             events, actions = self.events, self.actions
             live, live_items, bins = self.live, self._live_items, self.bins
-            staged = self._staged
+            placement = self.placement
             departure_time = self.departure_time
             if actions:
                 events.extend((None, "SETUP", None, len(actions)))
@@ -785,14 +785,13 @@ class Engine:
                     if duration is not None:
                         departure_time[item_id] = departure = time + duration
                         heappush(heap, (departure, _DEPARTURE, item_id))
-                    self._arrival_placed = False
                     policy.on_arrival(item_id, size, time)
-                    if not self._arrival_placed:
+                    if item_id not in placement:
                         raise SimulationError(
                             f"policy did not place arriving item {item_id}"
                         )
                 elif kind == _DEPARTURE:
-                    b = bins[self.placement.pop(item_id)]
+                    b = bins[placement.pop(item_id)]
                     actions.extend(("depart", item_id, b.id, live[item_id]))
                     self._detach(item_id, b)
                     del live[item_id], live_items[item_id], departure_time[item_id]
@@ -807,11 +806,6 @@ class Engine:
                     policy.on_checkpoints(batch, time)
                 else:  # _RESOLVE
                     self._resolve(time)
-                if staged:
-                    raise SimulationError(
-                        f"t={time}: the migration of item {next(iter(staged))}"
-                        " was begun and not completed in the same event"
-                    )
 
                 end = len(actions)
                 events.extend((time, EVENT_NAMES[kind], item_id, end - start))

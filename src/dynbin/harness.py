@@ -367,7 +367,8 @@ def check_migration_budget(
     per_class = result.ledger.per_class()
     if not per_class:
         return
-    # alg1 keeps its one class under "class", which holds every item
+    # a migration's class is the group of the bin it left; alg1's one
+    # group, "class", holds every item
     class_sizes: dict[str, int] = {"class": n}
     for size, count in Counter(it.size_num for it in instance.items).items():
         key = f"class:{algorithms.size_class(size, instance.scale)}"

@@ -645,6 +645,24 @@ def test_a_run_the_engine_stops_is_a_one_line_error(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_delay_run_on_deferred_durations_is_a_one_line_error(tmp_path, command):
+    # item 0's checkpoint, at t = sqrt(C) = 2, comes before the adversary
+    # resolves its duration at t=10, the last deferred arrival: the delay
+    # its migration adds has no departure time to move
+    path = tmp_path / "inst.jsonl"
+    items = (Item(0, 0.0, 3, None), Item(1, 10.0, 3, None))
+    adversary = {"name": "longest-per-bin", "mu": 5, "long_count": 1}
+    write_jsonl(Instance(items=items, scale=8, adversary=adversary), path)
+    result = invoke(command, path, "--alg", "delay", "--delay-c", "4")
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == (
+        "Error: t=2.0: item 0 migrated under a delay cost before the adversary"
+        " resolved its duration\n"
+    )
+
+
 def test_a_delay_config_past_float_resolution_ends_in_one_error_line(tmp_path):
     # arrivals up to 1e17, where floats lie 16 apart: the delay policy used
     # to migrate an item there forever; a subprocess, so a hang times out

@@ -186,22 +186,27 @@ class TestEngineGuards:
         with pytest.raises(SimulationError):
             simulate(inst([Item(0, 0.0, 1, 1.0)]), Flipper())
 
-    def test_a_migration_must_end_in_the_event_that_began_it(self):
-        # item 0 detached while item 1 arrives; it used to stay staged
-        # until its departure found it in no bin, a raw KeyError
-        class Abandoner(Policy):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda engine, time: engine.migrate(0, engine.placement[1], "late", time),
+            lambda engine, time: engine.migrate_first_fit(
+                [(1, "late"), (0, "late")], "g", (GOOD,), GOOD, time
+            ),
+        ],
+        ids=["migrate", "migrate_first_fit"],
+    )
+    def test_a_departed_item_cannot_migrate(self, call):
+        # item 0 departs at t=1, before item 1 arrives
+        class Late(Policy):
             def on_arrival(self, item_id, size_num, time):
                 self.engine.place_first_fit(item_id, "g", (GOOD,), GOOD)
                 if item_id == 1:
-                    self.engine.begin_migration(0)
+                    call(self.engine, time)
 
-        instance = inst([Item(0, 0.0, 1, 2.0), Item(1, 1.0, 1, 2.0)])
-        with pytest.raises(
-            SimulationError,
-            match=r"^t=1\.0: the migration of item 0 was begun and not completed"
-            " in the same event$",
-        ):
-            simulate(instance, Abandoner())
+        instance = inst([Item(0, 0.0, 1, 1.0), Item(1, 2.0, 1, 2.0)])
+        with pytest.raises(SimulationError, match=r"^cannot migrate departed item 0$"):
+            simulate(instance, Late())
 
 
 class TestDeterminism:
@@ -305,7 +310,7 @@ class TestVerifyPacking:
                 b = self.engine.first_fit("g", (GOOD,), size_num) or self.engine.open_bin(GOOD, "g")
                 self.engine.place(item_id, b.id)
                 if item_id == 1:
-                    self.engine.migrate(0, b.id, "shuffle", "g", time)
+                    self.engine.migrate(0, b.id, "shuffle", time)
 
         r = simulate(inst([Item(0, 0.0, 2, 2.0), Item(1, 1.0, 2, 2.0)]), Shuffle())
         assert ["migrate", 0, 0, 0, 2] == r.actions[self.first(r, "migrate") :][:5]
@@ -507,7 +512,7 @@ class Revisit(Policy):
 def migrate_into(engine, bin_id, item_id):
     """Place the arriving item in a bin of its own, then migrate it to bin_id."""
     engine.place(item_id, engine.open_bin(GOOD, "g").id)
-    engine.migrate(item_id, bin_id, "revisit", "g", 2.0)
+    engine.migrate(item_id, bin_id, "revisit", 2.0)
 
 
 CALLS = {

@@ -65,11 +65,25 @@ def outcome(observer, engine, time):
     return None
 
 
+def source_groups(result):
+    """The group of each migration's source bin, read from the bin's
+    `open` record, in ledger order."""
+    groups, sources = {}, []
+    for event in result.trace:
+        for act in event["actions"]:
+            if act["action"] == "open":
+                groups[act["bin"]] = act["group"]
+            elif act["action"] == "migrate":
+                sources.append(groups[act["src"]])
+    return sources
+
+
 def compare(instance, policy, scale=None, delay_cost=0.0):
     """Run both observers after every event up to the first violation;
     returns the number of events compared and that violation, if any.
     At the instance's own scale, the replay of the stored run that
-    checked_run makes must find the same first violation."""
+    checked_run makes must find the same first violation. Every
+    migration's ledger class must be the group of the bin it left."""
     scale = instance.scale if scale is None else scale
     reference, incremental = rescan_observer(scale), bad_bin_observer(scale)
     seen = []
@@ -82,6 +96,7 @@ def compare(instance, policy, scale=None, delay_cost=0.0):
         seen.append(expected)
 
     result = simulate(instance, policy, delay_cost=delay_cost, observers=[both])
+    assert [e.class_key for e in result.ledger.entries] == source_groups(result)
     first = seen[-1] if seen else None
     if scale == instance.scale:
         broken = check_records(result)[1]
@@ -104,10 +119,13 @@ def test_matches_rescan_on_acceptance_shapes(name):
     instances += [gen_uniform(25, 8, (1.0, 4 * math.sqrt(100.0)), 10.0, 0)]
     # about 40 live items over 600 arrivals, so bins and junk phases close
     instances += [gen_uniform(600, 16, (1.0, 2.0), 600 * 1.5 / 40, 3)]
+    migrations = 0
     for instance in instances:
         policy, delay_cost = POLICIES[name]()
         events, violation = compare(instance, policy, delay_cost=delay_cost)
         assert events > 0 and violation is None
+        migrations += policy.engine.ledger.unit_count
+    assert (migrations > 0) == (name != "firstfit")  # compare checked their classes
     fig2 = gen_fig2(4, 10.0)
     policy, delay_cost = POLICIES[name]()
     assert compare(fig2, policy, delay_cost=delay_cost)[1] is None
@@ -145,7 +163,7 @@ class Meddler(Policy):
                 if c is not b and c.load + size_num <= engine.scale
             ]
             dest = fits[0] if fits else engine.open_bin(b.label, b.group)
-            engine.migrate(item_id, dest.id, "meddle", b.group, time)
+            engine.migrate(item_id, dest.id, "meddle", time)
 
     def on_departure(self, item_id, b, time):
         self.inner.on_departure(item_id, b, time)
@@ -297,7 +315,7 @@ class JunkShuttle(Policy):
     def on_arrival(self, item_id, size_num, time):
         self.engine.place(item_id, self.junk.id)
         dest = self.engine.open_bin(JUNK, "junk:1")
-        self.engine.migrate(item_id, dest.id, "shuttle", "junk:1", time)
+        self.engine.migrate(item_id, dest.id, "shuttle", time)
 
 
 def test_junk_loads_follow_migrations_out():

@@ -1,11 +1,14 @@
 """The one-call first-fit placement against the calls it replaces.
 
-`Engine.place_first_fit` and `Engine.complete_migration_first_fit` search,
-open a bin if nothing fits and attach the item in one call. The reference
-policies below make the same decisions the way every policy did before:
-`first_fit` per label, then `open_bin`, then `place` or
-`complete_migration`. Both must leave identical records, and the
-first-fit trees must stay what a fresh build from the open bins gives.
+`Engine.place_first_fit` searches, opens a bin if nothing fits and
+attaches the item in one call; `Engine.migrate_first_fit` does the same
+for a batch of migrations, every item leaving its bin first. The
+reference policies below make the same decisions as separate calls:
+`first_fit` per label, then `open_bin`, then `place`, or for a batch,
+each item staged out of its bin, then `first_fit`, `open_bin` and an
+attach per item, on a test-side engine built from the engine's private
+helpers. Both must leave identical records, and the first-fit trees
+must stay what a fresh build from the open bins gives.
 """
 
 from fractions import Fraction
@@ -31,6 +34,26 @@ class TreesOnlyEngine(Engine):
     bins are open."""
 
     SCAN_LIMIT = 0
+
+
+class StagingEngine(Engine):
+    """Offers a migration as two calls: one takes the item out of its
+    bin, the other attaches it to a bin of the caller's choice."""
+
+    def begin_migration(self, item_id):
+        return self._unplace(item_id)
+
+    def complete_migration(self, item_id, src, bin_id, rule, time):
+        self._attach(item_id, bin_id)
+        self._migrated(item_id, self.live[item_id], src, bin_id, rule, time)
+
+
+class StagingTreesOnlyEngine(StagingEngine):
+    SCAN_LIMIT = 0
+
+
+# the engine each reference policy runs on, per engine under test
+STAGING = {Engine: StagingEngine, TreesOnlyEngine: StagingTreesOnlyEngine}
 
 
 class ReferenceMigrator(SingleClassMigrator):
@@ -73,11 +96,11 @@ class ReferenceDelay(DelayPolicy):
     def on_checkpoints(self, item_ids, time):
         engine = self.engine
         staged = [(i, engine.begin_migration(i)) for i in sorted(item_ids)]
-        for item_id, size_num in staged:
-            src_pool = self.location[item_id]
+        for item_id, src in staged:
+            size_num = engine.size_of(item_id)
             dest = engine.first_fit("Ib", (GOOD,), size_num) or engine.open_bin(GOOD, "Ib")
-            rule = "small-to-big" if src_pool == "Is" else "reshuffle"
-            engine.complete_migration(item_id, dest.id, rule, src_pool, time)
+            rule = "small-to-big" if self.location[item_id] == "Is" else "reshuffle"
+            engine.complete_migration(item_id, src, dest.id, rule, time)
             self.location[item_id] = "Ib"
             engine.schedule_checkpoint(item_id, time + self.delay_cost + self.sqrt_c)
 
@@ -104,6 +127,17 @@ POLICIES = {
     "delay": (lambda: DelayPolicy(4.0), lambda: ReferenceDelay(4.0), 4.0),
 }
 
+
+def on_grid(instance):
+    """The instance with arrivals floored and durations raised to whole
+    numbers, so many items share each delay checkpoint time."""
+    items = tuple(
+        Item(it.id, float(int(it.arrival)), it.size_num, float(int(it.duration) + 1))
+        for it in instance.items
+    )
+    return Instance(items=items, scale=instance.scale)
+
+
 INSTANCES = [
     # about 40 live items over 300 arrivals: hundreds of bins close
     lambda seed: gen_uniform(300, 16, (1.0, 2.0), 300 * 1.5 / 40, seed),
@@ -114,6 +148,9 @@ INSTANCES = [
     # about 100 live items on a coarse grid: long first-fit searches, and
     # delay items that migrate more than once
     lambda seed: gen_uniform(200, 8, (1.0, 8.0), 8.0, seed),
+    # whole-number times: many delay items share each checkpoint time,
+    # so the batches hold several
+    lambda seed: on_grid(gen_uniform(200, 8, (1.0, 8.0), 20.0, seed)),
 ]
 
 
@@ -136,13 +173,16 @@ def test_one_call_placement_matches_the_separate_calls(monkeypatch, engine_cls, 
         result = engine_cls(instance, make(), delay_cost).run()
         with monkeypatch.context() as patch:
             patch.setattr(algorithms, "SingleClassMigrator", ReferenceMigrator)
-            expected = engine_cls(instance, make_reference(), delay_cost).run()
+            expected = STAGING[engine_cls](instance, make_reference(), delay_cost).run()
         assert records(result) == records(expected)
         assert result.times == expected.times
         assert result.open_counts == expected.open_counts
         assert result.departures == expected.departures
     if name in ("alg1", "alg2", "delay"):
         assert result.ledger.entries  # the migration path ran on the last instance
+    if name == "delay":  # and some batch moved more than one item
+        times = [e.time for e in result.ledger.entries]
+        assert len(set(times)) < len(times)
 
 
 def test_a_new_bin_leaf_is_written_once(monkeypatch):
