@@ -1,13 +1,15 @@
 """Bit-identity of simulation outputs.
 
-Each case hashes `result.to_json()` and the full trace of every run it
-makes. The expected digests were recorded on the engine that scanned
-every bin ever opened on each placement; the open-bin index and the
-first-fit trees must reproduce bin ids, ledgers, departures and traces
-exactly. When the size-desc drain order was removed, the alg1 and alg2
-runs on long_run(1) that used it turned to id order. The alg1 digest was
-re-recorded then, computed by the code from before the removal; alg2's
-stayed, since its size-desc run equals its id-order one.
+Each case hashes `result.to_json()` of every run it makes, and apart
+from it the full trace of each, so a change to the records alone shows
+as a trace digest with the result digest unchanged. The expected digests
+were recorded on the engine that scanned every bin ever opened on each
+placement; the open-bin index and the first-fit trees must reproduce
+bin ids, ledgers, departures and traces exactly. When the size-desc
+drain order was removed, the alg1 and alg2 runs on long_run(1) that
+used it turned to id order. The alg1 digest was re-recorded then,
+computed by the code from before the removal; alg2's stayed, since its
+size-desc run equals its id-order one.
 """
 
 import hashlib
@@ -92,23 +94,39 @@ CASES = {
     "delay": runs_delay,
 }
 
+# per policy: the digest of every run's `to_json()`, then of every trace
 EXPECTED = {
-    "firstfit": "ec6ab163fb5ff42b523c81ac946c431ed49c5df6af922215fcd8304b3eeb332d",
-    "alg1": "1d3012e119e0dedb7b7a9ba81e5dd6ac643699f3aff9921ccdccd920eb035afc",
-    "alg2": "77beea9b9fe5a215bca618f8cddb1427d6373a64a448f1c4b89ac34f9463f5bb",
-    "sizecost": "b2b5db77afa0c4cb295956c9e799dd0183fdfe161157069aa85c764b41e4d421",
-    "delay": "537103db614d6f1cbc07ec5725e4ae1651d240c5fe2e6c69d86ec5633a76a0fb",
+    "firstfit": (
+        "4dc84210ca9304e4adb0c55edb33641a3888382b286408ffc922d95ad6178651",
+        "55e95244a807bcca3b56c23b061abafff6f86340713ebb2e225002bb059f42cb",
+    ),
+    "alg1": (
+        "59bc44904cdccbc4bb15fd39f605a932dc048496757c1fa8f0de8e906c8aae21",
+        "510aa01096d163a79595d0fd4520509a5653288b753a94f67b4f9189b61a6a26",
+    ),
+    "alg2": (
+        "3e39509680be755b1f1a61fb0a6f9f9d860a6e46591abeee26c4311d89e84679",
+        "7cea999df1cd42740cc78ebd66ee1e939c200cb3eb88cbb8ebe560dc27c44b82",
+    ),
+    "sizecost": (
+        "97b6675e87dd6f6ca26bd7aafb46d67f646731983ba33370d3a5de2e946a3b83",
+        "1d0be5b6e087419d9b19365182674bbb60dc528d9505299fead6b5a3c1b98cdb",
+    ),
+    "delay": (
+        "d012549833fec4167a4ab29b4896e9f65ee4541e707cf666a2629563372e6a69",
+        "9bed25d3d7a42ffd3ee28924370e7505ee09dc1e5f4c8cdd6eee31c9c8ecc7d8",
+    ),
 }
 
 
-def digest(runs) -> str:
-    h = hashlib.sha256()
+def digests(runs) -> tuple[str, str]:
+    results, traces = hashlib.sha256(), hashlib.sha256()
     for result in runs:
-        h.update(result.to_json().encode())
-        h.update(json.dumps(result.trace, sort_keys=True).encode())
-    return h.hexdigest()
+        results.update(result.to_json().encode())
+        traces.update(json.dumps(result.trace, sort_keys=True).encode())
+    return results.hexdigest(), traces.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_and_traces_are_bit_identical(name):
-    assert digest(CASES[name]()) == EXPECTED[name]
+    assert digests(CASES[name]()) == EXPECTED[name]
