@@ -67,7 +67,13 @@ class SingleClassMigrator:
 
     Both thresholds are turned into integers once: a Bad bin turns Good
     when load * f_den >= f_num * scale, and a Good bin is drained when
-    load * alpha.denominator < alpha.numerator * scale."""
+    load * alpha.denominator < alpha.numerator * scale. A bin opens under
+    the label its first item earns, Good if that item alone reaches f,
+    else Bad, so no record shows a Bad bin at f. Where every item either
+    fits any Bad bin or reaches f alone, as in one size class, a group
+    then holds at most one Bad bin after every record, not only at the
+    end of each event. A drained item is below alpha < f, so a bin the
+    drain opens is Bad."""
 
     def __init__(
         self, engine: Engine, group: str, alpha: Fraction, f: tuple[int, int]
@@ -78,14 +84,20 @@ class SingleClassMigrator:
         self._good_at = (f_num * engine.scale, f_den)
         self._drain_below = (alpha.numerator * engine.scale, alpha.denominator)
 
+    def _new_label(self, size: int) -> str:
+        threshold, den = self._good_at
+        return GOOD if size * den >= threshold else BAD
+
     def _relabel(self, b) -> None:
         threshold, den = self._good_at
         if b.label == BAD and b.load * den >= threshold:
             self.engine.set_label(b.id, GOOD)
 
-    def place(self, item_id: int) -> None:
-        # first fit over Bad bins, then Good bins, then a new Bad bin
-        self._relabel(self.engine.place_first_fit(item_id, self.group, (BAD, GOOD), BAD))
+    def place(self, item_id: int, size: int) -> None:
+        # first fit over Bad bins, then Good bins, then a new bin: Good if
+        # the item alone reaches f, else Bad
+        b = self.engine.place_first_fit(item_id, self.group, (BAD, GOOD), self._new_label(size))
+        self._relabel(b)
 
     def handle_departure(self, b: Bin, time: float) -> None:
         engine = self.engine
@@ -109,7 +121,7 @@ class SingleClassMigrator:
                     dest = t
                     break
             if dest is None:
-                dest = engine.open_bin(BAD, self.group)
+                dest = engine.open_bin(self._new_label(size), self.group)
                 targets.append(dest)
             engine.migrate(item_id, dest.id, "drain", time)
             self._relabel(dest)
@@ -134,7 +146,7 @@ class SingleClassPolicy(Policy):
         )
 
     def on_arrival(self, item_id: int, size_num: int, time: float) -> None:
-        self.migrator.place(item_id)
+        self.migrator.place(item_id, size_num)
 
     def on_departure(self, item_id: int, b: Bin, time: float) -> None:
         self.migrator.handle_departure(b, time)
@@ -200,7 +212,7 @@ class MultiClassPolicy(Policy):
             self._double(time)
         c = (engine.scale // size_num).bit_length() - 1  # size_class, inlined
         if c < self.rho.bit_length() - 1:
-            self.classes[c].place(item_id)
+            self.classes[c].place(item_id, size_num)
         else:
             # overflow here would be a real bug: the per-phase small items
             # always fit in one junk bin
@@ -239,7 +251,7 @@ class SizeCostPolicy(Policy):
             b = self.engine.open_bin(DEDICATED, "dedicated")
             self.engine.place(item_id, b.id)
         else:
-            self.migrator.place(item_id)
+            self.migrator.place(item_id, size_num)
 
     def on_departure(self, item_id: int, b: Bin, time: float) -> None:
         if b.group == "shared":

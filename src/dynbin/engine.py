@@ -89,7 +89,11 @@ first few. Actions a policy takes while binding form a first
 it reads each field by its position, each step the events appended since
 the last, and looks for a junk_load or bad_bins violation only after an
 event that took a bin over scale, gave a group a second Bad bin or gave
-class 0 one, the only events that can break either check.
+class 0 one, the only events that can break either check. A record that
+does so marks its event even if a later record of the event undoes it.
+The bundled policies write no such record on a clean run: a single-class
+bin opens Good when its first item alone reaches f, not Bad and then
+relabeled, so a clean event never searches.
 `SimulationResult.trace` builds the old list of dicts on demand.
 The segments of constant open-bin count are kept the same way, as two flat
 columns: `times`, the boundaries, and `open_counts`, one per segment;
@@ -881,7 +885,10 @@ class Replay:
         but only one that takes the count past 1 or is in class 0 marks
         the event: a clean event leaves each count at most 1 and class 0
         at 0, so only such a rise, or a bin over scale, can leave a
-        violation, and `_violation` runs only then. A step that finds one
+        violation, and `_violation` runs only then. A rise marks the event
+        even if a later record of it brings the count back; the bundled
+        policies write none on a clean run, since a single-class bin
+        opens Good when its first item reaches f. A step that finds one
         new event, as each of bad_bin_observer's steps after its first
         does, reads it with no islice."""
         scale, over, rose, shut = self.scale, self._over, self._rose, self._shut

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynbin import cli, harness
 from dynbin.core import Instance, Item
-from dynbin.engine import BAD, GOOD, SimulationError, simulate
+from dynbin.engine import ACTION_FIELDS, BAD, GOOD, SimulationError, simulate
 from dynbin.algorithms import (
     ALGORITHMS,
     DelayPolicy,
@@ -230,7 +231,8 @@ class TestMultiClass:
         # f_0 = 1/2 and f_c = 1 - 2^-c, times scale 64. Real class-0 items
         # exceed half a bin, so the policy below sends every item to the
         # class-c rules whatever its size: a Bad bin at f_c * scale - 1
-        # stays Bad, and one more unit turns it Good
+        # stays Bad, and one more unit turns it Good; a bin whose first
+        # item is f_c * scale opens Good, with no relabel
         class OneClass(MultiClassPolicy):
             def bind(self, engine):
                 super().bind(engine)
@@ -238,16 +240,20 @@ class TestMultiClass:
                     self._start_class(k)
 
             def on_arrival(self, item_id, size_num, time):
-                self.classes[c].place(item_id)
+                self.classes[c].place(item_id, size_num)
 
         labels = []
 
         def watch(engine, time):
             labels.append([b.label for b in engine.bins.values() if b.group == f"class:{c}"])
 
-        items = [Item(0, 0.0, good_at - 1, 2.0), Item(1, 1.0, 1, 2.0)]
-        simulate(inst(items, scale=64), OneClass(Fraction(1, 4)), observers=[watch])
+        items = [Item(0, 0.0, good_at - 1, 2.0), Item(1, 1.0, 1, 2.0), Item(2, 4.0, good_at, 1.0)]
+        r = simulate(inst(items, scale=64), OneClass(Fraction(1, 4)), observers=[watch])
         assert labels[:2] == [[BAD], [GOOD]]
+        assert labels[4] == [GOOD]  # after item 2 arrives into an empty group
+        (arrival,) = [e for e in r.trace if e["time"] == 4.0]
+        assert [a["action"] for a in arrival["actions"]] == ["open", "place"]
+        assert arrival["actions"][0]["label"] == GOOD
 
 
 class TestSizeCost:
@@ -295,6 +301,170 @@ class TestSizeCost:
         items = [Item(i, 0.0, 4, 2.0) for i in range(6)]
         simulate(inst(items), SizeCostPolicy(Fraction(1, 4)), observers=[watch])
         assert counts and all(c == 1 for c in counts)
+
+
+def alg2_f(group):
+    """f_c of alg2's class c: 1/2 for class 0, else 1 - 2^-c; None for a
+    junk bin."""
+    if not group.startswith("class:"):
+        return None
+    c = int(group[len("class:"):])
+    return 1 - Fraction(1, 2**c) if c else Fraction(1, 2)
+
+
+# id -> (the policy, f of a group's bins (None where no rule opens them),
+# and for alg1 the f whose reach its items are kept within)
+ONE_BAD_BIN = {
+    **{
+        f"alg1 f={f}": (
+            lambda f=f: SingleClassPolicy(Fraction(1, 4), f), lambda group, f=f: f, f
+        )
+        for f in (Fraction(1, 2), Fraction(3, 4), Fraction(1))
+    },
+    **{
+        f"alg2 alpha={alpha}": (lambda alpha=alpha: MultiClassPolicy(alpha), alg2_f, None)
+        for alpha in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
+    },
+    "sizecost": (
+        lambda: SizeCostPolicy(Fraction(1, 4)),
+        lambda group: Fraction(3, 4) if group == "shared" else None,
+        None,
+    ),
+}
+
+
+def reach(scale, f):
+    """The largest item that fits every bin below f of the bin, the most
+    a Bad bin of alg1 at f can hold."""
+    return scale + 1 - math.ceil(f * scale)
+
+
+def within_reach(instance, f):
+    """The instance with every size alg1 at f may meet with two Bad bins
+    (one that fits no Bad bin and opens a bin below f) cut to reach(scale,
+    f). A single size class is within reach, and so is every size at f =
+    1/2; on other sizes alg1 keeps no one-Bad-bin bound."""
+    scale, top = instance.scale, reach(instance.scale, f)
+    items = tuple(
+        it if it.size_num <= top or it.size_num >= f * scale else it._replace(size_num=top)
+        for it in instance.items
+    )
+    return Instance(items=items, scale=scale)
+
+
+def walk_records(result, f_of):
+    """Reads the records one at a time. After each, every group holds at
+    most one Bad bin and class 0 none; each bin f_of gives an f opens
+    Good if the item that first fills it reaches f, else Bad. Returns the
+    number of bins opened Good and of bins a drain opened."""
+    actions, scale = result.actions, result.scale
+    bins, bad, unfilled = {}, {}, {}
+    opened_good = drain_opened = 0
+    i = 0
+    while i < len(actions):
+        kind = actions[i]
+        n = 1 + len(ACTION_FIELDS[kind])
+        record = actions[i : i + n]
+        if kind == "open":
+            _, b, label, group = record
+            bins[b] = [group, label]
+            if f_of(group) is not None:
+                unfilled[b] = label
+            if label == BAD:
+                bad[group] = bad.get(group, 0) + 1
+        elif kind == "close":
+            group, label = bins.pop(record[1])
+            if label == BAD:
+                bad[group] -= 1
+        elif kind == "label":
+            _, b, old, new = record
+            bins[b][1] = new
+            group = bins[b][0]
+            bad[group] = bad.get(group, 0) + (new == BAD) - (old == BAD)
+        elif kind in ("place", "migrate"):
+            b, size = record[-2], record[-1]
+            label = unfilled.pop(b, None)
+            if label is not None:
+                f = f_of(bins[b][0])
+                assert label == (GOOD if size >= f * scale else BAD), f"record at {i}"
+                opened_good += label == GOOD
+                drain_opened += kind == "migrate"
+        for group, count in bad.items():
+            assert count <= 1, f"{count} Bad bins in {group} after the record at {i}"
+        assert not bad.get("class:0"), f"a Bad bin in class 0 after the record at {i}"
+        i += n
+    return opened_good, drain_opened
+
+
+@st.composite
+def small_instances(draw, f):
+    """Up to 40 items on a grid of 2 to 16, within alg1's reach at f if
+    f is given."""
+    scale = draw(st.integers(2, 16))
+    sizes = range(1, scale + 1)
+    if f is not None:
+        sizes = [s for s in sizes if s <= reach(scale, f) or s >= f * scale]
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 4), st.sampled_from(sizes)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    items = tuple(Item(i, float(a), s, float(d)) for i, (a, d, s) in enumerate(rows))
+    return Instance(items=items, scale=scale)
+
+
+class TestOneBadBinAtEveryRecord:
+    """A single-class bin opens Good when its first item reaches f, so no
+    record, not only no event's end, leaves a group two Bad bins or class
+    0 one."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_BAD_BIN))
+    def test_on_the_acceptance_shapes(self, name):
+        make, f_of, f = ONE_BAD_BIN[name]
+        instances = [gen_uniform(40, 16, (1.0, 2.0), 20.0, seed) for seed in range(5)]
+        # about 40 live items over 600 arrivals, so bins close and drain
+        instances.append(gen_uniform(600, 16, (1.0, 2.0), 600 * 1.5 / 40, 3))
+        opened_good = drain_opened = 0
+        for instance in instances:
+            if f is not None:
+                instance = within_reach(instance, f)
+            good, drained = walk_records(simulate(instance, make()), f_of)
+            opened_good += good
+            drain_opened += drained
+        # sizecost's shared items are below alpha < f, so it opens none Good;
+        # alg2's drains at alpha = 1/10 find a target for every item here
+        assert (opened_good > 0) == (name != "sizecost")
+        assert (drain_opened > 0) == (name != "alg2 alpha=1/10")
+
+    @pytest.mark.parametrize("name", sorted(ONE_BAD_BIN))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_on_drawn_instances(self, name, data):
+        make, f_of, f = ONE_BAD_BIN[name]
+        walk_records(simulate(data.draw(small_instances(f)), make()), f_of)
+
+    def test_a_drain_opens_a_bin_for_its_resident(self):
+        # alpha = 1/4, f = 1/2 at scale 8: bin 0 holds items 0, 1 and 4,
+        # bin 1 items 2 and 3, both full. Items 4 and 0 leave bin 0 with
+        # item 1 alone, below alpha, and full bin 1 cannot take it, so the
+        # drain opens bin 2. A drained resident is below alpha < f, so the
+        # bin a drain opens is Bad.
+        items = [
+            Item(0, 0.0, 4, 2.0),
+            Item(1, 0.0, 1, 10.0),
+            Item(2, 0.0, 4, 10.0),
+            Item(3, 0.0, 4, 10.0),
+            Item(4, 0.0, 3, 1.0),
+        ]
+        r = simulate(inst(items), SingleClassPolicy(Fraction(1, 4), Fraction(1, 2)))
+        opens = [a["label"] for e in r.trace if e["time"] == 0.0 for a in e["actions"] if a["action"] == "open"]
+        assert opens == [GOOD, GOOD]  # items 0 and 2 reach f alone
+        (drain,) = [e for e in r.trace if e["time"] == 2.0]
+        assert [a["action"] for a in drain["actions"]] == ["depart", "open", "close", "migrate"]
+        assert drain["actions"][1] == {"action": "open", "bin": 2, "label": BAD, "group": "class"}
+        assert walk_records(r, lambda group: Fraction(1, 2)) == (2, 1)
 
 
 def stop_after_200_events():

@@ -59,14 +59,14 @@ STAGING = {Engine: StagingEngine, TreesOnlyEngine: StagingTreesOnlyEngine}
 class ReferenceMigrator(SingleClassMigrator):
     """The single-class arrival rule as separate engine calls."""
 
-    def place(self, item_id):
+    def place(self, item_id, size_num):
         engine = self.engine
-        size_num = engine.size_of(item_id)
         target = engine.first_fit(self.group, (BAD,), size_num)
         if target is None:
             target = engine.first_fit(self.group, (GOOD,), size_num)
-        if target is None:
-            target = engine.open_bin(BAD, self.group)
+        if target is None:  # Good if the item alone reaches f
+            threshold, den = self._good_at
+            target = engine.open_bin(GOOD if size_num * den >= threshold else BAD, self.group)
         engine.place(item_id, target.id)
         self._relabel(target)
 

@@ -9,7 +9,11 @@ bin ids, ledgers, departures and traces exactly. When the size-desc
 drain order was removed, the alg1 and alg2 runs on long_run(1) that
 used it turned to id order. The alg1 digest was re-recorded then,
 computed by the code from before the removal; alg2's stayed, since its
-size-desc run equals its id-order one.
+size-desc run equals its id-order one. The alg1 and alg2 trace digests
+were re-recorded when a single-class bin began to open Good for a first
+item that reaches f: each such bin's `open` says Good and the `label`
+record that turned it Good in the same event is gone, while the result
+digests stayed.
 """
 
 import hashlib
@@ -102,11 +106,11 @@ EXPECTED = {
     ),
     "alg1": (
         "59bc44904cdccbc4bb15fd39f605a932dc048496757c1fa8f0de8e906c8aae21",
-        "510aa01096d163a79595d0fd4520509a5653288b753a94f67b4f9189b61a6a26",
+        "96a76366d85961c0ba3ae589357f059a94afd9841a8bc584d697e95228881295",
     ),
     "alg2": (
         "3e39509680be755b1f1a61fb0a6f9f9d860a6e46591abeee26c4311d89e84679",
-        "7cea999df1cd42740cc78ebd66ee1e939c200cb3eb88cbb8ebe560dc27c44b82",
+        "111a77c8a0179ab57717143e19c31d0dd250dd0acee3c096672c91e8b4a43d69",
     ),
     "sizecost": (
         "97b6675e87dd6f6ca26bd7aafb46d67f646731983ba33370d3a5de2e946a3b83",
