@@ -340,10 +340,10 @@ def reach(scale, f):
 
 
 def within_reach(instance, f):
-    """The instance with every size alg1 at f may meet with two Bad bins
-    (one that fits no Bad bin and opens a bin below f) cut to reach(scale,
-    f). A single size class is within reach, and so is every size at f =
-    1/2; on other sizes alg1 keeps no one-Bad-bin bound."""
+    """The instance with each size that can give alg1 at f a second Bad
+    bin, one above reach(scale, f) and below f, cut to reach(scale, f).
+    Every size is within reach at f = 1/2, and so is size class c at
+    alg2's f_c; beyond reach alg1 keeps no bound of one Bad bin."""
     scale, top = instance.scale, reach(instance.scale, f)
     items = tuple(
         it if it.size_num <= top or it.size_num >= f * scale else it._replace(size_num=top)
