@@ -821,8 +821,13 @@ def cmd_run(config: ExperimentConfig) -> dict:
         # imported here: the pool's modules cost every other run setup time
         from concurrent.futures import ProcessPoolExecutor
 
+        # about four chunks of trials per worker: one trial per task spends
+        # more on pickling and queueing than a small trial takes to run
+        chunksize = max(1, -(-len(seeds) // (4 * config.jobs)))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(run_trial, repeat(config), seeds, repeat(params)))
+            rows = list(
+                pool.map(run_trial, repeat(config), seeds, repeat(params), chunksize=chunksize)
+            )
     else:
         # looked up per trial: the benchmark times trials by patching run_trial
         rows = [run_trial(config, seed, params) for seed in seeds]

@@ -5,11 +5,10 @@ upper bounds for the randomized lower-bound instances."""
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable
 
 from .core import Instance, UnresolvedDurationError, vol
 
@@ -28,35 +27,51 @@ class TimeBudgetExceeded(RuntimeError):
     pass
 
 
-def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int:
-    """First-Fit-Decreasing bin count of a snapshot given as counts of each
-    size numerator and order, those sizes descending: O(sizes * runs).
+def _ffd_counts(
+    room: list[int],
+    width: list[int],
+    bins: int,
+    counts: dict[int, int],
+    small: list[int],
+    scale: int,
+) -> int:
+    """First-Fit-Decreasing bin count of a snapshot, given the bins FFD
+    opens for its sizes above half a bin and, apart, its sizes up to half
+    a bin: O(small * runs), and O(small * log runs) for the runs no small
+    size has touched.
 
     The bins that still have room are kept as runs, in opening order: a run
-    is a stretch of neighbouring bins with the same residual room. First
-    fit treats a run as one, which keeps the count exact: the copies of a
-    size that reach it fill its first bin before the next, k = room // size
-    to a bin. If there are enough, every bin of the run takes k; otherwise
-    the c left fill its first q = c // k bins and put c % k in the next
-    one. That run is split in place: its first piece takes its slot and at
-    most two more are inserted after it, and bins filled to the brim leave
-    the run, or shrink its width, with no new list. A size above half a
-    bin fits in no open bin, since one at least as large opened each, so
-    its copies open one run of new bins with no scan. A full bin leaves
-    the runs."""
-    room: list[int] = []  # residual room of each run, in opening order
-    width: list[int] = []  # number of bins in each run
-    runs = bins = 0  # runs == len(room)
-    for s in order:
+    is a stretch of neighbouring bins with the same residual room. A size
+    above half a bin fits in no open bin, since one at least as large
+    opened each, so its copies open one run of new bins, room scale - s and
+    width its count, and bins counts them (copies of scale open no run).
+    Those sizes are distinct and taken in descending order, so room and
+    width come in with room ascending; the kernel packs into them in place
+    (its caller hands it copies) the sizes of small, ascending, whose
+    copies counts holds.
+
+    First fit treats a run as one, which keeps the count exact: the copies
+    of a size that reach it fill its first bin before the next, k = room //
+    size to a bin. If there are enough, every bin of the run takes k;
+    otherwise the c left fill its first q = c // k bins and put c % k in the
+    next one. That run is split in place: its first piece takes its slot
+    and at most two more are inserted after it, and bins filled to the brim
+    leave the run, or shrink its width, with no new list. A full bin leaves
+    the runs.
+
+    The runs before the first one a small size has touched still ascend in
+    room, so each small size finds its first fit among them with
+    bisect_left, and scans run by run only from there or, if none of them
+    fits, from the first touched run on. The run it touches first ends that
+    sorted prefix: filling lowers its room, and splits and new bins land
+    after it."""
+    runs = len(room)
+    sorted_runs = runs  # room[:sorted_runs] ascends, untouched by any small size
+    for s in reversed(small):
         c = counts[s]
-        if 2 * s > scale:
-            bins += c
-            if s < scale:
-                room.append(scale - s)
-                width.append(c)
-                runs += 1
-            continue
-        i = 0
+        i = bisect_left(room, s, 0, sorted_runs)
+        if i < sorted_runs:
+            sorted_runs = i
         while i < runs:
             r = room[i]
             if r < s:
@@ -120,11 +135,24 @@ def _ffd_counts(counts: dict[int, int], order: Iterable[int], scale: int) -> int
 
 
 def ffd_snapshot(sizes, scale: int) -> int:
-    """First-Fit-Decreasing bin count; an upper bound on the optimum."""
+    """First-Fit-Decreasing bin count; an upper bound on the optimum. The
+    sizes above half a bin open their runs of bins in descending order,
+    and _ffd_counts packs the rest into them."""
     counts = Counter(sizes)
     if counts and not (min(counts) > 0 and max(counts) <= scale):
         raise ValueError("snapshot sizes must lie in (0, scale]")
-    return _ffd_counts(counts, sorted(counts, reverse=True), scale)
+    order = sorted(counts)
+    half = bisect_right(order, scale // 2)  # order[:half] fit two to a bin
+    room: list[int] = []
+    width: list[int] = []
+    bins = 0
+    for s in reversed(order[half:]):
+        c = counts[s]
+        bins += c
+        if s < scale:
+            room.append(scale - s)
+            width.append(c)
+    return _ffd_counts(room, width, bins, counts, order[:half], scale)
 
 
 _opt_cache: dict[tuple[tuple[int, ...], int], int] = {}
@@ -264,13 +292,17 @@ def opt_total(instance: Instance) -> OptReport:
     sorted by arrival with the items sorted by end, arrival + duration,
     boundary by boundary. At each boundary it applies the arrivals
     (+size), then the departures (-size), so a zero-length lifetime never
-    drives a count below zero, to the counts of live size numerators,
-    those sizes in ascending order, the item count and the volume:
-    O(n log n + intervals * sizes * runs), the two sorts plus FFD on the
-    ordered counts per interval, which sorts nothing and walks runs of
-    bins with equal room (_ffd_counts) rather than bins. Beyond the
-    report it holds the two sorted lists and the live sizes, nothing per
-    boundary.
+    drives a count below zero, to the item count, the volume and what FFD
+    starts from: for the live sizes above half a bin, the runs of bins
+    they open (room ascending, one run per size below scale, its width
+    that size's count) and the bins they fill, those of size scale
+    included; for the others, the count of each size and those sizes in
+    ascending order. O(n log n + intervals * small * runs), the two sorts
+    plus, per interval, FFD on copies of those runs (_ffd_counts), which
+    sorts nothing, packs only the sizes up to half a bin, bisects each one
+    to its first fit among the runs still sorted, and walks runs of bins
+    with equal room rather than bins. Beyond the report it holds the two
+    sorted lists and the live sizes, nothing per boundary.
 
     The sweep also measures the span of the lower bound max(vol, span),
     the measure of the union of the lifetimes: a stretch starts at the
@@ -291,11 +323,12 @@ def opt_total(instance: Instance) -> OptReport:
     in one bin (none when empty) and one of at most 1.5 bins in two,
     which is L1 in both cases.
 
-    Only where L1 < FFD are the sizes built and solved exactly, and only
-    for an interval of at most MAX_ITEMS items; any other interval, like
-    one whose search runs past NODE_BUDGET nodes, falls back to L1 and is
-    flagged inexact. The report is a function of the instance alone: what
-    earlier calls cached changes no interval.
+    Only where L1 < FFD are the descending sizes rebuilt from the runs and
+    the counts and solved exactly, and only for an interval of at most
+    MAX_ITEMS items; any other interval, like one whose search runs past
+    NODE_BUDGET nodes, falls back to L1 and is flagged inexact. The report
+    is a function of the instance alone: what earlier calls cached changes
+    no interval.
     Raises ValueError on a size outside (0, scale], a negative duration,
     or a NaN or infinite arrival or end, on none of which the merge could
     advance or its integral be finite, and UnresolvedDurationError on an
@@ -319,8 +352,14 @@ def opt_total(instance: Instance) -> OptReport:
     n = len(by_end)
     arrived = departed = 0  # the items of each list applied so far
     arrival, end_time = by_arrival[0][1], _departure(by_end[0])  # the next of each
-    counts: dict[int, int] = {}
-    order: list[int] = []  # the keys of counts, ascending
+    # FFD's runs of bins for the live sizes above half a bin, room ascending
+    # (_ffd_counts), and the bins those sizes fill, one per item, size scale
+    # included
+    big_room: list[int] = []
+    big_width: list[int] = []
+    big_bins = 0
+    counts: dict[int, int] = {}  # of each live size up to half a bin
+    small: list[int] = []  # the keys of counts, ascending
     volume = items = 0
     intervals: list[OptInterval] = []
     total = 0.0
@@ -334,22 +373,43 @@ def opt_total(instance: Instance) -> OptReport:
             stretch_start = start
         while arrival <= start:
             s = by_arrival[arrived][2]
-            c = counts.get(s, 0)
-            counts[s] = c + 1
-            if not c:
-                insort(order, s)
+            if 2 * s > scale:
+                big_bins += 1
+                if s < scale:
+                    r = scale - s
+                    i = bisect_left(big_room, r)
+                    if i < len(big_room) and big_room[i] == r:
+                        big_width[i] += 1
+                    else:
+                        big_room.insert(i, r)
+                        big_width.insert(i, 1)
+            else:
+                c = counts.get(s, 0)
+                counts[s] = c + 1
+                if not c:
+                    insort(small, s)
             items += 1
             volume += s
             arrived += 1
             arrival = by_arrival[arrived][1] if arrived < n else inf
         while end_time <= start:
             s = by_end[departed][2]
-            c = counts[s] - 1
-            if c:
-                counts[s] = c
+            if 2 * s > scale:
+                big_bins -= 1
+                if s < scale:
+                    i = bisect_left(big_room, scale - s)
+                    w = big_width[i] - 1
+                    if w:
+                        big_width[i] = w
+                    else:
+                        del big_room[i], big_width[i]
             else:
-                del counts[s]
-                order.remove(s)
+                c = counts[s] - 1
+                if c:
+                    counts[s] = c
+                else:
+                    del counts[s]
+                    small.remove(s)
             items -= 1
             volume -= s
             departed += 1
@@ -364,12 +424,14 @@ def opt_total(instance: Instance) -> OptReport:
         if items <= 2 or 2 * volume <= 3 * scale:
             opt = upper = lower
         else:
-            opt = upper = _ffd_counts(counts, reversed(order), scale)
+            opt = upper = _ffd_counts(big_room[:], big_width[:], big_bins, counts, small, scale)
             if lower < upper:
                 opt = None
                 if items <= MAX_ITEMS:
-                    sizes: list[int] = []
-                    for s in reversed(order):
+                    sizes = [scale] * (big_bins - sum(big_width))
+                    for r, w in zip(big_room, big_width):
+                        sizes += [scale - r] * w
+                    for s in reversed(small):
                         sizes += [s] * counts[s]
                     try:
                         opt = _solve(tuple(sizes), scale, upper)

@@ -81,19 +81,22 @@ def test_cmd_run_aggregates():
 
 
 def test_process_pool_rows_match_serial_run():
-    cfg = ExperimentConfig(
-        algorithm="alg2",
-        generator=dict(UNIFORM),
-        alpha="1/4",
-        trials=4,
-        base_seed=5,
-        checks=applicable_checks("alg2"),
-    )
-    serial = cmd_run(cfg)
-    pooled = cmd_run(replace(cfg, jobs=2))
-    assert pooled["trials"] == serial["trials"]
-    assert pooled["aggregates"] == serial["aggregates"]
-    assert pooled["config"]["jobs"] == 2
+    # 4 trials on 2 workers go out one to a task; 19 go out in chunks of 3,
+    # the last one short, and the rows still come back in seed order
+    for trials in (4, 19):
+        cfg = ExperimentConfig(
+            algorithm="alg2",
+            generator=dict(UNIFORM),
+            alpha="1/4",
+            trials=trials,
+            base_seed=5,
+            checks=applicable_checks("alg2"),
+        )
+        serial = cmd_run(cfg)
+        pooled = cmd_run(replace(cfg, jobs=2))
+        assert pooled["trials"] == serial["trials"]
+        assert pooled["aggregates"] == serial["aggregates"]
+        assert pooled["config"]["jobs"] == 2
 
 
 def test_config_roundtrip():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -412,6 +413,46 @@ def test_sizes_are_built_only_for_intervals_the_solver_can_take(instance):
     assert calls == expected
 
 
+def ffd_runs(sizes, scale):
+    """The runs of bins FFD opens for the sizes above half a bin, room
+    ascending, and their bin count, built afresh from a multiset; and the
+    counts of the other sizes, those sizes ascending."""
+    counts = Counter(sizes)
+    big = sorted((s for s in counts if 2 * s > scale), reverse=True)
+    small = sorted(s for s in counts if 2 * s <= scale)
+    return (
+        [scale - s for s in big if s < scale],
+        [counts[s] for s in big if s < scale],
+        sum(counts[s] for s in big),
+        {s: counts[s] for s in small},
+        small,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_instances(max_scale=64, max_items=60))
+@example(HAND_MADE)
+def test_the_sweep_keeps_ffds_runs_of_the_live_sizes(instance):
+    # the runs, bin count and small sizes the sweep hands FFD at each
+    # interval it runs FFD on are those of the interval's live sizes
+    calls = []
+    ffd_counts = oracles._ffd_counts
+
+    def record(room, width, bins, counts, small, scale):
+        calls.append((room[:], width[:], bins, dict(counts), small[:]))
+        return ffd_counts(room, width, bins, counts, small, scale)
+
+    with patch.object(oracles, "_ffd_counts", record):
+        report = opt_total(instance)
+    scale = instance.scale
+    expected = []
+    for iv in report.intervals:
+        live = live_sizes_at(instance, iv.start)
+        if len(live) > 2 and 2 * sum(live) > 3 * scale:
+            expected.append(ffd_runs(live, scale))
+    assert calls == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 40).flatmap(
@@ -451,6 +492,18 @@ def runs_of_copies(draw):
 @example((20, [12] * 5 + [4] * 4 + [2] * 4 + [1] * 21))
 # q = 0: the run's first bin takes all 3
 @example((20, [11] * 3 + [2] * 3 + [1] * 21))
+# the runs of the sizes above half a bin ascend in room, and a small size
+# bisects them only up to the first run a larger small size touched. In
+# each example below a 2 first fits the untouched run of room 2, which lies
+# before a run of room 1 that a larger small size left: a bisection over
+# both would meet the room 1 and pass the room 2
+# odd scale: 3 = 7 // 2 fills the room 3 left by 4 = (7 + 1) // 2
+@example((7, [5, 4, 3, 3, 3, 2]))
+# a size equal to scale fills its own bin and opens no run
+@example((16, [16, 14, 11, 4, 2]))
+# the 4 splits the run of two bins of room 5 into rooms 1 and 5; the first
+# 2 fills the run of room 2, the next two the split run's room-5 piece
+@example((11, [9, 6, 6, 4, 2, 2, 2]))
 def test_count_ffd_matches_item_ffd_on_many_copies(case):
     scale, sizes = case
     assert ffd_snapshot(sizes, scale) == list_ffd(sizes, scale)
